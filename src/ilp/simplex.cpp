@@ -41,8 +41,8 @@ constexpr int kRefactorInterval = 32;
 // and its inverse. With the invariant "a basic logical always occupies its
 // own row's basis slot", B decomposes (up to row permutation) as
 // [[M, 0], [C, I]], so every ftran/btran/xb computation reduces to one k x k
-// multiply plus sparse column scans, and each pivot is one of four O(k^2)
-// rank-1 updates on M^-1 (grow / column replace / shrink / row replace).
+// multiply plus sparse column or row scans, and each pivot is one of four
+// O(k^2) rank-1 updates on M^-1 (grow / column replace / shrink / row replace).
 // For the selection models the row count m (one gain row per execution path)
 // dwarfs the variable count n, so k <= n makes iterations O(k^2 + nnz)
 // instead of O(m^2) and refactorizations O(k^3) instead of O(m^3).
@@ -270,16 +270,6 @@ class SimplexSolver::Impl {
     return status_[j] == BasisStatus::kAtLower ? lb_[j] : ub_[j];
   }
 
-  /// A[row, col] for one structural column (entries are sorted by row).
-  double coeff_at(int col, int row) const {
-    const auto* first = col_entries_.data() + col_start_[col];
-    const auto* last = col_entries_.data() + col_start_[col + 1];
-    const auto* it = std::lower_bound(
-        first, last, row,
-        [](const std::pair<int, double>& e, int r) { return e.first < r; });
-    return (it != last && it->first == row) ? it->second : 0.0;
-  }
-
   // --- basis management -----------------------------------------------------
 
   void load_cold_basis() {
@@ -478,25 +468,59 @@ class SimplexSolver::Impl {
 
   // --- shared linear algebra -------------------------------------------------
 
+  // Kernel invariant: every kernel below sums each output element's terms in
+  // ascending index order (the order of the textbook column formula) and
+  // skips only terms that are exactly zero, which can change nothing but the
+  // sign of a zero. Pivots, node counts and answers therefore do not depend
+  // on how the loops are arranged; lp_trajectory_test pins them.
+
+  /// w[b] = A[r, cols_[b]]: row r of the basic structural columns, read
+  /// from the row's CSR entries in one pass.
+  void kernel_row(std::size_t r, double* w) const {
+    std::fill(w, w + k_, 0.0);
+    for (int e = row_start_[r]; e < row_start_[r + 1]; ++e) {
+      const std::size_t j = static_cast<std::size_t>(row_entries_[e].first);
+      if (j < n_ && col_pos_[j] >= 0) w[col_pos_[j]] = row_entries_[e].second;
+    }
+  }
+
+  /// out^T = w^T M^-1, as axpys over M^-1's contiguous rows in ascending b,
+  /// so each out[a] still accumulates w[b] * M^-1[b][a] in ascending b.
+  void row_times_minv(const double* w, double* out) const {
+    std::fill(out, out + k_, 0.0);
+    for (std::size_t b = 0; b < k_; ++b) {
+      const double wb = w[b];
+      if (wb == 0.0) continue;
+      const double* mrow = &minv_[b * kcap_];
+      for (std::size_t a = 0; a < k_; ++a) out[a] += wb * mrow[a];
+    }
+  }
+
   /// y = cb^T B^-1 for the given slot-indexed basic costs. With the slot
   /// invariant this is y_i = cb_i on logical-basic rows plus one k x k
-  /// transpose solve for the active rows.
+  /// transpose solve for the active rows. The right-hand side
+  /// g_b = cb[slot_b] - sum_i y_i A[i, cols_b] walks only the CSR rows of
+  /// nonzero y_i outside R: structurals sit in R's slots, so in phase 2
+  /// that is no row at all, and in phase 1 only the infeasible logicals.
   void btran(const std::vector<double>& cb) {
-    for (std::size_t i = 0; i < m_; ++i) y_[i] = row_pos_[i] < 0 ? cb[i] : 0.0;
-    for (std::size_t b = 0; b < k_; ++b) {
-      double g = cb[col_slot_[b]];
-      const int col = cols_[b];
-      for (int e = col_start_[col]; e < col_start_[col + 1]; ++e) {
-        const int row = col_entries_[e].first;
-        if (row_pos_[row] < 0) g -= y_[row] * col_entries_[e].second;
+    for (std::size_t b = 0; b < k_; ++b) gwork_[b] = cb[col_slot_[b]];
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (row_pos_[i] >= 0) {
+        y_[i] = 0.0;
+        continue;
       }
-      gwork_[b] = g;
+      const double yi = cb[i];
+      y_[i] = yi;
+      if (yi == 0.0) continue;
+      for (int e = row_start_[i]; e < row_start_[i + 1]; ++e) {
+        const std::size_t j = static_cast<std::size_t>(row_entries_[e].first);
+        if (j < n_ && col_pos_[j] >= 0) {
+          gwork_[col_pos_[j]] -= yi * row_entries_[e].second;
+        }
+      }
     }
-    for (std::size_t a = 0; a < k_; ++a) {
-      double v = 0;
-      for (std::size_t b = 0; b < k_; ++b) v += minv_[b * kcap_ + a] * gwork_[b];
-      y_[rows_[a]] = v;
-    }
+    row_times_minv(gwork_.data(), twork_.data());
+    for (std::size_t a = 0; a < k_; ++a) y_[rows_[a]] = twork_[a];
   }
 
   /// rho = row r of B^-1 (a btran with a slot-unit cost vector); the dual
@@ -509,14 +533,10 @@ class SimplexSolver::Impl {
       for (std::size_t a = 0; a < k_; ++a) rho_[rows_[a]] = minv_[br * kcap_ + a];
     } else {
       rho_[r] = 1.0;
-      for (std::size_t b = 0; b < k_; ++b) {
-        gwork_[b] = -coeff_at(cols_[b], static_cast<int>(r));
-      }
-      for (std::size_t a = 0; a < k_; ++a) {
-        double v = 0;
-        for (std::size_t b = 0; b < k_; ++b) v += minv_[b * kcap_ + a] * gwork_[b];
-        rho_[rows_[a]] = v;
-      }
+      kernel_row(r, gwork_.data());
+      for (std::size_t b = 0; b < k_; ++b) gwork_[b] = -gwork_[b];
+      row_times_minv(gwork_.data(), twork_.data());
+      for (std::size_t a = 0; a < k_; ++a) rho_[rows_[a]] = twork_[a];
     }
   }
 
@@ -572,14 +592,19 @@ class SimplexSolver::Impl {
       alpha_touch(col_slot_[b]);
     }
     // Ascending row order keeps the ratio test's near-tie decisions (within
-    // opt_.eps) identical to the old dense row sweep.
-    std::sort(alpha_nz_.begin(), alpha_nz_.end());
+    // opt_.eps) identical to the old dense row sweep. One O(m) sweep over
+    // the marks rebuilds it; the callers already pay O(m) per iteration.
+    alpha_nz_.clear();
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (alpha_mark_[i] == alpha_epoch_) alpha_nz_.push_back(static_cast<int>(i));
+    }
   }
 
   /// True when B * alpha reproduces column j within tolerance. The residual
   /// costs one pass over the support's columns -- about as much as the ftran
-  /// itself -- and catches the product-form kernel decaying before a pivot
-  /// bakes the drift into M^-1. Callers refactorize and retry on failure.
+  /// itself -- plus one sweep over resid_ for the max-abs error, and catches
+  /// the product-form kernel decaying before a pivot bakes the drift into
+  /// M^-1. Callers refactorize and retry on failure.
   bool ftran_accurate(std::size_t j) {
     double norm = 1.0;
     for (const int inz : alpha_nz_) {
@@ -594,17 +619,11 @@ class SimplexSolver::Impl {
       resid_[col_entries_[e].first] -= col_entries_[e].second;
       norm = std::max(norm, std::abs(col_entries_[e].second));
     }
+    // Untouched rows hold 0 and cannot raise the max.
     double err = 0;
-    for (const int inz : alpha_nz_) {
-      const std::size_t bj = static_cast<std::size_t>(basis_[inz]);
-      for (int e = col_start_[bj]; e < col_start_[bj + 1]; ++e) {
-        err = std::max(err, std::abs(resid_[col_entries_[e].first]));
-        resid_[col_entries_[e].first] = 0.0;
-      }
-    }
-    for (int e = col_start_[j]; e < col_start_[j + 1]; ++e) {
-      err = std::max(err, std::abs(resid_[col_entries_[e].first]));
-      resid_[col_entries_[e].first] = 0.0;
+    for (double& r : resid_) {
+      err = std::max(err, std::abs(r));
+      r = 0.0;
     }
     return err <= 1e-6 * norm;
   }
@@ -674,14 +693,8 @@ class SimplexSolver::Impl {
   /// (bordered-inverse update; the Schur complement equals alpha_[r]).
   void grow_basis(std::size_t r, std::size_t e) {
     const double inv_s = 1.0 / alpha_[r];
-    for (std::size_t b = 0; b < k_; ++b) {
-      kwork_[b] = coeff_at(cols_[b], static_cast<int>(r));  // w = row r over S
-    }
-    for (std::size_t a = 0; a < k_; ++a) {
-      double v = 0;
-      for (std::size_t b = 0; b < k_; ++b) v += kwork_[b] * minv_[b * kcap_ + a];
-      twork_[a] = v;  // q^T = w^T M^-1
-    }
+    kernel_row(r, kwork_.data());                  // w = row r over S
+    row_times_minv(kwork_.data(), twork_.data());  // q^T = w^T M^-1
     for (std::size_t b = 0; b < k_; ++b) {
       const double pb = red_[b];
       double* mrow = &minv_[b * kcap_];
@@ -760,15 +773,10 @@ class SimplexSolver::Impl {
     const std::size_t i = e - n_;
     PARTITA_ASSERT(row_pos_[i] >= 0);
     const std::size_t p = static_cast<std::size_t>(row_pos_[i]);
-    for (std::size_t b = 0; b < k_; ++b) {
-      kwork_[b] = minv_[b * kcap_ + p];                     // kappa = M^-1 e_p
-      gwork_[b] = coeff_at(cols_[b], static_cast<int>(r));  // w = new row
-    }
-    for (std::size_t a = 0; a < k_; ++a) {
-      double v = 0;
-      for (std::size_t b = 0; b < k_; ++b) v += gwork_[b] * minv_[b * kcap_ + a];
-      twork_[a] = v;  // t^T = w^T M^-1
-    }
+    // kappa = M^-1 e_p
+    for (std::size_t b = 0; b < k_; ++b) kwork_[b] = minv_[b * kcap_ + p];
+    kernel_row(r, gwork_.data());                  // w = new row
+    row_times_minv(gwork_.data(), twork_.data());  // t^T = w^T M^-1
     const double invp = 1.0 / twork_[p];
     twork_[p] -= 1.0;  // d^T M^-1 = t^T - e_p^T
     for (std::size_t b = 0; b < k_; ++b) {
@@ -984,46 +992,6 @@ class SimplexSolver::Impl {
         continue;
       }
 
-#ifdef PARTITA_LP_TRACE
-      {
-        // Check B * alpha == a_enter: z = sum_i alpha_i * col(basis_[i]).
-        std::vector<double> z(m_, 0.0);
-        for (std::size_t i = 0; i < m_; ++i) {
-          const double ai = alpha_[i];
-          if (ai == 0.0) continue;
-          const std::size_t bj = static_cast<std::size_t>(basis_[i]);
-          if (bj >= n_) {
-            z[bj - n_] += ai;
-          } else {
-            for (int e2 = col_start_[bj]; e2 < col_start_[bj + 1]; ++e2) {
-              z[col_entries_[e2].first] += col_entries_[e2].second * ai;
-            }
-          }
-        }
-        if (enter >= n_) {
-          z[enter - n_] -= 1.0;
-        } else {
-          for (int e2 = col_start_[enter]; e2 < col_start_[enter + 1]; ++e2) {
-            z[col_entries_[e2].first] -= col_entries_[e2].second;
-          }
-        }
-        double err = 0;
-        for (std::size_t i = 0; i < m_; ++i) err = std::max(err, std::abs(z[i]));
-        if (err > 1e-6) {
-          std::fprintf(stderr, "TRACE ftran wrong: iter=%d enter=%zu err=%.6g\n",
-                       iterations, enter, err);
-          std::abort();
-        }
-        // And alpha support completeness: alpha_[i] != 0 must imply marked.
-        for (std::size_t i = 0; i < m_; ++i) {
-          if (alpha_[i] != 0.0 && alpha_mark_[i] != alpha_epoch_) {
-            std::fprintf(stderr, "TRACE support miss: iter=%d row=%zu\n",
-                         iterations, i);
-            std::abort();
-          }
-        }
-      }
-#endif
       // --- ratio test ----------------------------------------------------
       // Entering moves by direction*theta; basic i changes at rate
       // g_i = -direction * alpha_i per unit theta. Only the pivot column's
@@ -1122,62 +1090,6 @@ class SimplexSolver::Impl {
 
       apply_step(enter, direction, theta, leave_row, leave_at_upper);
       ++iterations;
-#ifdef PARTITA_LP_TRACE
-      {
-        // Slot bookkeeping invariants.
-        for (std::size_t b = 0; b < k_; ++b) {
-          if (basis_[col_slot_[b]] != cols_[b]) {
-            std::fprintf(stderr,
-                         "TRACE slot bad: iter=%d b=%zu col_slot=%d basis=%d cols=%d\n",
-                         iterations, b, col_slot_[b], basis_[col_slot_[b]], cols_[b]);
-            std::abort();
-          }
-          if (col_pos_[cols_[b]] != static_cast<int>(b)) {
-            std::fprintf(stderr, "TRACE col_pos bad: iter=%d b=%zu\n", iterations, b);
-            std::abort();
-          }
-          if (row_pos_[rows_[b]] != static_cast<int>(b)) {
-            std::fprintf(stderr, "TRACE row_pos bad: iter=%d b=%zu\n", iterations, b);
-            std::abort();
-          }
-        }
-        // Kernel inverse: M[a][b] = coeff of cols_[b] at row rows_[a];
-        // minv_[b][a] = M^-1. Check (M * M^-1)[a][a2] == I.
-        double kerr = 0;
-        for (std::size_t a = 0; a < k_; ++a) {
-          for (std::size_t a2 = 0; a2 < k_; ++a2) {
-            double v = 0;
-            for (std::size_t b2 = 0; b2 < k_; ++b2) {
-              v += coeff_at(cols_[b2], static_cast<int>(rows_[a])) *
-                   minv_[b2 * kcap_ + a2];
-            }
-            kerr = std::max(kerr, std::abs(v - (a2 == a ? 1.0 : 0.0)));
-          }
-        }
-        if (kerr > 1e-6) {
-          std::fprintf(stderr,
-                       "TRACE kernel bad: iter=%d enter=%zu leave_row=%zu k=%zu kerr=%.6g "
-                       "alpha_r=%.6g theta=%.6g\n",
-                       iterations, enter, leave_row, k_, kerr,
-                       leave_row == m_ ? 0.0 : alpha_[leave_row], theta);
-          std::abort();
-        }
-      }
-#endif
-#ifdef PARTITA_LP_TRACE
-      if (phase == 2) {
-        const double infe = total_infeasibility();
-        if (infe > 1e-5) {
-          std::fprintf(stderr,
-                       "TRACE iter=%d enter=%zu dir=%d theta=%.6g leave_row=%zu "
-                       "leave=%d k=%zu infeas=%.6g nz=%zu\n",
-                       iterations, enter, direction, theta, leave_row,
-                       leave_row == m_ ? -1 : basis_[leave_row], k_, infe,
-                       alpha_nz_.size());
-          std::abort();
-        }
-      }
-#endif
 
       // --- stall detection / Bland fallback ------------------------------
       double obj;

@@ -97,10 +97,6 @@ struct LpOptions {
   int stall_limit = 64;
 };
 
-/// Public knob surface of the LP engine (the ILP layer nests one of these as
-/// `IlpOptions::lp`).
-using SolverOptions = LpOptions;
-
 /// Reusable revised-simplex engine for one Model.
 ///
 /// Construction transposes the model into sparse columns once; individual
