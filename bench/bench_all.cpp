@@ -20,7 +20,8 @@
 //                  (docs/durability.md): closed-loop submit->complete p50/p99
 //                  against a journaled service vs a journal-less control
 //                  (every request pays an fsynced admit + terminal record),
-//                  gated at <10% overhead, and the wall clock a
+//                  gated at <10% + 2 ms overhead on the p50s and on the
+//                  median paired per-round difference, and the wall clock a
 //                  checkpoint-resume saves vs a cold re-solve of the sized
 //                  random workload (the kill-mid-search recovery scenario).
 //                  Resumed answers are held to the same bit-identity gate.
@@ -47,6 +48,7 @@
 #include <unistd.h>
 
 #include "bench_meta.hpp"
+#include "durability_gate.hpp"
 #include "ilp/branch_bound.hpp"
 #include "ilp/checkpoint.hpp"
 #include "ilp/presolve.hpp"
@@ -61,6 +63,7 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using partita::bench::percentile_ms;
 using partita::select::Flow;
 using partita::select::SelectOptions;
 
@@ -403,6 +406,8 @@ struct DurabilityResult {
   double journaled_p99_ms = 0.0;
   double overhead_p50 = 0.0;  // journaled / plain
   double overhead_p99 = 0.0;
+  double paired_diff_p50_ms = 0.0;  // median per-round journaled - plain
+  double gate_bound_ms = 0.0;
   long long admits = 0;
   long long terminals = 0;
   bool gate_failed = false;
@@ -416,12 +421,6 @@ struct DurabilityResult {
   int frontier_nodes = 0;
   int waves = 0;
 };
-
-double percentile_ms(std::vector<double> v, std::size_t pct) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[std::min(v.size() - 1, v.size() * pct / 100)];
-}
 
 /// One closed-loop round trip; submit->complete latency in ms. A non-empty
 /// payload is the envelope the wire front end would persist -- the service
@@ -473,8 +472,8 @@ DurabilityResult bench_durability(bool smoke) {
   // full durable cost: one fsynced admit record before acknowledgment plus
   // one fsynced terminal record before completion. The two legs are held
   // open side by side and the request stream alternates between them (order
-  // flipping each round), so machine-load noise lands on both and the p50/p99
-  // comparison stays paired rather than run-vs-run.
+  // flipping each round), so machine-load noise lands on both and the gate
+  // (durability_gate.hpp) compares paired rounds rather than run-vs-run.
   const partita::workloads::Workload w = sized_workload(smoke ? 20 : 28, 777);
   Flow flow(w.module, w.library);
   const std::int64_t gain = flow.max_feasible_gain() / 2;
@@ -515,21 +514,21 @@ DurabilityResult bench_durability(bool smoke) {
   journal.close();
   remove_journal_dir(jdir);
 
-  res.plain_p50_ms = percentile_ms(plain, 50);
+  const partita::bench::DurabilityGate gate =
+      partita::bench::durability_gate(plain, journaled);
+  res.plain_p50_ms = gate.plain_p50_ms;
   res.plain_p99_ms = percentile_ms(plain, 99);
-  res.journaled_p50_ms = percentile_ms(journaled, 50);
+  res.journaled_p50_ms = gate.journaled_p50_ms;
   res.journaled_p99_ms = percentile_ms(journaled, 99);
+  res.paired_diff_p50_ms = gate.paired_diff_p50_ms;
+  res.gate_bound_ms = gate.bound_ms;
+  res.gate_failed = gate.failed();
   res.overhead_p50 =
       res.plain_p50_ms > 0 ? res.journaled_p50_ms / res.plain_p50_ms : 0.0;
   res.overhead_p99 =
       res.plain_p99_ms > 0 ? res.journaled_p99_ms / res.plain_p99_ms : 0.0;
   res.admits = static_cast<long long>(jstats.admits);
   res.terminals = static_cast<long long>(jstats.terminals);
-  // <10% regression gate, with a 2ms absolute epsilon so scheduler jitter on
-  // near-identical magnitudes cannot flake the gate.
-  res.gate_failed =
-      res.journaled_p50_ms > res.plain_p50_ms * 1.10 + 2.0 ||
-      res.journaled_p99_ms > res.plain_p99_ms * 1.10 + 2.0;
 
   // Payoff leg: cold-select the sized random workload at the gmax/2
   // operating point while capturing a checkpoint at every wave boundary --
@@ -672,6 +671,8 @@ std::string render_json(const partita::bench::MachineMeta& meta, bool smoke,
      << ", \"journaled_p99_ms\": " << fmt(dur.journaled_p99_ms)
      << ", \"overhead_p50\": " << fmt(dur.overhead_p50)
      << ", \"overhead_p99\": " << fmt(dur.overhead_p99)
+     << ", \"paired_diff_p50_ms\": " << fmt(dur.paired_diff_p50_ms)
+     << ", \"gate_bound_ms\": " << fmt(dur.gate_bound_ms)
      << ", \"admits\": " << dur.admits << ", \"terminals\": " << dur.terminals
      << ", \"checkpoint_sites\": " << dur.sites
      << ", \"cold_seconds\": " << fmt(dur.cold_seconds)
@@ -810,9 +811,11 @@ int main(int argc, char** argv) {
   const DurabilityResult dur = bench_durability(smoke);
   std::printf(
       "durability submit->complete p50 %.2fms -> %.2fms (%.2fx) p99 %.2fms -> "
-      "%.2fms (%.2fx), %lld admits / %lld terminals journaled\n",
+      "%.2fms (%.2fx), paired median +%.2fms (bound %.2fms), %lld admits / "
+      "%lld terminals journaled\n",
       dur.plain_p50_ms, dur.journaled_p50_ms, dur.overhead_p50, dur.plain_p99_ms,
-      dur.journaled_p99_ms, dur.overhead_p99, dur.admits, dur.terminals);
+      dur.journaled_p99_ms, dur.overhead_p99, dur.paired_diff_p50_ms,
+      dur.gate_bound_ms, dur.admits, dur.terminals);
   std::printf(
       "durability checkpoint-resume %d-site: cold %.3fs, resume %.3fs "
       "(%.1f%% saved; %d open nodes at wave %d)\n",
@@ -829,8 +832,9 @@ int main(int argc, char** argv) {
   if (dur.gate_failed) {
     std::fprintf(stderr,
                  "bench_all: REGRESSION: journal overhead on submit->complete "
-                 "exceeds 10%% (p50 %.2fx, p99 %.2fx)\n",
-                 dur.overhead_p50, dur.overhead_p99);
+                 "exceeds 10%% + 2ms (p50 %.2fx, paired median +%.2fms vs "
+                 "bound %.2fms)\n",
+                 dur.overhead_p50, dur.paired_diff_p50_ms, dur.gate_bound_ms);
     return 1;
   }
   if (!check_path.empty()) return check_regression(json, check_path);

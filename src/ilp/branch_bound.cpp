@@ -305,6 +305,10 @@ class Solver {
   /// for it: warm-starts from the batch's previous root basis, separates
   /// root cuts into an extended copy of the model (the *search* model: same
   /// variables, extra <= rows), and leaves the final root basis for node 0.
+  /// Each round after the first warm-starts from the previous round's
+  /// optimal basis with the new cut rows' logicals basic: that basis stays
+  /// dual feasible (the reduced costs do not change), so a few dual pivots
+  /// repair the violated cuts instead of a phase 1 + 2 re-solve.
   /// Returns false iff the root LP proves the subproblem infeasible --
   /// extended-LP infeasibility also qualifies, because cuts retain every
   /// integer-feasible point.
@@ -326,13 +330,13 @@ class Solver {
     root_basis_ = root.last_basis();
 
     if (!opt_.cuts) return true;
+    const std::vector<LiftedClique>& lifted = lifted_cliques();
     std::vector<double> x = lp.x;
     for (int round = 0; round < opt_.max_cut_rounds; ++round) {
       // Separating against the *extended* model is self-deduplicating: a cut
       // already present as a row is satisfied by that LP's optimum, so it can
       // never come back violated.
-      std::vector<Cut> cuts =
-          separate_cuts(*search_model_, pre_.cliques, x, root_lo_, root_hi_);
+      std::vector<Cut> cuts = separate_cuts(*search_model_, lifted, x);
       if (cuts.empty()) break;
       result_.stats.cuts_separated += static_cast<int>(cuts.size());
       ++result_.stats.cut_rounds;
@@ -344,8 +348,12 @@ class Solver {
         ext_model_.add_row(std::move(cut.name), std::move(cut.terms), cut.sense, cut.rhs);
       }
       result_.stats.cuts_applied += static_cast<int>(cuts.size());
+      // Logicals follow the structurals in row order, so the new rows'
+      // logicals extend the previous round's basis at its end.
+      root_basis_.status.resize(root_basis_.status.size() + cuts.size(),
+                                BasisStatus::kBasic);
       SimplexSolver ext_root(ext_model_);
-      lp = ext_root.solve(root_lo_, root_hi_, opt_.lp);
+      lp = ext_root.solve_warm(root_lo_, root_hi_, root_basis_, opt_.lp);
       accumulate_root_lp(lp);
       if (lp.status == LpStatus::kInfeasible) return false;
       if (lp.status != LpStatus::kOptimal) {
@@ -356,6 +364,20 @@ class Solver {
       x = lp.x;
     }
     return true;
+  }
+
+  /// The clique table's extensions, lifted once per table: a batch context
+  /// lifts on its first separating item and hands the list on.
+  const std::vector<LiftedClique>& lifted_cliques() {
+    if (batch_ == nullptr || !batch_->has_cliques || !opt_.presolve) {
+      lifted_ = lift_cliques(pre_.cliques, model_.var_count());
+      return lifted_;
+    }
+    if (!batch_->has_lifted_cliques) {
+      batch_->lifted_cliques = lift_cliques(pre_.cliques, model_.var_count());
+      batch_->has_lifted_cliques = true;
+    }
+    return batch_->lifted_cliques;
   }
 
   struct Lane {
@@ -640,6 +662,7 @@ class Solver {
     VarIndex branch_var = 0;
     double branch_frac = 0.0;
     bool have_branch_var = false;
+    bool bound_usable = lp.status == LpStatus::kOptimal;
 
     if (lp.status == LpStatus::kIterationLimit) {
       // No usable bound; keep exploring below this node.
@@ -653,9 +676,20 @@ class Solver {
       have_branch_var = pick_branch_var(lp.x, branch_var, branch_frac);
       if (!have_branch_var) {
         offer_incumbent(lp.x);  // integral: candidate incumbent
-        return;
+        // The LP optimum is only one integer point of this subtree. Under
+        // canonical ties another one with the same objective may still be
+        // lex-smaller than the incumbent, so a subtree in the tie window
+        // keeps splitting until lex_improvable rules it out.
+        if (!opt_.canonical_ties || !has_incumbent_ ||
+            pruned_by_bound(node_bound, lane.lo)) {
+          return;
+        }
+        if (!pick_lex_branch_var(lane.lo, lane.hi, branch_var)) return;
+        bound_usable = false;  // no fractional move: nothing for the pseudo-costs
+        have_branch_var = true;
+      } else {
+        try_rounding(lp.x);
       }
-      try_rounding(lp.x);
       if (pruned_by_bound(node_bound, lane.lo)) return;
     }
     if (!have_branch_var) return;
@@ -668,11 +702,11 @@ class Solver {
 
     // Children: the preferred side continues the lane's plunge, the other
     // goes to the best-bound heap.
-    const std::int32_t down = make_child(id, node_bound, lp.status == LpStatus::kOptimal,
-                                         basis_id, branch_var, branch_frac,
+    const std::int32_t down = make_child(id, node_bound, bound_usable, basis_id,
+                                         branch_var, branch_frac,
                                          /*up=*/false, lane.lo, lane.hi);
-    const std::int32_t up = make_child(id, node_bound, lp.status == LpStatus::kOptimal,
-                                       basis_id, branch_var, branch_frac,
+    const std::int32_t up = make_child(id, node_bound, bound_usable, basis_id,
+                                       branch_var, branch_frac,
                                        /*up=*/true, lane.lo, lane.hi);
     if (basis_id >= 0 && basis_refs_[basis_id] == 0) free_basis_slot(basis_id);
 
@@ -829,6 +863,21 @@ class Solver {
     return found;
   }
 
+  /// Tie-window split of an integral node: the first free binary the
+  /// incumbent sets to 1. Its down side holds exactly the subtree's points
+  /// that can first undercut the incumbent there.
+  bool pick_lex_branch_var(const std::vector<double>& lo, const std::vector<double>& hi,
+                           VarIndex& out) const {
+    for (std::size_t j = 0; j < model_.var_count(); ++j) {
+      if (model_.var(static_cast<VarIndex>(j)).kind != VarKind::kBinary) continue;
+      if (lo[j] < hi[j] - opt_.int_tol && incumbent_x_[j] > 0.5) {
+        out = static_cast<VarIndex>(j);
+        return true;
+      }
+    }
+    return false;
+  }
+
   bool pick_any_unfixed(const std::vector<double>& lo, const std::vector<double>& hi,
                         VarIndex& out) const {
     for (std::size_t j = 0; j < model_.var_count(); ++j) {
@@ -964,6 +1013,7 @@ class Solver {
   const Model* search_model_ = nullptr;
   Model ext_model_;
   Basis root_basis_;
+  std::vector<LiftedClique> lifted_;  // this solve's lift when no batch holds one
   support::Clock& clock_;               // deadline clock (injectable)
   std::int64_t budget_start_micros_ = 0;
   double sign_ = 1.0;

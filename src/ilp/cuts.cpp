@@ -56,62 +56,20 @@ void separate_implications(const Model& model, const std::vector<double>& x,
   }
 }
 
-/// Clique cuts: greedily extends each presolve clique over the pairwise
-/// conflict graph (u conflicts w iff some clique contains both) and emits
-/// the extension when the fractional point packs more than 1 into it.
-/// Pairwise conflicts make "at most one" valid for every integer point: two
-/// members at 1 would violate the at-most-one row that holds their pair.
-void separate_cliques(const Model& model,
-                      const std::vector<std::vector<VarIndex>>& cliques,
+/// Clique cuts: emits each lifted clique (see lift_cliques) that the
+/// fractional point packs more than 1 into.
+void separate_cliques(const std::vector<LiftedClique>& lifted,
                       const std::vector<double>& x, const CutOptions& opt,
                       std::vector<Cut>& out) {
-  if (cliques.empty()) return;
-  const std::size_t n = model.var_count();
-  std::vector<std::vector<std::uint32_t>> var_cliques(n);
-  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-    for (VarIndex v : cliques[c]) var_cliques[v].push_back(c);
-  }
-  auto conflict = [&](VarIndex u, VarIndex w) {
-    const auto& cu = var_cliques[u];
-    const auto& cw = var_cliques[w];
-    // Clique id lists are ascending by construction; merge-scan them.
-    std::size_t a = 0, b = 0;
-    while (a < cu.size() && b < cw.size()) {
-      if (cu[a] == cw[b]) return true;
-      cu[a] < cw[b] ? ++a : ++b;
-    }
-    return false;
-  };
-
-  std::set<std::vector<VarIndex>> emitted;
-  for (std::uint32_t c = 0; c < cliques.size() &&
-                            out.size() < static_cast<std::size_t>(opt.max_cuts_per_round);
-       ++c) {
-    std::vector<VarIndex> members = cliques[c];
-    // Deterministic greedy extension: lowest conflicting variable first.
-    for (VarIndex w = 0; w < n; ++w) {
-      if (var_cliques[w].empty()) continue;
-      if (std::find(members.begin(), members.end(), w) != members.end()) continue;
-      bool all = true;
-      for (VarIndex u : members) {
-        if (!conflict(u, w)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) members.push_back(w);
-    }
-    if (members.size() <= cliques[c].size()) continue;  // no lift: row dominates
+  for (const LiftedClique& lc : lifted) {
+    if (out.size() >= static_cast<std::size_t>(opt.max_cuts_per_round)) return;
     double activity = 0.0;
-    for (VarIndex v : members) activity += x[v];
+    for (VarIndex v : lc.members) activity += x[v];
     if (activity <= 1.0 + opt.violation_tol) continue;
-    std::vector<VarIndex> key = members;
-    std::sort(key.begin(), key.end());
-    if (!emitted.insert(key).second) continue;
     Cut cut;
-    cut.name = "cut_clique" + std::to_string(c);
-    cut.terms.reserve(key.size());
-    for (VarIndex v : key) cut.terms.push_back({v, 1.0});
+    cut.name = "cut_clique" + std::to_string(lc.source);
+    cut.terms.reserve(lc.members.size());
+    for (VarIndex v : lc.members) cut.terms.push_back({v, 1.0});
     cut.sense = RowSense::kLessEqual;
     cut.rhs = 1.0;
     out.push_back(std::move(cut));
@@ -201,17 +159,57 @@ void separate_covers(const Model& model, const std::vector<double>& x,
 
 }  // namespace
 
-std::vector<Cut> separate_cuts(const Model& model,
-                               const std::vector<std::vector<VarIndex>>& cliques,
-                               const std::vector<double>& x,
-                               const std::vector<double>& lower,
-                               const std::vector<double>& upper,
-                               const CutOptions& opt) {
-  (void)lower;
-  (void)upper;
+std::vector<LiftedClique> lift_cliques(
+    const std::vector<std::vector<VarIndex>>& cliques, std::size_t var_count) {
+  std::vector<LiftedClique> lifted;
+  if (cliques.empty()) return lifted;
+  std::vector<std::vector<std::uint32_t>> var_cliques(var_count);
+  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
+    for (VarIndex v : cliques[c]) var_cliques[v].push_back(c);
+  }
+  auto conflict = [&](VarIndex u, VarIndex w) {
+    const auto& cu = var_cliques[u];
+    const auto& cw = var_cliques[w];
+    // Clique id lists are ascending by construction; merge-scan them.
+    std::size_t a = 0, b = 0;
+    while (a < cu.size() && b < cw.size()) {
+      if (cu[a] == cw[b]) return true;
+      cu[a] < cw[b] ? ++a : ++b;
+    }
+    return false;
+  };
+
+  std::set<std::vector<VarIndex>> seen;
+  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
+    std::vector<VarIndex> members = cliques[c];
+    // Deterministic greedy extension: lowest conflicting variable first.
+    for (VarIndex w = 0; w < var_count; ++w) {
+      if (var_cliques[w].empty()) continue;
+      if (std::find(members.begin(), members.end(), w) != members.end()) continue;
+      bool all = true;
+      for (VarIndex u : members) {
+        if (!conflict(u, w)) {
+          all = false;
+          break;
+        }
+      }
+      if (all) members.push_back(w);
+    }
+    if (members.size() <= cliques[c].size()) continue;  // no lift: row dominates
+    std::sort(members.begin(), members.end());
+    // Equal extensions have equal activity at every point, so only the
+    // lowest source can ever be emitted.
+    if (!seen.insert(members).second) continue;
+    lifted.push_back({c, std::move(members)});
+  }
+  return lifted;
+}
+
+std::vector<Cut> separate_cuts(const Model& model, const std::vector<LiftedClique>& lifted,
+                               const std::vector<double>& x, const CutOptions& opt) {
   std::vector<Cut> out;
   separate_implications(model, x, opt, out);
-  separate_cliques(model, cliques, x, opt, out);
+  separate_cliques(lifted, x, opt, out);
   separate_covers(model, x, opt, out);
   if (out.size() > static_cast<std::size_t>(opt.max_cuts_per_round)) {
     out.resize(opt.max_cuts_per_round);

@@ -8,7 +8,9 @@
 //     forces z >= a_j x_j / M, the disaggregated form is the full lifting;
 //   * clique cuts  sum_{Q} x <= 1  from greedy extensions of the presolve
 //     clique table over the pairwise conflict graph (Eq. 1 / SC-PC rows give
-//     the seed cliques; an extension merges overlapping at-most-ones);
+//     the seed cliques; an extension merges overlapping at-most-ones). The
+//     extensions do not depend on x, so lift_cliques computes them once;
+//     separation only tests their activity;
 //   * lifted (extended) cover cuts  sum_{C u E} x <= |C| - 1  from all-binary
 //     knapsack <= rows (the power-budget row), with C a minimal cover and
 //     E the columns at least as heavy as every cover member.
@@ -21,6 +23,7 @@
 // violated by that LP's optimum again.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,15 +47,27 @@ struct Cut {
   double rhs = 0.0;
 };
 
+/// A clique table entry grown greedily over the pairwise conflict graph
+/// (u conflicts w iff some clique contains both). Pairwise conflicts make
+/// "at most one" valid for every integer point: two members at 1 would
+/// violate the at-most-one row that holds their pair.
+struct LiftedClique {
+  std::uint32_t source = 0;       // clique table index; names the cut
+  std::vector<VarIndex> members;  // ascending, a strict superset of the source
+};
+
+/// Lifts every clique of the presolve table that the conflict graph can
+/// extend, in table order, dropping extensions equal to an earlier one.
+/// Independent of any fractional point and of the row set, so a solve (or a
+/// batch sharing one clique table) lifts once and separates every root
+/// round against the same list.
+std::vector<LiftedClique> lift_cliques(const std::vector<std::vector<VarIndex>>& cliques,
+                                       std::size_t var_count);
+
 /// Separates cuts violated by the fractional point `x` (sized var_count()).
-/// `cliques` is the presolve clique table; `lower`/`upper` are the bounds the
-/// relaxation was solved under. Deterministic: identical inputs produce an
-/// identical cut list.
-std::vector<Cut> separate_cuts(const Model& model,
-                               const std::vector<std::vector<VarIndex>>& cliques,
-                               const std::vector<double>& x,
-                               const std::vector<double>& lower,
-                               const std::vector<double>& upper,
-                               const CutOptions& opt = {});
+/// `lifted` is lift_cliques() of the presolve clique table. Deterministic:
+/// identical inputs produce an identical cut list.
+std::vector<Cut> separate_cuts(const Model& model, const std::vector<LiftedClique>& lifted,
+                               const std::vector<double>& x, const CutOptions& opt = {});
 
 }  // namespace partita::ilp

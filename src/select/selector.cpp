@@ -301,9 +301,7 @@ std::vector<Selection> Selector::select_batch(
 std::vector<Selection> Selector::select_batch_per_path(
     const std::vector<std::vector<std::int64_t>>& items,
     const SelectOptions& opt, const BatchItemHook& per_item) const {
-  std::vector<Selection> out;
-  out.reserve(items.size());
-  if (items.empty()) return out;
+  if (items.empty()) return {};
   for (const auto& item : items) PARTITA_ASSERT(item.size() == paths_.size());
 
   // One model for the whole batch, built with a token gain of 1 so every
@@ -313,14 +311,37 @@ std::vector<Selection> Selector::select_batch_per_path(
   std::vector<double> floor_rhs;
   scan_gain_rows(m, paths_.size(), gain_row, floor_rhs);
 
-  ilp::BatchContext ctx;
+  std::vector<ilp::IlpOptions> iopts(items.size(), opt.ilp);
+  if (per_item) {
+    for (std::size_t i = 0; i < items.size(); ++i) per_item(i, iopts[i]);
+  }
+
+  // Hardest item first: with carried search state every later item starts
+  // from the previous optimum, which a lower requirement usually keeps
+  // feasible (offer_incumbent re-audits it either way).
+  std::vector<std::size_t> order(items.size());
+  std::vector<std::int64_t> top(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& item = items[i];
-    retarget_gain_rows(m, item, gain_row, floor_rhs);
-    ilp::IlpOptions iopt = opt.ilp;
-    if (per_item) per_item(i, iopt);
-    const ilp::IlpResult r = ilp::solve_ilp(m, iopt, &ctx);
-    out.push_back(finish_selection(r, item, opt));
+    order[i] = i;
+    top[i] = items[i].empty() ? 0 : *std::max_element(items[i].begin(), items[i].end());
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return top[a] > top[b]; });
+
+  std::vector<Selection> out(items.size());
+  ilp::BatchContext ctx;
+  ctx.carry_search_state = true;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::size_t i = order[k];
+    retarget_gain_rows(m, items[i], gain_row, floor_rhs);
+    ilp::IlpResult r = ilp::solve_ilp(m, iopts[i], &ctx);
+    if (k > 0 && ilp::is_truncated(r.status) &&
+        r.stats.termination != ilp::TerminationReason::kCancelled) {
+      // Carried state is answer-neutral only for completed searches: redo a
+      // truncated item without any context, as a standalone solve.
+      r = ilp::solve_ilp(m, iopts[i]);
+    }
+    out[i] = finish_selection(r, items[i], opt);
   }
   return out;
 }

@@ -61,17 +61,23 @@ class Selector {
   Selection select_per_path(const std::vector<std::int64_t>& required_gains,
                             const SelectOptions& opt = {}) const;
 
-  /// Called before each batch item's solve with (item index, that item's
-  /// solver options); lets callers install per-item cancel tokens or
-  /// budgets without giving up the shared amortization context.
+  /// Called once per batch item, in index order and before any solve, with
+  /// (item index, that item's solver options); lets callers install
+  /// per-item cancel tokens or budgets without giving up the shared
+  /// amortization context.
   using BatchItemHook = std::function<void(std::size_t, ilp::IlpOptions&)>;
 
   /// Batch solve: one Selection per uniform required gain, amortizing the
-  /// model build, the presolve clique table and the root LP basis across
-  /// items (see ilp::BatchContext). Results are bit-identical to calling
-  /// select() once per gain -- the model is built a single time and only the
-  /// gain-row RHS is retargeted between items, and every reused artifact
-  /// (cliques, warm bases) is answer-neutral under canonical tie-breaking.
+  /// model build, the presolve clique table, its lifted cliques and the root
+  /// LP basis across items (see ilp::BatchContext). Items are solved in
+  /// descending order of their largest gain with carried search state, so
+  /// each starts from the previous (harder) item's optimum; results come
+  /// back in index order. Results are bit-identical to calling select() once
+  /// per gain -- the model is built a single time and only the gain-row RHS
+  /// is retargeted between items, and every reused artifact is
+  /// answer-neutral for a completed search under canonical tie-breaking. A
+  /// truncated (not cancelled) item after the first is re-solved without
+  /// any carried state, so it answers as a standalone solve.
   std::vector<Selection> select_batch(const std::vector<std::int64_t>& required_gains,
                                       const SelectOptions& opt = {},
                                       const BatchItemHook& per_item = {}) const;

@@ -156,6 +156,7 @@ std::size_t SolutionCache::entry_bytes(const Entry& e) {
   }
   for (const auto& c : a.cliques) b += c.size() * sizeof(ilp::VarIndex);
   for (const auto& vc : a.var_cliques) b += vc.size() * sizeof(std::uint32_t);
+  for (const auto& lc : a.lifted_cliques) b += lc.members.size() * sizeof(ilp::VarIndex);
   return b;
 }
 

@@ -1,7 +1,7 @@
 // Batch-vs-serial differential tests: Selector::select_batch (and the
 // service's batched admission on top of it) amortizes the model build, the
-// presolve clique table and chained root bases -- and must stay bit-identical
-// to the equivalent serial solves while doing so. Feasible items are also
+// presolve clique table, chained root bases and carried search state -- and
+// must stay bit-identical to the equivalent serial solves while doing so. Feasible items are also
 // audited against the independent exhaustive oracle.
 #include <gtest/gtest.h>
 
@@ -118,6 +118,32 @@ TEST(BatchSolve, PerItemHookRunsInOrder) {
   ASSERT_EQ(batched.size(), rgs.size());
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
   for (const select::Selection& sel : batched) EXPECT_TRUE(sel.feasible);
+}
+
+TEST(BatchSolve, TruncatedSeededItemAnswersAsAStandaloneSolve) {
+  // Items are solved hardest-first with carried search state, so item 0
+  // (the lower gain) starts from item 1's optimum. A node limit from the
+  // hook truncates it; carried state is not answer-neutral for a truncated
+  // search, so the batch must re-solve the item without it. Here the seed
+  // would hand the truncated item a gap-bounded incumbent that a
+  // standalone two-node search never finds.
+  const workloads::Workload w = workloads::jpeg_encoder();
+  select::Flow flow(w.module, w.library);
+  const std::int64_t gmax = flow.max_feasible_gain();
+  const std::vector<std::int64_t> rgs = {gmax / 2, gmax};
+  constexpr int kMaxNodes = 2;
+  const std::vector<select::Selection> batched = flow.selector().select_batch(
+      rgs, {}, [&](std::size_t item, ilp::IlpOptions& opt) {
+        if (item == 0) opt.max_nodes = kMaxNodes;
+      });
+  ASSERT_EQ(batched.size(), rgs.size());
+  ASSERT_TRUE(batched[0].truncated);
+  EXPECT_EQ(batched[0].solver.seeded_artifacts, 0);
+  select::SelectOptions capped;
+  capped.ilp.max_nodes = kMaxNodes;
+  expect_same_selection(flow.select(rgs[0], capped), batched[0], "truncated item");
+  EXPECT_DOUBLE_EQ(batched[0].optimality_gap, flow.select(rgs[0], capped).optimality_gap);
+  expect_same_selection(flow.select(rgs[1], {}), batched[1], "untruncated item");
 }
 
 TEST(BatchSolve, FeasibleItemsPassOracleAudit) {

@@ -59,7 +59,7 @@ std::size_t check_cuts_exhaustively(const Model& m) {
   if (pre.infeasible) return 0;
   const LpResult r = solve_lp(m, pre.lower, pre.upper, {});
   if (r.status != LpStatus::kOptimal) return 0;
-  const std::vector<Cut> cuts = separate_cuts(m, pre.cliques, r.x, pre.lower, pre.upper);
+  const std::vector<Cut> cuts = separate_cuts(m, lift_cliques(pre.cliques, n), r.x);
 
   // Every cut must be violated by the fractional point it was separated at...
   for (const Cut& cut : cuts) {
@@ -177,8 +177,9 @@ TEST(Cuts, SeparationIsDeterministic) {
   const PresolveResult pre = presolve(m, lo, hi);
   const LpResult r = solve_lp(m, pre.lower, pre.upper, {});
   ASSERT_EQ(r.status, LpStatus::kOptimal);
-  const std::vector<Cut> a = separate_cuts(m, pre.cliques, r.x, pre.lower, pre.upper);
-  const std::vector<Cut> b = separate_cuts(m, pre.cliques, r.x, pre.lower, pre.upper);
+  const std::vector<LiftedClique> lifted = lift_cliques(pre.cliques, m.var_count());
+  const std::vector<Cut> a = separate_cuts(m, lifted, r.x);
+  const std::vector<Cut> b = separate_cuts(m, lifted, r.x);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].name, b[i].name);
@@ -223,7 +224,7 @@ TEST(Cuts, SelectionModelOptimumSurvivesSeparation) {
     const LpResult root = solve_lp(m, pre.lower, pre.upper, {});
     ASSERT_EQ(root.status, LpStatus::kOptimal) << c.name;
     const std::vector<Cut> cuts =
-        separate_cuts(m, pre.cliques, root.x, pre.lower, pre.upper);
+        separate_cuts(m, lift_cliques(pre.cliques, m.var_count()), root.x);
 
     IlpOptions no_cuts;
     no_cuts.cuts = false;

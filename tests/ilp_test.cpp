@@ -238,6 +238,52 @@ TEST_P(RandomIlpProperty, MatchesBruteForce) {
   }
 }
 
+// Property: with canonical ties the answer is the lexicographically smallest
+// optimal vector. Objectives drawn from {1, 2} over covering rows make ties
+// common, and an integral node LP often lands on a tie that is not the
+// lex-smallest one, so the search must keep splitting such nodes.
+TEST_P(RandomIlpProperty, ReturnsLexSmallestOptimum) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) + 1000u);
+  const int n = 4 + static_cast<int>(rng() % 7);  // 4..10 binaries
+  Model m;
+  for (int j = 0; j < n; ++j) m.add_binary("x" + std::to_string(j), 1.0 + rng() % 2);
+  const int rows = 2 + static_cast<int>(rng() % 4);
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Term> terms;
+    for (int j = 0; j < n; ++j) {
+      if (rng() % 2) terms.push_back({static_cast<VarIndex>(j), 1.0 + rng() % 3});
+    }
+    if (terms.empty()) continue;
+    m.add_row("cover" + std::to_string(r), terms, RowSense::kGreaterEqual,
+              1.0 + rng() % 3);
+  }
+
+  // Brute force: ascending masks with bit j as x_j; keep the lex-smallest
+  // (compared as vectors) among the cheapest feasible points.
+  bool any = false;
+  double best = 0;
+  std::vector<double> best_x;
+  for (int mask = 0; mask < (1 << n); ++mask) {
+    std::vector<double> x(n);
+    for (int j = 0; j < n; ++j) x[j] = (mask >> j) & 1;
+    if (!m.is_feasible(x)) continue;
+    const double obj = m.objective_value(x);
+    if (!any || obj < best || (obj == best && x < best_x)) {
+      best = obj;
+      best_x = x;
+      any = true;
+    }
+  }
+
+  const IlpResult r = solve_ilp(m);
+  if (!any) {
+    EXPECT_EQ(r.status, IlpStatus::kInfeasible) << m.dump();
+    return;
+  }
+  ASSERT_EQ(r.status, IlpStatus::kOptimal) << m.dump();
+  EXPECT_EQ(r.x, best_x) << m.dump();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomIlpProperty, ::testing::Range(0, 60));
 
 TEST(Simplex, BasisExportImportWarmStart) {

@@ -13,11 +13,10 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "service/journal.hpp"
 #include "support/fault_injection.hpp"
 #include "support/io.hpp"
+#include "scratch_dir.hpp"
 
 namespace partita {
 namespace {
@@ -28,15 +27,8 @@ using service::JournalRecord;
 using service::JournalRecovery;
 using service::JournalTerminal;
 
-/// Fresh per-test directory under the gtest temp root.
-std::string fresh_dir(const std::string& tag) {
-  static int counter = 0;
-  const std::string d = ::testing::TempDir() + "partita_journal_" +
-                        std::to_string(::getpid()) + "_" + tag + "_" +
-                        std::to_string(counter++);
-  EXPECT_TRUE(io::make_dirs(d));
-  return d;
-}
+/// Fresh per-test directory under the gtest temp root, removed with the test.
+ScratchDir fresh_dir(const std::string& tag) { return {"partita_journal", tag}; }
 
 /// The (sorted) segment file paths of a journal directory.
 std::vector<std::string> segment_paths(const std::string& dir) {
@@ -141,7 +133,8 @@ TEST(JournalCodec, DecodeIsTotalOnMalformedInput) {
 // --- append / recover -------------------------------------------------------
 
 TEST(Journal, AppendRecoverPairsAdmitsWithTerminals) {
-  const std::string dir = fresh_dir("pairs");
+  const ScratchDir scratch = fresh_dir("pairs");
+  const std::string& dir = scratch.path();
   Journal j;
   Journal::Config cfg;
   cfg.dir = dir;
@@ -173,7 +166,8 @@ TEST(Journal, AppendRecoverPairsAdmitsWithTerminals) {
 }
 
 TEST(Journal, RotationSpreadsHistoryAcrossSegments) {
-  const std::string dir = fresh_dir("rotate");
+  const ScratchDir scratch = fresh_dir("rotate");
+  const std::string& dir = scratch.path();
   Journal j;
   Journal::Config cfg;
   cfg.dir = dir;
@@ -198,7 +192,8 @@ TEST(Journal, RotationSpreadsHistoryAcrossSegments) {
 }
 
 TEST(Journal, CompactionDropsDecidedAndPreservesSeqs) {
-  const std::string dir = fresh_dir("compact");
+  const ScratchDir scratch = fresh_dir("compact");
+  const std::string& dir = scratch.path();
   Journal j;
   Journal::Config cfg;
   cfg.dir = dir;
@@ -228,7 +223,8 @@ TEST(Journal, CompactionDropsDecidedAndPreservesSeqs) {
 }
 
 TEST(Journal, AppendFaultSiteRejectsWithoutCrashing) {
-  const std::string dir = fresh_dir("fault");
+  const ScratchDir scratch = fresh_dir("fault");
+  const std::string& dir = scratch.path();
   Journal j;
   Journal::Config cfg;
   cfg.dir = dir;
@@ -251,7 +247,8 @@ TEST(Journal, AppendFaultSiteRejectsWithoutCrashing) {
 // --- quarantine files -------------------------------------------------------
 
 TEST(Journal, QuarantineFileRoundTripsBothFormats) {
-  const std::string dir = fresh_dir("quarantine");
+  const ScratchDir scratch = fresh_dir("quarantine");
+  const std::string& dir = scratch.path();
   const std::string fixture = "{\"v\":\"partita-oracle-fixture-v1\",\"n\":3}";
 
   const std::string framed = dir + "/framed.journal";
@@ -275,7 +272,8 @@ TEST(Journal, QuarantineFileRoundTripsBothFormats) {
 // --- corrupt tails: salvage up to the last valid frame, never crash ---------
 
 TEST(JournalCorruptTail, TruncationKeepsEveryWholeFrame) {
-  const std::string dir = fresh_dir("truncate");
+  const ScratchDir scratch = fresh_dir("truncate");
+  const std::string& dir = scratch.path();
   {
     Journal j;
     Journal::Config cfg;
@@ -307,7 +305,8 @@ TEST(JournalCorruptTail, TruncationKeepsEveryWholeFrame) {
 }
 
 TEST(JournalCorruptTail, BitFlipStopsAtLastValidFrame) {
-  const std::string dir = fresh_dir("bitflip");
+  const ScratchDir scratch = fresh_dir("bitflip");
+  const std::string& dir = scratch.path();
   {
     Journal j;
     Journal::Config cfg;
@@ -342,7 +341,8 @@ TEST(JournalCorruptTail, BitFlipStopsAtLastValidFrame) {
 }
 
 TEST(JournalCorruptTail, RandomGarbageNeverCrashesRecovery) {
-  const std::string dir = fresh_dir("garbage");
+  const ScratchDir scratch = fresh_dir("garbage");
+  const std::string& dir = scratch.path();
   std::mt19937_64 rng(987654321);
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t len = rng() % 512;
@@ -369,7 +369,8 @@ TEST(JournalCorruptTail, RandomGarbageNeverCrashesRecovery) {
 }
 
 TEST(JournalCorruptTail, ValidFrameWithMalformedJsonIsDroppedNotFatal) {
-  const std::string dir = fresh_dir("badjson");
+  const ScratchDir scratch = fresh_dir("badjson");
+  const std::string& dir = scratch.path();
   std::string stream;
   io::encode_frame(Journal::encode_admit(1, 1, "good"), &stream);
   io::encode_frame("this is not a journal record", &stream);
@@ -388,7 +389,8 @@ TEST(JournalCorruptTail, ValidFrameWithMalformedJsonIsDroppedNotFatal) {
 }
 
 TEST(JournalCorruptTail, ReopenAfterTornTailContinuesCleanly) {
-  const std::string dir = fresh_dir("reopen");
+  const ScratchDir scratch = fresh_dir("reopen");
+  const std::string& dir = scratch.path();
   {
     Journal j;
     Journal::Config cfg;

@@ -7,8 +7,18 @@
 // kernel edit that moves a single pivot changes these counts and fails here,
 // even when the optimum itself survives.
 //
-// Expected values were recorded at commit fd1b0ef (before the support-driven
-// btran/ftran kernels) and must not change with a pure kernel rewrite.
+// Expected values were recorded at commit e13f9a6 plus warm-started root cut
+// rounds: each round after the first now re-solves the cut-extended root
+// LP with the dual simplex from the previous round's basis instead of phase
+// 1 + 2 from scratch. That cuts the root-LP iterations, and where the warm
+// re-solve lands on a different optimal vertex of a degenerate root LP, the
+// next round separates different cuts and the tree changes -- so the node,
+// LP and wave counts moved with it. The objectives did not: cuts never
+// remove an integer-feasible point and ties break canonically.
+//
+// The ladder pin does the same for Selector::select_batch, which solves a
+// gain ladder top-down with carried search state: summed nodes pin the
+// search, per-item areas pin the answers (identical to serial solves).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,10 +64,10 @@ workloads::Workload spec_256_paths() {
 
 std::vector<Pinned> pinned() {
   return {
-      {"gsm_encoder", workloads::gsm_encoder(), 89, 516, 106, 61, 12.44},
-      {"jpeg_encoder", workloads::jpeg_encoder(), 11, 66, 29, 10, 8.26},
-      {"random_24site", random_24site(), 7, 195, 91, 6, 7.38},
-      {"spec_256_paths", spec_256_paths(), 131, 1057, 181, 88, 35.745},
+      {"gsm_encoder", workloads::gsm_encoder(), 43, 371, 36, 38, 12.44},
+      {"jpeg_encoder", workloads::jpeg_encoder(), 11, 48, 11, 10, 8.26},
+      {"random_24site", random_24site(), 7, 179, 44, 6, 7.38},
+      {"spec_256_paths", spec_256_paths(), 131, 923, 58, 88, 35.745},
   };
 }
 
@@ -74,6 +84,25 @@ TEST(LpTrajectory, SearchCountsAndObjectiveMatchTheRecordedTrajectory) {
     EXPECT_EQ(s.solver.waves, c.waves);
     EXPECT_EQ(s.total_area(), c.objective);
   }
+}
+
+TEST(LpTrajectory, GainLadderBatchMatchesTheRecordedTrajectory) {
+  const workloads::Workload w = workloads::gsm_decoder();
+  select::Flow flow(w.module, w.library);
+  const std::int64_t gmax = flow.max_feasible_gain();
+  std::vector<std::int64_t> rgs;
+  for (std::int64_t k = 1; k <= 8; ++k) rgs.push_back(k * gmax / 8);
+  const std::vector<select::Selection> ladder = flow.select_batch(rgs, {});
+  ASSERT_EQ(ladder.size(), rgs.size());
+  const std::vector<double> areas = {4.26, 4.26, 4.26, 4.26, 4.52, 5.04, 11.08, 69.08};
+  int nodes = 0;
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    SCOPED_TRACE("item " + std::to_string(i));
+    ASSERT_TRUE(ladder[i].feasible);
+    EXPECT_EQ(ladder[i].total_area(), areas[i]);
+    nodes += ladder[i].solver.nodes;
+  }
+  EXPECT_EQ(nodes, 203);
 }
 
 }  // namespace

@@ -13,14 +13,13 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "net/protocol.hpp"
 #include "select/selection.hpp"
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
 #include "support/fault_injection.hpp"
 #include "support/io.hpp"
+#include "scratch_dir.hpp"
 
 namespace partita {
 namespace {
@@ -29,14 +28,8 @@ namespace io = support::io;
 using service::Journal;
 using service::JournalRecovery;
 
-std::string fresh_dir(const std::string& tag) {
-  static int counter = 0;
-  const std::string d = ::testing::TempDir() + "partita_recovery_" +
-                        std::to_string(::getpid()) + "_" + tag + "_" +
-                        std::to_string(counter++);
-  EXPECT_TRUE(io::make_dirs(d));
-  return d;
-}
+/// Fresh per-test directory under the gtest temp root, removed with the test.
+ScratchDir fresh_dir(const std::string& tag) { return {"partita_recovery", tag}; }
 
 /// One wire-level submit, the unit both the journal and the replayer speak.
 net::WireRequest wire_submit(const std::string& workload, const std::string& label,
@@ -58,7 +51,8 @@ service::SolveRequest to_request(const net::WireRequest& w) {
 }
 
 TEST(ServiceRecovery, JournaledLifecycleWritesAdmitThenTerminalThenCompacts) {
-  const std::string dir = fresh_dir("lifecycle");
+  const ScratchDir scratch = fresh_dir("lifecycle");
+  const std::string& dir = scratch.path();
   Journal journal;
   Journal::Config jc;
   jc.dir = dir;
@@ -122,7 +116,8 @@ TEST(ServiceRecovery, UndecidedAdmitsReplayBitIdenticallyToControl) {
 
   // "Crash": the admits made it to the journal -- they were acknowledged --
   // but the process died before any terminal record.
-  const std::string dir = fresh_dir("replay");
+  const ScratchDir scratch = fresh_dir("replay");
+  const std::string& dir = scratch.path();
   {
     Journal journal;
     Journal::Config jc;
@@ -196,7 +191,8 @@ TEST(ServiceRecovery, BatchReplayKeepsPerItemSignatures) {
     }
   }
 
-  const std::string dir = fresh_dir("batch");
+  const ScratchDir scratch = fresh_dir("batch");
+  const std::string& dir = scratch.path();
   {
     Journal journal;
     Journal::Config jc;
@@ -234,7 +230,8 @@ TEST(ServiceRecovery, BatchReplayKeepsPerItemSignatures) {
 }
 
 TEST(ServiceRecovery, JournalAppendFailureRejectsUnacknowledged) {
-  const std::string dir = fresh_dir("reject");
+  const ScratchDir scratch = fresh_dir("reject");
+  const std::string& dir = scratch.path();
   Journal journal;
   Journal::Config jc;
   jc.dir = dir;
@@ -308,7 +305,8 @@ TEST(ServiceRecovery, CacheSnapshotSurvivesDrainBootCycle) {
 }
 
 TEST(ServiceRecovery, CheckpointFilesAreRemovedOnceDecided) {
-  const std::string dir = fresh_dir("ckpt");
+  const ScratchDir scratch = fresh_dir("ckpt");
+  const std::string& dir = scratch.path();
   Journal journal;
   Journal::Config jc;
   jc.dir = dir;

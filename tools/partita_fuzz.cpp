@@ -8,6 +8,7 @@
 //   partita_fuzz --instances 500 --seed 1 --scalls 8        # exact mode
 //   partita_fuzz --mode sandwich --instances 100 --scalls 18
 //   partita_fuzz --mode cache --instances 500 --seed 1      # cache consistency
+//   partita_fuzz --mode batch --instances 100 --seed 1      # batch ladders
 //   partita_fuzz --replay tests/fixtures/shrunk.json
 //
 // `--mode cache` is the cache-consistency harness (docs/caching.md): it
@@ -19,6 +20,12 @@
 // Permuted duplicates additionally cross-check feasibility and optimal area
 // against the original's cold answer. A divergence is ddmin-shrunk and
 // dumped as a replayable fixture like exact mode.
+//
+// `--mode batch` checks Selector::select_batch, which solves a ladder
+// hardest-first and carries each optimum into the next item: every random
+// spec's shuffled gain ladder (eight steps up to the max feasible gain plus
+// one infeasible item) must answer item for item bit-identically to cold
+// one-shot Flow::select calls. A divergence is shrunk and dumped likewise.
 //
 // Exit codes: 0 all instances agree, 1 divergence found, 2 usage error.
 #include <cmath>
@@ -59,7 +66,8 @@ void usage() {
   std::fprintf(stderr,
                "usage: partita_fuzz [--instances N] [--seed S] [--scalls N]\n"
                "                    [--kernels N] [--ips N] [--branch-groups N]\n"
-               "                    [--hierarchy DEPTH] [--mode exact|sandwich|cache]\n"
+               "                    [--hierarchy DEPTH]\n"
+               "                    [--mode exact|sandwich|cache|batch]\n"
                "                    [--no-shrink] [--fixture-dir DIR]\n"
                "                    [--replay FIXTURE.json]\n");
 }
@@ -385,6 +393,83 @@ int run_cache(const Args& args) {
   return failures ? 1 : 0;
 }
 
+// --- batch ladder mode -------------------------------------------------------
+
+/// The gain ladder a batch fuzz case solves: eight steps k * gmax / 8 plus
+/// one infeasible item, shuffled by `shuffle_seed` so the batch's own
+/// largest-gain-first order has to undo an arbitrary input order.
+std::vector<std::int64_t> shuffled_ladder(std::int64_t gmax, std::uint64_t shuffle_seed) {
+  std::vector<std::int64_t> gains;
+  for (std::int64_t k = 1; k <= 8; ++k) gains.push_back(k * gmax / 8);
+  gains.push_back(gmax + 1);
+  for (std::size_t i = gains.size(); i > 1; --i) {
+    const std::size_t j = static_cast<std::size_t>(splitmix(&shuffle_seed) % i);
+    std::swap(gains[i - 1], gains[j]);
+  }
+  return gains;
+}
+
+/// Solves the spec's shuffled ladder through Selector::select_batch and
+/// compares every item with a cold one-shot select of the same gain. Returns
+/// an empty string when all items agree (or the spec does not verify).
+std::string batch_divergence(const workloads::InstanceSpec& spec,
+                             std::uint64_t shuffle_seed) {
+  if (!workloads::spec_valid(spec)) return "";
+  const workloads::Workload wl = workloads::spec_workload(spec);
+  const auto flow = select::Flow::create(wl.module, wl.library);
+  if (!flow.ok()) return "";
+  const std::vector<std::int64_t> gains =
+      shuffled_ladder(flow.value()->max_feasible_gain(), shuffle_seed);
+  const std::vector<select::Selection> batch = flow.value()->select_batch(gains);
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    select::Selection cold;
+    if (!cold_reference(spec, gains[i], &cold)) return "";
+    const std::string got = select::solution_signature(batch[i]);
+    const std::string want = select::solution_signature(cold);
+    if (got != want) {
+      return "item " + std::to_string(i) + " (gain " + std::to_string(gains[i]) +
+             ") differs from cold solve:\n  batch " + got + "\n  cold  " + want;
+    }
+  }
+  return "";
+}
+
+int run_batch(const Args& args) {
+  const workloads::InstanceGenParams params = gen_params(args);
+  int failures = 0;
+  for (int i = 0; i < args.instances; ++i) {
+    const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(i);
+    const workloads::InstanceSpec spec = workloads::random_instance_spec(params, seed);
+    const std::uint64_t shuffle_seed = seed * 0x9e3779b97f4a7c15ULL;
+    const std::string detail = batch_divergence(spec, shuffle_seed);
+    if (detail.empty()) continue;
+
+    ++failures;
+    std::fprintf(stderr, "instance %d (seed %llu) DIVERGES: %s\n", i,
+                 static_cast<unsigned long long>(seed), detail.c_str());
+    workloads::InstanceSpec repro = spec;
+    if (args.shrink) {
+      oracle::ShrinkStats stats;
+      repro = oracle::shrink_spec(
+          spec,
+          [&](const workloads::InstanceSpec& s) {
+            return !batch_divergence(s, shuffle_seed).empty();
+          },
+          &stats);
+      std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
+                   repro.sites.size(), repro.ips.size(), stats.predicate_calls);
+    }
+    const std::string path =
+        args.fixture_dir + "/fuzz_batch_" + std::to_string(i) + ".json";
+    if (oracle::write_fixture(path, repro)) {
+      std::fprintf(stderr, "  fixture written to %s\n", path.c_str());
+    }
+  }
+  std::printf("partita_fuzz batch: %d instances, %d divergences\n", args.instances,
+              failures);
+  return failures ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -436,6 +521,7 @@ int main(int argc, char** argv) {
   if (args.mode == "exact") return run_exact(args);
   if (args.mode == "sandwich") return run_sandwich(args);
   if (args.mode == "cache") return run_cache(args);
+  if (args.mode == "batch") return run_batch(args);
   std::fprintf(stderr, "partita_fuzz: unknown mode '%s'\n", args.mode.c_str());
   usage();
   return 2;
