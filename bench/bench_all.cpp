@@ -246,12 +246,11 @@ ServiceResult bench_service(bool smoke) {
   std::vector<std::uint64_t> tickets;
   std::vector<Clock::time_point> submit_times;
   for (int b = 0; b < batches; ++b) {
-    partita::service::BatchSolveRequest req;
+    partita::service::SolveRequest req;
     req.label = "bench_batch" + std::to_string(b);
     req.workload = sized_workload(12, 1000 + static_cast<std::uint64_t>(b));
     req.required_gains.assign(static_cast<std::size_t>(items), -1);
-    const std::vector<std::uint64_t> ts = service.submit_batch(std::move(req));
-    for (const std::uint64_t t : ts) {
+    for (const std::uint64_t t : service.submit(std::move(req)).tickets) {
       tickets.push_back(t);
       submit_times.push_back(Clock::now());
     }

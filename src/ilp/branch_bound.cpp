@@ -332,7 +332,7 @@ class Solver {
     if (!opt_.cuts) return true;
     const std::vector<LiftedClique>& lifted = lifted_cliques();
     std::vector<double> x = lp.x;
-    for (int round = 0; round < opt_.max_cut_rounds; ++round) {
+    for (int round = 0; round < kMaxCutRounds; ++round) {
       // Separating against the *extended* model is self-deduplicating: a cut
       // already present as a row is satisfied by that LP's optimum, so it can
       // never come back violated.
@@ -717,7 +717,7 @@ class Solver {
     std::int32_t other = prefer_up ? down : up;
     if (dive < 0) std::swap(dive, other);
 
-    if (dive >= 0 && lane.plunge < opt_.max_plunge_depth &&
+    if (dive >= 0 && lane.plunge < kMaxPlungeDepth &&
         result_.stats.nodes < opt_.max_nodes) {
       lane.node_id = dive;
       ++lane.plunge;

@@ -92,10 +92,12 @@ std::uint64_t digest_options(const IlpOptions& opt) {
   d = mix2(d, fp_double(opt.gap_tol));
   d = mix2(d, opt.presolve ? 1 : 0);
   d = mix2(d, opt.warm_start ? 1 : 0);
-  d = mix2(d, static_cast<std::uint64_t>(opt.max_plunge_depth));
+  // Mixed in although fixed: digests persisted in cache snapshots and
+  // checkpoints must keep their values.
+  d = mix2(d, static_cast<std::uint64_t>(kMaxPlungeDepth));
   d = mix2(d, opt.canonical_ties ? 1 : 0);
   d = mix2(d, opt.cuts ? 1 : 0);
-  d = mix2(d, static_cast<std::uint64_t>(opt.max_cut_rounds));
+  d = mix2(d, static_cast<std::uint64_t>(kMaxCutRounds));
   d = mix2(d, static_cast<std::uint64_t>(opt.lp.max_iterations));
   d = mix2(d, fp_double(opt.lp.eps));
   // Budget *limits* change what can truncate; the cancel token and clock are

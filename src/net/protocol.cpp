@@ -367,18 +367,13 @@ bool resolve_workload(const WireRequest& req, service::SolveRequest* out,
     out->spec = std::move(spec);
     return true;
   }
-  const std::string& n = req.workload;
-  if (n == "gsm_encoder") out->workload = workloads::gsm_encoder();
-  else if (n == "gsm_decoder") out->workload = workloads::gsm_decoder();
-  else if (n == "jpeg_encoder") out->workload = workloads::jpeg_encoder();
-  else if (n == "fig9") out->workload = workloads::fig9_case();
-  else if (n == "fig10") out->workload = workloads::fig10_case();
-  else if (n == "adpcm_codec") out->workload = workloads::adpcm_codec();
-  else {
-    if (error) *error = "unknown workload '" + n + "'";
+  std::optional<workloads::Workload> w = workloads::builtin(req.workload);
+  if (!w) {
+    if (error) *error = "unknown workload '" + req.workload + "'";
     return false;
   }
-  out->label = req.label.empty() ? n : req.label;
+  out->workload = std::move(*w);
+  out->label = req.label.empty() ? req.workload : req.label;
   return true;
 }
 

@@ -163,10 +163,9 @@ std::optional<WireResponse> decode_response(const std::string& payload, std::str
 WireSelection to_wire(const select::Selection& s);
 WireResult to_wire(const service::SolveResponse& r);
 
-/// Resolves the request's workload: a built-in by name ("gsm_encoder",
-/// "gsm_decoder", "jpeg_encoder", "fig9", "fig10", "adpcm_codec") or the
-/// deterministic spec generator. On success fills `out` (and `out.spec` for
-/// spec requests); on failure returns false with a one-line reason.
+/// Resolves the request's workload: a workloads::builtin by name or the
+/// deterministic spec generator. Fills `out` (and `out.spec` for spec
+/// requests); false with a one-line reason on an unknown name.
 bool resolve_workload(const WireRequest& req, service::SolveRequest* out,
                       std::string* error);
 

@@ -223,17 +223,13 @@ void WireServer::session_main(Session* session) {
     }
   }
   // Join in-flight waits before declaring the session finished; they own
-  // references into this Session.
-  for (;;) {
-    std::thread waiter;
-    {
-      std::lock_guard<std::mutex> lk(session->waiters_mu);
-      if (session->waiters.empty()) break;
-      waiter = std::move(session->waiters.front());
-      session->waiters.pop_front();
-    }
-    waiter.join();
+  // references into this Session. Only this reader adds waiters.
+  std::list<Waiter> waiters;
+  {
+    std::lock_guard<std::mutex> lk(session->waiters_mu);
+    waiters.swap(session->waiters);
   }
+  for (Waiter& w : waiters) w.thread.join();
   // Hang up so the peer sees EOF now: after a framing error the client may
   // still be blocked reading, and the fd itself is only closed at reap/stop.
   ::shutdown(session->fd, SHUT_RDWR);
@@ -257,8 +253,16 @@ void WireServer::handle_payload(Session& session, const std::string& payload) {
   if (req->verb == "wait" || req->verb == "drain") {
     // Blocking verbs get their own thread: the reader stays free to serve
     // further frames on this connection (the point of id multiplexing).
+    // Finished waiters are joined first, so a connection holds at most its
+    // in-flight ones.
     std::lock_guard<std::mutex> lk(session.waiters_mu);
-    session.waiters.emplace_back([this, &session, r = *req] {
+    session.waiters.remove_if([](Waiter& w) {
+      if (!w.done.load()) return false;
+      w.thread.join();
+      return true;
+    });
+    Waiter& waiter = session.waiters.emplace_back();
+    waiter.thread = std::thread([this, &session, &waiter, r = *req] {
       WireResponse resp;
       resp.id = r.id;
       resp.verb = r.verb;
@@ -269,6 +273,7 @@ void WireServer::handle_payload(Session& session, const std::string& payload) {
         resp.state = "drained";
       }
       send_response(session, resp);
+      waiter.done.store(true);
     });
     return;
   }

@@ -78,12 +78,19 @@ class WireServer {
   ServerStats stats() const;
 
  private:
+  /// One blocking verb's thread; `done` (its last act) lets a later verb
+  /// join it, since an exited but unjoined thread keeps its stack mapped.
+  struct Waiter {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   struct Session {
     int fd = -1;
     std::thread reader;
     std::mutex write_mu;
     std::mutex waiters_mu;
-    std::list<std::thread> waiters;
+    std::list<Waiter> waiters;  // list: a waiter's address must stay stable
     std::atomic<bool> done{false};
   };
 

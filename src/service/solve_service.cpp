@@ -30,7 +30,6 @@ SolveService::SolveService(ServiceConfig config)
     SolutionCache::Config cc;
     cc.capacity = cfg_.cache_capacity;
     cc.max_bytes = cfg_.cache_max_bytes;
-    cc.shards = cfg_.cache_shards;
     cache_ = std::make_unique<SolutionCache>(cc);
   }
   if (!cfg_.checkpoint_dir.empty()) support::io::make_dirs(cfg_.checkpoint_dir);
@@ -201,16 +200,6 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
       std::max(stats_.peak_admitted_memory_bytes, admitted_memory_);
   work_cv_.notify_one();
   return out;
-}
-
-std::vector<std::uint64_t> SolveService::submit_batch(BatchSolveRequest request) {
-  if (request.required_gains.empty()) return {};
-  SolveRequest req;
-  req.label = std::move(request.label);
-  req.workload = std::move(request.workload);
-  req.required_gains = std::move(request.required_gains);
-  req.options = std::move(request.options);
-  return submit(std::move(req)).tickets;
 }
 
 void SolveService::shed_queued_locked(std::uint64_t ticket, const std::string& why) {

@@ -81,13 +81,13 @@ namespace partita::service {
 
 class Journal;  // service/journal.hpp
 
-/// The one request envelope, shared by the in-process API, the wire
-/// protocol (partita-wire-v1) and the script drivers: a workload, scheduling
-/// metadata (tenant, priority class, optional deadline) and the solve
-/// options (budget, threads, problem variant). The service installs its own
-/// cancel token and clock into options.ilp.budget; everything else is
-/// honored verbatim, so a service solve is bit-identical to a one-shot
-/// Flow::select with the same options.
+/// The one request envelope, shared by the in-process API and the wire
+/// protocol (partita-wire-v1, also spoken by partita_serve's script mode):
+/// a workload, scheduling metadata (tenant, priority class, optional
+/// deadline) and the solve options (budget, threads, problem variant). The
+/// service installs its own cancel token and clock into options.ilp.budget;
+/// everything else is honored verbatim, so a service solve is bit-identical
+/// to a one-shot Flow::select with the same options.
 ///
 /// Single vs batch: an empty `required_gains` submits ONE request at
 /// `required_gain`. A non-empty `required_gains` submits a batch over the
@@ -179,15 +179,6 @@ struct SolveResponse {
   bool recovered = false;
 };
 
-/// DEPRECATED: use SolveRequest::required_gains. Kept as a thin alias shape
-/// for pre-wire callers of submit_batch; the fields duplicate SolveRequest.
-struct BatchSolveRequest {
-  std::string label;
-  workloads::Workload workload;
-  std::vector<std::int64_t> required_gains;
-  select::SelectOptions options;
-};
-
 struct ServiceConfig {
   /// Fixed worker pool size (each worker runs one request at a time; the
   /// request's own opt.ilp.threads parallelizes inside the solve).
@@ -229,10 +220,10 @@ struct ServiceConfig {
   /// Enables the read-through cache of completed Selections. Off by default:
   /// pre-cache behavior (every request re-solves) is unchanged.
   bool cache_enabled = false;
-  /// Entry / byte bounds and shard count, forwarded to SolutionCache.
+  /// Entry / byte bounds, forwarded to SolutionCache (whose default shard
+  /// count the service keeps).
   std::size_t cache_capacity = 256;
   std::size_t cache_max_bytes = std::size_t{64} << 20;
-  int cache_shards = 4;
   /// Seed near-misses from the nearest cached neighbor's solver artifacts
   /// (bases, pseudo-costs, cliques, incumbents). Answer-safe: a seeded
   /// search that truncates is redone cold before answering.
@@ -301,11 +292,6 @@ class SolveService {
   /// lower-class requests under the rejecter policy; those tickets turn
   /// terminal kRejected as well.
   SubmitOutcome submit(SolveRequest request);
-
-  /// DEPRECATED: use submit() with SolveRequest::required_gains. Admits or
-  /// rejects the batch as one unit and returns one ticket per item, in
-  /// required_gains order. An empty batch returns no tickets.
-  std::vector<std::uint64_t> submit_batch(BatchSolveRequest request);
 
   /// Requests cancellation. A queued request becomes terminal immediately;
   /// a running one is signalled through its CancelToken and terminates

@@ -3,6 +3,9 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 namespace partita::support {
 
 FaultInjector& FaultInjector::instance() {
@@ -24,6 +27,25 @@ void FaultInjector::arm(std::string_view site, std::uint64_t trip_at, bool stick
   } else {
     it->second = std::move(fresh);  // re-arm: fresh counters
   }
+}
+
+FaultSpec arm_fault_spec(std::string_view spec) {
+  constexpr std::string_view kCrash = ":crash";
+  FaultSpec out;
+  if (spec.size() > kCrash.size() && spec.ends_with(kCrash)) {
+    out.crash = true;
+    spec.remove_suffix(kCrash.size());
+  }
+  if (const std::size_t colon = spec.rfind(':');
+      colon != std::string_view::npos && colon + 1 < spec.size() &&
+      spec.find_first_not_of("0123456789", colon + 1) == std::string_view::npos) {
+    out.trip_at = std::max<std::uint64_t>(
+        1, std::strtoull(std::string(spec.substr(colon + 1)).c_str(), nullptr, 10));
+    spec = spec.substr(0, colon);
+  }
+  out.site = std::string(spec);
+  FaultInjector::instance().arm(out.site, out.trip_at, /*sticky=*/true, out.crash);
+  return out;
 }
 
 void FaultInjector::disarm(std::string_view site) {

@@ -41,9 +41,9 @@
 // harness arms crash sites around the journal/checkpoint writes to prove
 // recovery replays every acknowledged request.
 //
-// The CLI additionally arms one site from the PARTITA_FAULT=site[:n[:crash]]
-// environment variable (tools/partita_cli.cpp, tools/partita_served.cpp,
-// tools/partita_serve.cpp), so ctest can exercise the degraded exit path --
+// The tools (tools/partita_cli.cpp, tools/partita_serve.cpp) additionally
+// arm one site from the PARTITA_FAULT=site[:n][:crash] environment variable
+// through arm_fault_spec, so ctest can exercise the degraded exit path --
 // and the crash-recovery path -- end to end.
 #pragma once
 
@@ -105,6 +105,19 @@ inline bool fault_should_trip(std::string_view site) {
   if (fi.armed_count_.load(std::memory_order_relaxed) == 0) return false;
   return fi.should_trip(site);
 }
+
+/// What arm_fault_spec armed.
+struct FaultSpec {
+  std::string site;
+  std::uint64_t trip_at = 1;
+  bool crash = false;
+};
+
+/// Parses `site[:n][:crash]` and arms it sticky: a trailing ":crash" makes
+/// the trip a SIGKILL, and a trailing all-digit ":n" trips at the n-th
+/// checkpoint (0 and absent mean 1). The one spelling of PARTITA_FAULT and
+/// `partita_serve --fault`.
+FaultSpec arm_fault_spec(std::string_view spec);
 
 /// RAII arming for tests: arms on construction, disarms on destruction.
 class ScopedFault {

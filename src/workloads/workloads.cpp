@@ -780,6 +780,12 @@ Workload fig9_case() { return make("fig9", kFig9Kl, kFig9Lib); }
 Workload fig10_case() { return make("fig10", kFig10Kl, kFig10Lib); }
 Workload adpcm_codec() { return make("adpcm_codec", kAdpcmKl, kAdpcmLib); }
 
+std::optional<Workload> builtin(const std::string& name) {
+  auto it = registry().find(name);
+  if (it == registry().end()) return std::nullopt;
+  return make(name, it->second.first, it->second.second);
+}
+
 std::string workload_source(const std::string& name) {
   auto it = registry().find(name);
   return it == registry().end() ? std::string{} : std::string(it->second.first);

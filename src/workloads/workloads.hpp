@@ -15,6 +15,7 @@
 // integration tests of both.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "iplib/library.hpp"
@@ -58,6 +59,10 @@ Workload fig10_case();
 /// overlap its computation, handshake-protocol IPs paying the protocol
 /// transformer, and an M-IP covering the quantize/dequantize pair.
 Workload adpcm_codec();
+
+/// The built-in workload of that name ("gsm_encoder", "gsm_decoder",
+/// "jpeg_encoder", "fig9", "fig10", "adpcm_codec"); nullopt when unknown.
+std::optional<Workload> builtin(const std::string& name);
 
 /// KL source text of the named built-in workload (for docs and the
 /// quickstart example). Empty when unknown.

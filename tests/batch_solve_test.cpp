@@ -182,11 +182,11 @@ TEST(BatchSolve, ServiceBatchMatchesSerialSubmits) {
   cfg.workers = 2;
   service::SolveService svc(cfg);
 
-  service::BatchSolveRequest batch;
+  service::SolveRequest batch;
   batch.label = "batch";
   batch.workload = workloads::gsm_decoder();
   batch.required_gains = rgs;
-  const std::vector<std::uint64_t> tickets = svc.submit_batch(std::move(batch));
+  const std::vector<std::uint64_t> tickets = svc.submit(std::move(batch)).tickets;
   ASSERT_EQ(tickets.size(), rgs.size());
 
   for (std::size_t i = 0; i < rgs.size(); ++i) {
@@ -199,17 +199,6 @@ TEST(BatchSolve, ServiceBatchMatchesSerialSubmits) {
   EXPECT_EQ(st.batches, 1u);
   EXPECT_EQ(st.batch_items, rgs.size());
   EXPECT_GT(st.batch_amortized_hits, 0u);
-  svc.shutdown();
-}
-
-TEST(BatchSolve, EmptyBatchYieldsNoTickets) {
-  service::ServiceConfig cfg;
-  cfg.workers = 1;
-  service::SolveService svc(cfg);
-  service::BatchSolveRequest batch;
-  batch.label = "empty";
-  batch.workload = workloads::gsm_decoder();
-  EXPECT_TRUE(svc.submit_batch(std::move(batch)).empty());
   svc.shutdown();
 }
 

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -302,6 +303,38 @@ TEST(Multiplexing, BlockedWaitsDoNotStallTheConnection) {
   const auto done_a = client.wait_for(101, &err);
   ASSERT_TRUE(done_a.has_value()) << err;
   EXPECT_EQ(done_a->result->state, "completed");
+}
+
+// --- waiter-thread reaping ----------------------------------------------------
+
+/// Lines of /proc/self/maps: every live or exited-but-unjoined thread keeps
+/// its stack (and guard page) mapped.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Waiters, FinishedWaitsAreJoinedOnLongConnections) {
+  ServerFixture fx;
+  WireClient client;
+  std::string err;
+  ASSERT_TRUE(client.connect(fx.server.endpoint(), &err)) << err;
+  const WireResult first = solve_over_wire(client, "fig9");
+  ASSERT_EQ(first.state, "completed");
+
+  WireRequest wait;
+  wait.verb = "wait";
+  wait.ticket = first.ticket;
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 512; ++i) {
+    const auto done = client.call(wait, &err);
+    ASSERT_TRUE(done.has_value()) << err;
+    ASSERT_EQ(done->result->state, "completed");
+  }
+  // Unreaped, 512 finished waiters would add about two mappings each.
+  EXPECT_LT(mapping_count(), before + 64);
 }
 
 // --- malformed peers ----------------------------------------------------------

@@ -248,5 +248,54 @@ TEST(FaultInjection, RearmingResetsHitCount) {
   EXPECT_FALSE(fault_should_trip("unit.rearm"));
 }
 
+// --- arm_fault_spec: the one PARTITA_FAULT / --fault spelling ----------------
+
+TEST(FaultSpec, BareSiteTripsAtFirstCheckpoint) {
+  FaultInjector::instance().reset();
+  const FaultSpec f = arm_fault_spec("unit.spec");
+  EXPECT_EQ(f.site, "unit.spec");
+  EXPECT_EQ(f.trip_at, 1u);
+  EXPECT_FALSE(f.crash);
+  EXPECT_TRUE(fault_should_trip("unit.spec"));
+  FaultInjector::instance().reset();
+}
+
+TEST(FaultSpec, CountSuffixSetsTripPoint) {
+  FaultInjector::instance().reset();
+  const FaultSpec f = arm_fault_spec("unit.spec:3");
+  EXPECT_EQ(f.site, "unit.spec");
+  EXPECT_EQ(f.trip_at, 3u);
+  EXPECT_FALSE(f.crash);
+  EXPECT_FALSE(fault_should_trip("unit.spec"));
+  EXPECT_FALSE(fault_should_trip("unit.spec"));
+  EXPECT_TRUE(fault_should_trip("unit.spec"));
+  EXPECT_TRUE(fault_should_trip("unit.spec"));  // sticky
+  FaultInjector::instance().reset();
+}
+
+// Crash specs are only checked below their trip point: tripping one would
+// SIGKILL the test binary.
+TEST(FaultSpec, CountAndCrashSuffixArmTheBareSite) {
+  FaultInjector::instance().reset();
+  const FaultSpec f = arm_fault_spec("unit.spec:3:crash");
+  EXPECT_EQ(f.site, "unit.spec");
+  EXPECT_EQ(f.trip_at, 3u);
+  EXPECT_TRUE(f.crash);
+  EXPECT_FALSE(fault_should_trip("unit.spec"));
+  EXPECT_FALSE(fault_should_trip("unit.spec"));
+  EXPECT_EQ(FaultInjector::instance().hits("unit.spec"), 2u);
+  EXPECT_EQ(FaultInjector::instance().hits("unit.spec:3"), 0u);
+  FaultInjector::instance().reset();
+}
+
+TEST(FaultSpec, CrashSuffixWithoutCount) {
+  FaultInjector::instance().reset();
+  const FaultSpec f = arm_fault_spec("unit.spec:crash");
+  EXPECT_EQ(f.site, "unit.spec");
+  EXPECT_EQ(f.trip_at, 1u);
+  EXPECT_TRUE(f.crash);
+  FaultInjector::instance().reset();
+}
+
 }  // namespace
 }  // namespace partita::support

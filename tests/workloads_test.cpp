@@ -2,6 +2,7 @@
 // and that the random generator produces valid, deterministic instances.
 #include <gtest/gtest.h>
 
+#include "ir/printer.hpp"
 #include "ir/verify.hpp"
 #include "select/flow.hpp"
 #include "workloads/random_workload.hpp"
@@ -150,6 +151,28 @@ TEST(WorkloadSource, ExposesKlText) {
   EXPECT_NE(workload_source("gsm_encoder").find("module gsm_encoder"), std::string::npos);
   EXPECT_NE(workload_source("jpeg_encoder").find("dct2d"), std::string::npos);
   EXPECT_TRUE(workload_source("nope").empty());
+}
+
+TEST(Builtin, EveryNameMatchesItsFactory) {
+  const std::pair<const char*, Workload (*)()> table[] = {
+      {"gsm_encoder", gsm_encoder}, {"gsm_decoder", gsm_decoder},
+      {"jpeg_encoder", jpeg_encoder}, {"fig9", fig9_case},
+      {"fig10", fig10_case},         {"adpcm_codec", adpcm_codec},
+  };
+  for (const auto& [name, factory] : table) {
+    const std::optional<Workload> got = builtin(name);
+    ASSERT_TRUE(got.has_value()) << name;
+    const Workload want = factory();
+    EXPECT_EQ(got->name, want.name);
+    EXPECT_EQ(ir::print_module(got->module), ir::print_module(want.module)) << name;
+    ASSERT_EQ(got->library.size(), want.library.size()) << name;
+    for (std::size_t i = 0; i < want.library.size(); ++i) {
+      EXPECT_EQ(got->library.all()[i].name, want.library.all()[i].name) << name;
+    }
+    EXPECT_FALSE(workload_source(name).empty()) << name;  // registry entry
+  }
+  EXPECT_FALSE(builtin("nope").has_value());
+  EXPECT_FALSE(builtin("").has_value());
 }
 
 // --- random workloads ---------------------------------------------------------------

@@ -109,23 +109,13 @@ struct Args {
   std::optional<double> max_solver_mb;
 };
 
-std::optional<workloads::Workload> builtin(const std::string& name) {
-  if (name == "gsm_encoder") return workloads::gsm_encoder();
-  if (name == "gsm_decoder") return workloads::gsm_decoder();
-  if (name == "jpeg_encoder") return workloads::jpeg_encoder();
-  if (name == "fig9") return workloads::fig9_case();
-  if (name == "fig10") return workloads::fig10_case();
-  if (name == "adpcm_codec") return workloads::adpcm_codec();
-  return std::nullopt;
-}
-
 Args parse_args(int argc, char** argv) {
   if (argc < 3) usage(argv[0]);
   Args args;
   args.command = argv[1];
 
   int next = 2;
-  if (auto wl = builtin(argv[2])) {
+  if (auto wl = workloads::builtin(argv[2])) {
     args.workload = std::move(*wl);
     next = 3;
   } else {
@@ -434,25 +424,14 @@ int cmd_rtl(const Args& args, select::Flow& flow) {
   return 0;
 }
 
-/// Test-only hook: PARTITA_FAULT=site[:n] arms one fault-injection site
-/// before the run (see support/fault_injection.hpp for the site list), so
-/// ctest can drive recovery paths -- e.g. the degraded exit code 4 via
-/// PARTITA_FAULT=ilp.deadline -- without real wall-clock pressure.
-void arm_fault_from_env() {
-  const char* env = std::getenv("PARTITA_FAULT");
-  if (!env || !*env) return;
-  std::string spec(env);
-  std::uint64_t trip_at = 1;
-  if (const std::size_t colon = spec.rfind(':'); colon != std::string::npos) {
-    trip_at = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-    if (trip_at == 0) trip_at = 1;
-    spec.resize(colon);
-  }
-  support::FaultInjector::instance().arm(spec, trip_at);
-}
-
 int run(int argc, char** argv) {
-  arm_fault_from_env();
+  // Test-only hook: PARTITA_FAULT=site[:n][:crash] arms one fault-injection
+  // site before the run (see support/fault_injection.hpp for the site list),
+  // so ctest can drive recovery paths -- e.g. the degraded exit code 4 via
+  // PARTITA_FAULT=ilp.deadline -- without real wall-clock pressure.
+  if (const char* env = std::getenv("PARTITA_FAULT"); env && *env) {
+    support::arm_fault_spec(env);
+  }
   Args args = parse_args(argc, argv);
   if (args.command == "lint") return cmd_lint(args);
 

@@ -1,11 +1,14 @@
-// partita_serve — the solve-service network daemon.
+// partita_serve — the solve-service daemon and script driver.
 //
-// Boots one service::SolveService behind a net::WireServer speaking
-// partita-wire-v1 (see docs/service_wire.md), then parks until SIGTERM or
-// SIGINT, on which it drains the service gracefully (every admitted request
-// reaches its terminal state), stops the listener and exits 0.
+// Boots one service::SolveService. Without a script it serves it behind a
+// net::WireServer speaking partita-wire-v1 (docs/service_wire.md) until
+// SIGTERM or SIGINT. With a script it opens no listener and runs the
+// script's commands against the service instead, stopping early on SIGTERM.
+// Either way it then drains gracefully (every admitted request reaches its
+// terminal state), prints one line per scripted ticket and a stats line,
+// and exits 0.
 //
-//   partita_serve [options]
+//   partita_serve [options] [SCRIPT]
 //
 // options:
 //   --listen SPEC         tcp:HOST:PORT (PORT 0 = ephemeral) or unix:PATH
@@ -20,7 +23,7 @@
 //   --max-live-per-tenant N  per-tenant live-request quota (0 = off)
 //   --max-sessions N      concurrent connections (default 64)
 //   --quarantine-dir D    directory for replayable quarantine fixtures
-//   --fault SITE[:n[:crash]]  arm a fault-injection site (repeatable); the
+//   --fault SITE[:n][:crash]  arm a fault-injection site (repeatable); the
 //                         PARTITA_FAULT env var arms one more. A ":crash"
 //                         suffix SIGKILLs the process at the trip point
 //                         (simulated power loss -- the recovery harness).
@@ -41,14 +44,30 @@
 //   --checkpoint-waves N  checkpoint cadence in solver waves (default 8
 //                         when journaling; 0 disables)
 //
-// exit codes: 0 clean shutdown (SIGTERM/SIGINT), 2 usage/bad config,
-// 3 bind failure, 4 journal open failure.
+// script commands (one per line; '#' starts a comment):
+//   submit <builtin> [rg] [k=v ...]     a built-in workload
+//   spec <seed> [scalls] [kernels] [ips] [k=v ...]
+//                                       a generated instance (a failure
+//                                       leaves a replayable fixture)
+//   cancel <k>                          cancel the k-th submission (1-based)
+//   drain | selfterm                    drain now | raise SIGTERM
+// k=v: tenant=ID prio=interactive|standard|batch deadline=S budget=S. Each
+// submit line becomes the wire `submit` verb a client would send, admitted
+// through net::to_service_request, so --journal-dir, --cache and --fault
+// apply to scripts as to socket clients.
+//
+// exit codes: 0 clean shutdown (SIGTERM/SIGINT, or the script drained),
+// 2 usage/bad config, 3 bind failure or unreadable/bad script, 4 journal
+// open failure.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -64,7 +83,7 @@ using namespace partita;
 namespace {
 
 constexpr int kExitUsage = 2;
-constexpr int kExitBind = 3;
+constexpr int kExitInput = 3;  // bind failure or unreadable/bad script
 constexpr int kExitJournal = 4;
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -76,37 +95,120 @@ void on_signal(int) { g_stop = 1; }
                "usage: %s [--listen SPEC] [--port-file PATH] [--policy P]\n"
                "       [--workers N] [--queue-depth N] [--max-memory-mb N]\n"
                "       [--max-live-per-tenant N] [--max-sessions N]\n"
-               "       [--quarantine-dir D] [--fault SITE[:n[:crash]]]\n"
+               "       [--quarantine-dir D] [--fault SITE[:n][:crash]]\n"
                "       [--cache] [--cache-capacity N] [--cache-mb N]\n"
                "       [--no-neighbor-seeding] [--journal-dir D]\n"
-               "       [--checkpoint-dir D] [--checkpoint-waves N]\n"
+               "       [--checkpoint-dir D] [--checkpoint-waves N] [SCRIPT]\n"
                "\n"
                "SPEC: tcp:HOST:PORT (PORT 0 = ephemeral) or unix:PATH\n"
-               "exit: 0 clean shutdown, 2 usage, 3 bind failure,\n"
+               "SCRIPT: submit | spec | cancel | drain | selfterm lines; no listener\n"
+               "exit: 0 clean shutdown, 2 usage, 3 bind failure or bad script,\n"
                "      4 journal open failure\n",
                argv0);
   std::exit(kExitUsage);
 }
 
-// SITE[:n[:crash]] -- ":crash" upgrades the trip to a SIGKILL of this
-// process (simulated power loss), which is how the kill-and-recover
-// harness injects death at exact journal/checkpoint boundaries.
-void arm_fault(const std::string& spec_in) {
-  std::string spec = spec_in;
-  bool crash = false;
-  if (spec.size() > 6 && spec.compare(spec.size() - 6, 6, ":crash") == 0) {
-    crash = true;
-    spec.resize(spec.size() - 6);
+/// Parses the tokens after a script `submit`/`spec` command into the wire
+/// verb a client would send: positional <builtin> [rg] or <seed> [scalls]
+/// [kernels] [ips], plus k=v scheduling metadata.
+bool parse_submit(const std::string& cmd, std::istringstream& ls,
+                  net::WireRequest* req, std::string* why) {
+  req->verb = "submit";
+  std::vector<std::string> pos;
+  for (std::string tok; ls >> tok;) {
+    const std::size_t eq = tok.find('=');
+    const std::string key = tok.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : tok.substr(eq + 1);
+    if (eq == std::string::npos) pos.push_back(tok);
+    else if (key == "tenant") req->tenant = value;
+    else if (key == "prio" && service::parse_priority(value) >= 0)
+      req->priority = service::parse_priority(value);
+    else if (key == "deadline") req->deadline_seconds = std::atof(value.c_str());
+    else if (key == "budget") req->time_limit_seconds = std::atof(value.c_str());
+    else {
+      *why = "bad metadata token '" + tok + "'";
+      return false;
+    }
   }
-  std::uint64_t trip_at = 1;
-  if (const std::size_t colon = spec.rfind(':'); colon != std::string::npos &&
-      spec.find_first_not_of("0123456789", colon + 1) == std::string::npos &&
-      colon + 1 < spec.size()) {
-    trip_at = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-    if (trip_at == 0) trip_at = 1;
-    spec.resize(colon);
+  if (cmd == "submit" ? pos.empty() || pos.size() > 2 : pos.size() > 4) {
+    *why = "wrong number of positional arguments to '" + cmd + "'";
+    return false;
   }
-  support::FaultInjector::instance().arm(spec, trip_at, /*sticky=*/true, crash);
+  if (cmd == "submit") {
+    req->workload = pos[0];
+    if (pos.size() == 2) req->required_gain = std::atoll(pos[1].c_str());
+    return true;
+  }
+  net::SpecRef& spec = req->spec.emplace();
+  int* dims[] = {&spec.scalls, &spec.kernels, &spec.ips};
+  if (!pos.empty()) spec.seed = std::strtoull(pos[0].c_str(), nullptr, 10);
+  for (std::size_t i = 1; i < pos.size(); ++i) *dims[i - 1] = std::atoi(pos[i].c_str());
+  return true;
+}
+
+/// Runs a command script against the in-process service, appending the
+/// issued tickets in submission order; false (after a message on stderr) on
+/// a bad line. Stops early once SIGTERM/SIGINT arrives.
+bool run_script(const std::string& path, std::istream& in, service::SolveService& svc,
+                std::vector<std::uint64_t>& tickets) {
+  std::string line;
+  for (int lineno = 1; !g_stop && std::getline(in, line); ++lineno) {
+    line.resize(std::min(line.size(), line.find('#')));  // strip a comment
+    std::istringstream ls(line);
+    std::string cmd;
+    if (!(ls >> cmd)) continue;
+
+    std::string why;
+    if (cmd == "submit" || cmd == "spec") {
+      net::WireRequest wire;
+      service::SolveRequest req;
+      if (parse_submit(cmd, ls, &wire, &why) &&
+          net::to_service_request(wire, &req, &why)) {
+        tickets.push_back(svc.submit(std::move(req)).ticket());
+      }
+    } else if (cmd == "cancel") {
+      std::size_t k = 0;
+      ls >> k;
+      if (k >= 1 && k <= tickets.size()) svc.cancel(tickets[k - 1]);
+      else why = "cancel index " + std::to_string(k) + " out of range";
+    } else if (cmd == "drain") {
+      svc.drain();
+    } else if (cmd == "selfterm") {
+      std::raise(SIGTERM);
+    } else {
+      why = "unknown command '" + cmd + "'";
+    }
+    if (!why.empty()) {
+      std::fprintf(stderr, "partita_serve: %s:%d: %s\n", path.c_str(), lineno,
+                   why.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One terminal-report line per scripted request, in submission order.
+void report(const service::SolveResponse& r) {
+  std::printf("#%llu %-16s %s", static_cast<unsigned long long>(r.ticket),
+              r.label.c_str(), service::to_string(r.state));
+  switch (r.state) {
+    case service::RequestState::kCompleted:
+      std::printf(" area=%.3f gain=%lld rung=%s attempts=%d", r.selection.total_area(),
+                  static_cast<long long>(r.selection.min_path_gain),
+                  select::to_string(r.selection.rung), r.attempts);
+      break;
+    case service::RequestState::kRejected:
+      std::printf(" retry-after=%.3fs (%s)", r.retry_after_seconds,
+                  r.error.message.c_str());
+      break;
+    case service::RequestState::kFailed:
+      std::printf(" attempts=%d (%s)%s%s", r.attempts, r.error.message.c_str(),
+                  r.quarantine_fixture.empty() ? "" : " fixture=",
+                  r.quarantine_fixture.c_str());
+      break;
+    default: break;
+  }
+  std::printf("\n");
 }
 
 int run(int argc, char** argv) {
@@ -116,6 +218,7 @@ int run(int argc, char** argv) {
   std::string journal_dir;
   std::string checkpoint_dir;
   int checkpoint_waves = -1;  // -1 = default (8 when journaling, else 0)
+  std::string script_path;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto need_value = [&]() -> const char* {
@@ -139,7 +242,7 @@ int run(int argc, char** argv) {
     else if (flag == "--max-sessions")
       net_cfg.max_sessions = static_cast<std::size_t>(std::atoll(need_value()));
     else if (flag == "--quarantine-dir") cfg.quarantine_dir = need_value();
-    else if (flag == "--fault") arm_fault(need_value());
+    else if (flag == "--fault") support::arm_fault_spec(need_value());
     else if (flag == "--cache") cfg.cache_enabled = true;
     else if (flag == "--cache-capacity") {
       cfg.cache_enabled = true;
@@ -153,7 +256,8 @@ int run(int argc, char** argv) {
     else if (flag == "--journal-dir") journal_dir = need_value();
     else if (flag == "--checkpoint-dir") checkpoint_dir = need_value();
     else if (flag == "--checkpoint-waves") checkpoint_waves = std::atoi(need_value());
-    else usage(argv[0]);
+    else if (flag.empty() || flag[0] == '-' || !script_path.empty()) usage(argv[0]);
+    else script_path = flag;
   }
   if (cfg.workers < 1 || cfg.max_queue_depth < 1) {
     std::fprintf(stderr, "partita_serve: --workers and --queue-depth must be >= 1\n");
@@ -163,7 +267,18 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "partita_serve: unknown policy '%s'\n", cfg.policy.c_str());
     return kExitUsage;
   }
-  if (const char* env = std::getenv("PARTITA_FAULT"); env && *env) arm_fault(env);
+  std::ifstream script;
+  if (!script_path.empty()) {
+    script.open(script_path);
+    if (!script) {
+      std::fprintf(stderr, "partita_serve: cannot open script '%s'\n",
+                   script_path.c_str());
+      return kExitInput;
+    }
+  }
+  if (const char* env = std::getenv("PARTITA_FAULT"); env && *env) {
+    support::arm_fault_spec(env);
+  }
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
@@ -243,31 +358,37 @@ int run(int argc, char** argv) {
     std::fflush(stdout);
   }
 
+  // Never started in script mode; stop() is then a no-op.
   net::WireServer server(svc, net_cfg);
-  std::string why;
-  if (!server.start(&why)) {
-    std::fprintf(stderr, "partita_serve: %s\n", why.c_str());
-    return kExitBind;
-  }
-  std::printf("partita_serve: listening on %s (policy=%s workers=%d)\n",
-              server.endpoint().c_str(), svc.policy_name(), cfg.workers);
-  std::fflush(stdout);
-  if (!port_file.empty()) {
-    std::ofstream pf(port_file);
-    pf << server.endpoint() << "\n";
+  std::vector<std::uint64_t> tickets;
+  if (script.is_open()) {
+    if (!run_script(script_path, script, svc, tickets)) return kExitInput;
+  } else {
+    std::string why;
+    if (!server.start(&why)) {
+      std::fprintf(stderr, "partita_serve: %s\n", why.c_str());
+      return kExitInput;
+    }
+    std::printf("partita_serve: listening on %s (policy=%s workers=%d)\n",
+                server.endpoint().c_str(), svc.policy_name(), cfg.workers);
+    std::fflush(stdout);
+    if (!port_file.empty()) {
+      std::ofstream pf(port_file);
+      pf << server.endpoint() << "\n";
+    }
+    while (!g_stop) {
+      // Signal-driven shutdown only; the nap keeps the main thread cheap.
+      ::usleep(50 * 1000);
+    }
   }
 
-  while (!g_stop) {
-    // Signal-driven shutdown only; the nap keeps the main thread cheap.
-    ::usleep(50 * 1000);
-  }
-
-  // SIGTERM path: drain first so in-flight waits answer, then unblock the
-  // listener and join every session.
+  // Shutdown (SIGTERM or end of script): drain first so in-flight waits
+  // answer, then unblock the listener and join every session.
   std::printf("partita_serve: draining\n");
   std::fflush(stdout);
   svc.drain();
   server.stop();
+  for (const std::uint64_t t : tickets) report(svc.wait(t));
   if (journal.is_open() && cfg.cache_enabled) {
     // Persist warm cache entries next to the journal; reload happens on the
     // next boot. Atomic rename, so a crash here leaves the old snapshot.
@@ -279,13 +400,14 @@ int run(int argc, char** argv) {
   const net::ServerStats ns = server.stats();
   std::printf(
       "partita_serve: done submitted=%llu completed=%llu cancelled=%llu "
-      "rejected=%llu failed=%llu sessions=%llu frames=%llu/%llu "
-      "protocol-errors=%llu\n",
+      "rejected=%llu failed=%llu retries=%llu peak-queue=%zu sessions=%llu "
+      "frames=%llu/%llu protocol-errors=%llu\n",
       static_cast<unsigned long long>(st.submitted),
       static_cast<unsigned long long>(st.completed),
       static_cast<unsigned long long>(st.cancelled),
       static_cast<unsigned long long>(st.rejected),
       static_cast<unsigned long long>(st.failed),
+      static_cast<unsigned long long>(st.retries), st.peak_queue_depth,
       static_cast<unsigned long long>(ns.sessions_accepted),
       static_cast<unsigned long long>(ns.frames_in),
       static_cast<unsigned long long>(ns.frames_out),
@@ -301,7 +423,7 @@ int run(int argc, char** argv) {
         static_cast<unsigned long long>(js.append_failures),
         static_cast<unsigned long long>(st.recovered_requests));
   }
-  if (!port_file.empty()) ::unlink(port_file.c_str());
+  if (!port_file.empty() && !script.is_open()) ::unlink(port_file.c_str());
   return 0;
 }
 
