@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
+#include "iplib/loader.hpp"
+#include "ir/printer.hpp"
 #include "support/json.hpp"
 
 namespace partita::service {
@@ -90,7 +95,63 @@ std::int64_t l1_distance(const std::vector<std::int64_t>& a,
   return d;
 }
 
+/// Folds one word into both lanes of a running digest. The lanes see the
+/// word with different mixing, so a collision needs both to collide.
+void fold_word(ilp::Fingerprint& d, std::uint64_t w) {
+  d.lo = ilp::fp_mix(d.lo ^ w);
+  d.hi = ilp::fp_mix(d.hi + ((w << 32) | (w >> 32)));
+}
+
+/// Folds text eight bytes at a time, length first (so a zero-padded tail
+/// word cannot alias a longer text).
+void fold_text(ilp::Fingerprint& d, std::string_view text) {
+  fold_word(d, text.size());
+  for (std::size_t i = 0; i < text.size(); i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, text.data() + i, std::min<std::size_t>(8, text.size() - i));
+    fold_word(d, w);
+  }
+}
+
 }  // namespace
+
+ilp::Fingerprint structure_fingerprint(const select::Selector& selector,
+                                       const select::SelectOptions& opt) {
+  // Every select-level flag that shapes the constraint system (problem2,
+  // max_power) lands in the token-gain model's row set, so only the ilp
+  // options need a separate digest (the key's options_digest).
+  ilp::Fingerprint fp = ilp::fingerprint_model(selector.build_model(
+      std::vector<std::int64_t>(selector.path_count(), 1), opt));
+  // The model digest alone is not enough: a cached Selection also reports
+  // the column -> (s-call, IP, interface) decode map, which can differ
+  // between specs whose models are bit-identical (duplicate-parameter IPs
+  // swapped by a column permutation). Mix it in so such instances miss.
+  fp.lo = ilp::fp_mix(fp.lo ^ selector.answer_map_digest());
+  return fp;
+}
+
+ilp::Fingerprint envelope_digest(const ir::Module& module,
+                                 const iplib::IpLibrary& library,
+                                 const select::SelectOptions& opt) {
+  ilp::Fingerprint d{0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL};
+  fold_text(d, ir::print_module(module));
+  fold_text(d, iplib::save_library(library));
+  // The text prints doubles to six significant digits, but the model uses
+  // them at full precision: fold their exact bits as well.
+  module.for_each_function([&](const ir::Function& fn) {
+    fn.for_each_stmt([&](ir::StmtId, const ir::Stmt& s) {
+      if (s.kind == ir::StmtKind::kIf) fold_word(d, ilp::fp_double(s.taken_prob));
+    });
+  });
+  for (const iplib::IpDescriptor& ip : library.all()) {
+    fold_word(d, ilp::fp_double(ip.area));
+    fold_word(d, ilp::fp_double(ip.power));
+  }
+  fold_word(d, opt.problem2 ? 1 : 0);
+  fold_word(d, opt.max_power.has_value() ? ilp::fp_double(*opt.max_power) : 0);
+  fold_word(d, opt.max_power.has_value() ? 1 : 0);
+  return d;
+}
 
 std::string SolutionCache::Key::group() const {
   std::string s = tenant;
@@ -141,6 +202,10 @@ SolutionCache::Shard& SolutionCache::shard_for_group(const std::string& g) {
   return *shards_[h % shards_.size()];
 }
 
+SolutionCache::Shard& SolutionCache::shard_for_envelope(const ilp::Fingerprint& envelope) {
+  return *shards_[envelope.lo % shards_.size()];
+}
+
 std::size_t SolutionCache::entry_bytes(const Entry& e) {
   std::size_t b = sizeof(Entry) + e.key.size() + e.group.size();
   b += e.resolved_gains.size() * sizeof(std::int64_t);
@@ -160,7 +225,7 @@ std::size_t SolutionCache::entry_bytes(const Entry& e) {
   return b;
 }
 
-std::optional<select::Selection> SolutionCache::lookup(const Key& key) {
+std::optional<select::Selection> SolutionCache::lookup(const Key& key, bool via_memo) {
   Shard& s = shard_for(key);
   const std::string k = key.str();
   const std::uint64_t gen = generation_.load();
@@ -174,14 +239,13 @@ std::optional<select::Selection> SolutionCache::lookup(const Key& key) {
   if (it->second->generation != gen) {
     // Outdated by invalidate_all(): drop lazily, count both stale and miss
     // so hits + misses == lookups stays an invariant.
-    s.bytes -= it->second->bytes;
-    s.lru.erase(it->second);
-    s.index.erase(it);
+    unlink_locked(s, it->second);
     ++s.stats.stale;
     ++s.stats.misses;
     return std::nullopt;
   }
   ++s.stats.hits;
+  if (via_memo) ++s.stats.memo_hits;
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
   return it->second->selection;
 }
@@ -212,13 +276,40 @@ CacheSeed SolutionCache::nearest(const Key& key,
   return seed;
 }
 
+std::optional<ilp::Fingerprint> SolutionCache::memo_structure(
+    const ilp::Fingerprint& envelope) {
+  Shard& s = shard_for_envelope(envelope);
+  std::lock_guard<std::mutex> g(s.mu);
+  const auto it = s.memo_index.find(envelope);
+  if (it == s.memo_index.end()) return std::nullopt;
+  s.memo.splice(s.memo.begin(), s.memo, it->second);  // refresh recency
+  return it->second->second;
+}
+
+void SolutionCache::remember_structure(const ilp::Fingerprint& envelope,
+                                       const ilp::Fingerprint& structure) {
+  Shard& s = shard_for_envelope(envelope);
+  std::lock_guard<std::mutex> g(s.mu);
+  // A racing request with the same envelope may have stored it already;
+  // the structure is a function of the envelope, so that entry stands.
+  if (s.memo_index.count(envelope) != 0) return;
+  s.memo.emplace_front(envelope, structure);
+  s.memo_index[envelope] = s.memo.begin();
+  while (s.memo.size() > per_shard_capacity_) {
+    s.memo_index.erase(s.memo.back().first);
+    s.memo.pop_back();
+  }
+}
+
 std::optional<std::int64_t> SolutionCache::derived_gain(const Key& key) {
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> g(s.mu);
-  const auto it = s.gain_memo.find(key.group());
-  if (it == s.gain_memo.end()) return std::nullopt;
+  const auto it = s.groups.find(key.group());
+  if (it == s.groups.end() || !it->second.derived_gain.has_value()) {
+    return std::nullopt;
+  }
   ++s.stats.gain_memo_hits;
-  return it->second;
+  return it->second.derived_gain;
 }
 
 void SolutionCache::insert(const Key& key, const select::Selection& sel,
@@ -237,29 +328,35 @@ void SolutionCache::insert(const Key& key, const select::Selection& sel,
   e.bytes = entry_bytes(e);
 
   std::lock_guard<std::mutex> g(s.mu);
+  if (derived.has_value()) s.groups[e.group].derived_gain = *derived;
+  link_locked(s, std::move(e));
+  ++s.stats.insertions;
+  evict_locked(s);
+}
+
+void SolutionCache::link_locked(Shard& s, Entry e) {
+  // Count the newcomer first, so refreshing a group's only entry (same key
+  // re-inserted after a stale drop or a racing double-miss) keeps its group.
+  ++s.groups[e.group].entries;
   const auto it = s.index.find(e.key);
-  if (it != s.index.end()) {
-    // Refresh in place (same key can be re-inserted after a stale drop or a
-    // racing double-miss); recency moves to the front.
-    s.bytes -= it->second->bytes;
-    s.lru.erase(it->second);
-    s.index.erase(it);
-  }
-  if (derived.has_value()) s.gain_memo[e.group] = *derived;
+  if (it != s.index.end()) unlink_locked(s, it->second);
   s.bytes += e.bytes;
   s.lru.push_front(std::move(e));
   s.index[s.lru.front().key] = s.lru.begin();
-  ++s.stats.insertions;
-  evict_locked(s);
+}
+
+void SolutionCache::unlink_locked(Shard& s, std::list<Entry>::iterator it) {
+  s.bytes -= it->bytes;
+  const auto g = s.groups.find(it->group);
+  if (g != s.groups.end() && --g->second.entries == 0) s.groups.erase(g);
+  s.index.erase(it->key);
+  s.lru.erase(it);
 }
 
 void SolutionCache::evict_locked(Shard& s) {
   while (s.lru.size() > per_shard_capacity_ ||
          (per_shard_bytes_ != 0 && s.bytes > per_shard_bytes_ && s.lru.size() > 1)) {
-    const Entry& victim = s.lru.back();
-    s.bytes -= victim.bytes;
-    s.index.erase(victim.key);
-    s.lru.pop_back();
+    unlink_locked(s, std::prev(s.lru.end()));
     ++s.stats.evictions;
   }
 }
@@ -269,7 +366,9 @@ void SolutionCache::invalidate_all() {
   for (auto& sp : shards_) {
     std::lock_guard<std::mutex> g(sp->mu);
     ++sp->stats.invalidations;
-    sp->gain_memo.clear();
+    for (auto& [name, group] : sp->groups) group.derived_gain.reset();
+    sp->memo.clear();
+    sp->memo_index.clear();
   }
 }
 
@@ -293,9 +392,10 @@ std::string SolutionCache::export_snapshot() const {
       entries << "}";
       ++count;
     }
-    for (const auto& [group, gain] : sp->gain_memo) {
-      memos << (first_memo ? "" : ", ") << "[" << json::quote(group) << ", "
-            << gain << "]";
+    for (const auto& [name, group] : sp->groups) {
+      if (!group.derived_gain.has_value()) continue;
+      memos << (first_memo ? "" : ", ") << "[" << json::quote(name) << ", "
+            << *group.derived_gain << "]";
       first_memo = false;
     }
   }
@@ -338,15 +438,7 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
       e.bytes = entry_bytes(e);
       Shard& s = shard_for_group(e.group);
       std::lock_guard<std::mutex> g(s.mu);
-      const auto it = s.index.find(e.key);
-      if (it != s.index.end()) {
-        s.bytes -= it->second->bytes;
-        s.lru.erase(it->second);
-        s.index.erase(it);
-      }
-      s.bytes += e.bytes;
-      s.lru.push_front(std::move(e));
-      s.index[s.lru.front().key] = s.lru.begin();
+      link_locked(s, std::move(e));
       ++s.stats.insertions;
       evict_locked(s);
       ++imported;
@@ -358,10 +450,14 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
           !v.array()[1].is_number()) {
         continue;
       }
-      const std::string& group = v.array()[0].string();
-      Shard& s = shard_for_group(group);
+      // A memo joins only a group that has entries: it goes with them.
+      const std::string& name = v.array()[0].string();
+      Shard& s = shard_for_group(name);
       std::lock_guard<std::mutex> g(s.mu);
-      s.gain_memo[group] = static_cast<std::int64_t>(v.array()[1].number());
+      const auto it = s.groups.find(name);
+      if (it != s.groups.end()) {
+        it->second.derived_gain = static_cast<std::int64_t>(v.array()[1].number());
+      }
     }
   }
   return imported;
@@ -381,8 +477,13 @@ CacheStats SolutionCache::stats() const {
     total.evictions += cs.evictions;
     total.stale += cs.stale;
     total.invalidations += cs.invalidations;
+    total.memo_hits += cs.memo_hits;
     total.entries += sp->lru.size();
     total.bytes += sp->bytes;
+    total.memo_entries += sp->memo.size();
+    for (const auto& [name, group] : sp->groups) {
+      if (group.derived_gain.has_value()) ++total.gain_memo_entries;
+    }
   }
   return total;
 }

@@ -35,14 +35,26 @@
 // solve -- enforced end-to-end by `partita_fuzz --mode cache` and the
 // cache soak storm.
 //
+// Two-level key. Computing the structure fingerprint needs a built Flow and
+// a token-gain model. The envelope memo in front of it maps an envelope
+// digest (envelope_digest: the printed module and library, the exact bits
+// of their doubles, and the select options the structure depends on) to
+// the structure fingerprint a full key
+// computation produced, so an exact repeat reaches lookup() without
+// rebuilding anything. The memo is written only after a full key
+// computation and read only to form the lookup key.
+//
 // Eviction: per-shard LRU, bounded by both entry count and an approximate
 // byte budget (each divided evenly across shards). invalidate_all() bumps a
 // generation; stale entries are dropped lazily at lookup (counted `stale`)
-// rather than eagerly swept.
+// rather than eagerly swept. Both memos stay bounded by the per-shard
+// capacity: a group's derived-gain memo goes with the group's last entry,
+// and the envelope memo is its own LRU of at most that many digests.
+// invalidate_all() clears both.
 //
 // Counter invariants (asserted by cache_test): hits + misses == lookups
 // (a stale drop counts as a miss AND a stale), neighbor_hits <= misses,
-// evictions and insertions are monotone.
+// memo_hits <= hits, evictions and insertions are monotone.
 #pragma once
 
 #include <atomic>
@@ -58,6 +70,7 @@
 #include "ilp/branch_bound.hpp"
 #include "ilp/fingerprint.hpp"
 #include "select/selection.hpp"
+#include "select/selector.hpp"
 
 namespace partita::service {
 
@@ -74,9 +87,13 @@ struct CacheStats {
   /// Entries dropped at lookup because invalidate_all() outdated them.
   std::uint64_t stale = 0;
   std::uint64_t invalidations = 0;
+  /// Hits whose key came from the envelope memo (no Flow was built).
+  std::uint64_t memo_hits = 0;
   // Gauges.
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t memo_entries = 0;       // envelope memo size
+  std::uint64_t gain_memo_entries = 0;  // derived-gain memo size
 };
 
 /// Artifacts returned by nearest() for seeding a near-miss solve.
@@ -88,6 +105,23 @@ struct CacheSeed {
   /// L1 distance between the request's and the neighbor's resolved gains.
   std::int64_t distance = 0;
 };
+
+/// The structure part of a cache key: ilp::fingerprint_model over the
+/// token-gain model, mixed with the selector's answer-map digest.
+ilp::Fingerprint structure_fingerprint(const select::Selector& selector,
+                                       const select::SelectOptions& opt);
+
+/// The envelope memo's key: ir::print_module and iplib::save_library text,
+/// the exact bits of every double that text rounds (if probabilities, IP
+/// area and power), problem2 and max_power. Everything
+/// structure_fingerprint depends on is either printed losslessly or
+/// digested, so equal envelopes have equal structure fingerprints. The ilp
+/// options are not covered: structure_fingerprint reads none of them, and
+/// the key's options_digest separates them. imp_filter is not covered
+/// either: filtered requests bypass the cache.
+ilp::Fingerprint envelope_digest(const ir::Module& module,
+                                 const iplib::IpLibrary& library,
+                                 const select::SelectOptions& opt);
 
 class SolutionCache {
  public:
@@ -114,8 +148,17 @@ class SolutionCache {
 
   explicit SolutionCache(Config cfg);
 
-  /// Exact read-through probe. A hit refreshes LRU recency.
-  std::optional<select::Selection> lookup(const Key& key);
+  /// Exact read-through probe. A hit refreshes LRU recency; `via_memo`
+  /// marks a key formed from the envelope memo (counted as `memo_hits`).
+  std::optional<select::Selection> lookup(const Key& key, bool via_memo = false);
+
+  /// Envelope memo probe: the structure fingerprint stored for `envelope`.
+  std::optional<ilp::Fingerprint> memo_structure(const ilp::Fingerprint& envelope);
+
+  /// Records the structure fingerprint a full key computation produced for
+  /// `envelope`.
+  void remember_structure(const ilp::Fingerprint& envelope,
+                          const ilp::Fingerprint& structure);
 
   /// Nearest same-group neighbor by resolved-gain L1 distance; call after a
   /// miss. Does not touch LRU recency (a seed read is not an answer serve).
@@ -134,12 +177,14 @@ class SolutionCache {
               const std::vector<std::int64_t>& resolved_gains,
               std::optional<std::int64_t> derived = std::nullopt);
 
-  /// Outdates every current entry (lazily dropped as `stale` at lookup).
-  /// The service calls this when solver defaults change underneath it.
+  /// Outdates every current entry (lazily dropped as `stale` at lookup) and
+  /// clears both memos. The service calls this when solver defaults change
+  /// underneath it.
   void invalidate_all();
 
   /// Serializes every current-generation entry plus the derived-gain memos
-  /// to a partita-cache-snapshot-v1 JSON document ("" when there is nothing
+  /// (never the envelope memo) to a partita-cache-snapshot-v1 JSON
+  /// document ("" when there is nothing
   /// to save). Solver artifacts (BatchContext) are deliberately NOT
   /// persisted -- they only accelerate, never decide, so dropping them
   /// keeps snapshots small and trivially answer-safe; reloaded entries
@@ -167,18 +212,35 @@ class SolutionCache {
     std::size_t bytes = 0;
   };
 
+  /// Per-group bookkeeping: live entries and the derived-gain memo. A group
+  /// is dropped with its last entry, so memos never outlive their entries.
+  struct Group {
+    std::size_t entries = 0;
+    std::optional<std::int64_t> derived_gain;
+  };
+
+  /// Envelope memo: LRU of envelope digest -> structure fingerprint.
+  using MemoList = std::list<std::pair<ilp::Fingerprint, ilp::Fingerprint>>;
+
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
     std::map<std::string, std::list<Entry>::iterator> index;
-    /// Derived-gain memo per group string.
-    std::map<std::string, std::int64_t> gain_memo;
+    std::map<std::string, Group> groups;
+    MemoList memo;  // front = most recently used
+    std::map<ilp::Fingerprint, MemoList::iterator> memo_index;
     CacheStats stats;
     std::size_t bytes = 0;
   };
 
   Shard& shard_for(const Key& key);
   Shard& shard_for_group(const std::string& group);
+  Shard& shard_for_envelope(const ilp::Fingerprint& envelope);
+  /// Puts `e` at the LRU front (replacing an entry with its key), then
+  /// evicts down to the bounds.
+  void link_locked(Shard& s, Entry e);
+  /// Drops one entry, and its group when it was the group's last entry.
+  void unlink_locked(Shard& s, std::list<Entry>::iterator it);
   void evict_locked(Shard& s);
   static std::size_t entry_bytes(const Entry& e);
 

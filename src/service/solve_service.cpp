@@ -22,8 +22,6 @@ SolveService::SolveService(ServiceConfig config)
   limits.max_queue_depth = cfg_.max_queue_depth;
   limits.max_admitted_memory_bytes = cfg_.max_admitted_memory_bytes;
   limits.workers = cfg_.workers;
-  limits.age_promote_seconds = cfg_.age_promote_seconds;
-  limits.max_wait_seconds = cfg_.max_wait_seconds;
   policy_ = SchedulerPolicy::create(cfg_.policy, limits);
   if (!policy_) policy_ = SchedulerPolicy::create("fifo", limits);
   if (cfg_.cache_enabled) {
@@ -78,7 +76,7 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
   // the service itself only vetoes drain and tenant quota.
   const std::size_t charge = request.options.ilp.budget.memory_limit_bytes != 0
                                  ? request.options.ilp.budget.memory_limit_bytes
-                                 : cfg_.default_memory_charge;
+                                 : ServiceConfig::kDefaultMemoryCharge;
   const std::int64_t now = clock_.now_micros();
   std::string reject;
   std::vector<std::uint64_t> evicted;
@@ -322,11 +320,14 @@ ServiceStats SolveService::stats() const {
     const CacheStats cs = cache_->stats();
     s.cache_lookups = cs.lookups;
     s.cache_hits = cs.hits;
+    s.cache_memo_hits = cs.memo_hits;
     s.cache_misses = cs.misses;
     s.cache_neighbor_seeds = cs.neighbor_hits;
     s.cache_insertions = cs.insertions;
     s.cache_evictions = cs.evictions;
     s.cache_stale = cs.stale;
+    s.cache_memo_entries = cs.memo_entries;
+    s.cache_gain_memo_entries = cs.gain_memo_entries;
   }
   s.cache_seed_fallbacks = cache_seed_fallbacks_.load();
   return s;
@@ -621,15 +622,40 @@ support::Result<select::Selection> SolveService::run_attempt(
       opt.ilp.max_nodes = std::max(1, opt.ilp.max_nodes / 16);
     }
 
-    auto flow_or = select::Flow::create(req.workload.module, req.workload.library);
-    if (!flow_or.ok()) return flow_or.error();  // permanent: bad input
-    select::Flow& flow = *flow_or.value();
-
     // imp_filter is an opaque callable: its effect IS materialized in the
     // model (forced-zero bounds), but the function itself may close over
     // anything, so filtered requests bypass the cache rather than trust it
     // to be pure.
-    if (cache_ == nullptr || req.options.imp_filter) {
+    const bool cacheable = cache_ != nullptr && !req.options.imp_filter;
+    SolutionCache::Key key;
+    ilp::Fingerprint envelope;
+    bool keyed = false;
+    if (cacheable) {
+      key.tenant = req.tenant;
+      // The retry-shrunk max_nodes is digested too: retry answers on a lower
+      // rung never collide with first-attempt entries.
+      key.options_digest = ilp::digest_options(opt.ilp);
+      key.gains = {req.required_gain};  // literal: -1 = "derived", itself a
+                                        // pure function of (structure, options)
+      // Fast path: an envelope seen before names its structure fingerprint,
+      // so an exact repeat is answered without building a Flow. Whatever
+      // the lookup says, the key is final: a miss is not probed again.
+      envelope = envelope_digest(req.workload.module, req.workload.library, opt);
+      if (std::optional<ilp::Fingerprint> structure = cache_->memo_structure(envelope)) {
+        key.structure = *structure;
+        keyed = true;
+        if (std::optional<select::Selection> hit = cache_->lookup(key, true)) {
+          cache_marker = "hit";
+          return std::move(*hit);
+        }
+      }
+    }
+
+    auto flow_or = select::Flow::create(req.workload.module, req.workload.library);
+    if (!flow_or.ok()) return flow_or.error();  // permanent: bad input
+    select::Flow& flow = *flow_or.value();
+
+    if (!cacheable) {
       if (cache_ != nullptr) cache_marker = "bypass";
       std::int64_t rg = req.required_gain;
       if (rg < 0) rg = flow.max_feasible_gain(opt) / 2;
@@ -643,26 +669,13 @@ support::Result<select::Selection> SolveService::run_attempt(
 
     // --- read-through solution cache ------------------------------------
     const select::Selector& selector = flow.selector();
-    SolutionCache::Key key;
-    key.tenant = req.tenant;
-    // Structure fingerprint over the token-gain model: every select-level
-    // flag that shapes the constraint system (problem2, max_power) lands in
-    // the row set, so only the ilp options need a separate digest. The
-    // retry-shrunk max_nodes is digested too: retry answers on a lower rung
-    // never collide with first-attempt entries.
-    key.structure = ilp::fingerprint_model(selector.build_model(
-        std::vector<std::int64_t>(selector.path_count(), 1), opt));
-    // The model digest alone is not enough: a cached Selection also reports
-    // the column -> (s-call, IP, interface) decode map, which can differ
-    // between specs whose models are bit-identical (duplicate-parameter IPs
-    // swapped by a column permutation). Mix it in so such instances miss.
-    key.structure.lo = ilp::fp_mix(key.structure.lo ^ selector.answer_map_digest());
-    key.options_digest = ilp::digest_options(opt.ilp);
-    key.gains = {req.required_gain};  // literal: -1 = "derived", itself a
-                                      // pure function of (structure, options)
-    if (std::optional<select::Selection> hit = cache_->lookup(key)) {
-      cache_marker = "hit";
-      return std::move(*hit);
+    if (!keyed) {
+      key.structure = structure_fingerprint(selector, opt);
+      cache_->remember_structure(envelope, key.structure);
+      if (std::optional<select::Selection> hit = cache_->lookup(key)) {
+        cache_marker = "hit";
+        return std::move(*hit);
+      }
     }
     cache_marker = "miss";
 

@@ -192,20 +192,17 @@ struct ServiceConfig {
   std::size_t max_queue_depth = 16;
   /// Aggregate solver-memory charge (sum over queued + running requests) the
   /// service admits; 0 disables. A request's charge is its
-  /// options.ilp.budget.memory_limit_bytes, or default_memory_charge when it
+  /// options.ilp.budget.memory_limit_bytes, or kDefaultMemoryCharge when it
   /// set no cap -- so one huge declared instance is shed instead of starving
   /// everyone else.
   std::size_t max_admitted_memory_bytes = 0;
-  std::size_t default_memory_charge = std::size_t{64} << 20;
+  static constexpr std::size_t kDefaultMemoryCharge = std::size_t{64} << 20;
   /// Per-tenant cap on live (queued + running) requests; 0 disables.
   std::size_t max_live_per_tenant = 0;
   /// Seed of the drain-rate estimator behind the rejection retry-after
   /// hint: the assumed per-request service interval before any completion
   /// has been observed.
   double retry_after_seconds = 0.05;
-  /// Priority-policy aging knobs (see SchedulerLimits).
-  double age_promote_seconds = 5.0;
-  double max_wait_seconds = 30.0;
   support::RetryPolicy retry;
   /// Clock for deadlines, backoff and scheduling; null means Clock::system().
   support::Clock* clock = nullptr;
@@ -260,9 +257,12 @@ struct ServiceStats {
                                            // items (sum of batch_hits)
   // Cross-request solution cache (all zero while cache_enabled is false).
   // Invariants: cache_hits + cache_misses == cache_lookups;
-  // cache_neighbor_seeds <= cache_misses; evictions/stale are monotone.
+  // cache_neighbor_seeds <= cache_misses; cache_memo_hits <= cache_hits;
+  // evictions/stale are monotone.
   std::uint64_t cache_lookups = 0;
   std::uint64_t cache_hits = 0;
+  std::uint64_t cache_memo_hits = 0;  // hits keyed by the envelope memo,
+                                      // answered without building a Flow
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_neighbor_seeds = 0;  // misses seeded from a neighbor
   std::uint64_t cache_insertions = 0;
@@ -270,6 +270,8 @@ struct ServiceStats {
   std::uint64_t cache_stale = 0;           // entries dropped after invalidation
   std::uint64_t cache_seed_fallbacks = 0;  // seeded solves redone cold after
                                            // a truncation (answer-safety)
+  std::uint64_t cache_memo_entries = 0;       // gauge: envelope memo size
+  std::uint64_t cache_gain_memo_entries = 0;  // gauge: derived-gain memo size
   // Durability (all zero without a configured journal).
   std::uint64_t recovered_requests = 0;  // admits replayed by boot recovery
   std::uint64_t journal_rejects = 0;     // submits refused because the WAL

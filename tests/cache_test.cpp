@@ -2,7 +2,8 @@
 // permutation, term order) and sensitivities (values, flags, column order),
 // LRU + byte eviction order, counter consistency (hits + misses == lookups,
 // monotone evictions), per-tenant namespacing, invalidation (generation
-// bump and option change), and the service-level read-through contract:
+// bump and option change), the bounds of both memos, the soundness of the
+// envelope memo's printed key, and the service-level read-through contract:
 // hit/neighbor/miss answers bit-identical to cold solves. The heavier
 // randomized stream proof lives in `partita_fuzz --mode cache` (tier 2 + CI).
 #include <gtest/gtest.h>
@@ -10,7 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "frontend/parser.hpp"
 #include "ilp/fingerprint.hpp"
+#include "iplib/loader.hpp"
+#include "ir/printer.hpp"
 #include "select/flow.hpp"
 #include "service/solution_cache.hpp"
 #include "service/solve_service.hpp"
@@ -260,6 +264,97 @@ TEST(SolutionCache, NearestPrefersClosestGainAndStaysInGroup) {
   EXPECT_FALSE(cache.nearest(key_for("t", 29, -1), {132}).valid);  // empty group
 }
 
+TEST(SolutionCache, MemosStayBoundedByCapacity) {
+  service::SolutionCache::Config cc;
+  cc.capacity = 8;
+  service::SolutionCache cache(cc);
+
+  // 4x capacity distinct derived-gain groups, and as many envelopes.
+  for (int i = 0; i < 32; ++i) {
+    const auto k = key_for("t", 100 + static_cast<std::uint64_t>(i), -1);
+    cache.insert(k, dummy_selection(i), {}, {i}, std::int64_t{i});
+    cache.remember_structure(k.structure, k.structure);
+    const service::CacheStats st = cache.stats();
+    EXPECT_LE(st.entries, cc.capacity);
+    EXPECT_LE(st.gain_memo_entries, cc.capacity);
+    EXPECT_LE(st.memo_entries, cc.capacity);
+  }
+  const service::CacheStats st = cache.stats();
+  EXPECT_GT(st.evictions, 0u);
+  // A derived-gain memo goes with its group's last entry and never more.
+  EXPECT_EQ(st.gain_memo_entries, st.entries);
+
+  // The newest group kept its memo; invalidation clears both memos.
+  const auto newest = key_for("t", 131, -1);
+  EXPECT_EQ(cache.derived_gain(newest), std::optional<std::int64_t>(31));
+  EXPECT_EQ(cache.memo_structure(newest.structure), newest.structure);
+  cache.invalidate_all();
+  EXPECT_FALSE(cache.derived_gain(newest).has_value());
+  EXPECT_FALSE(cache.memo_structure(newest.structure).has_value());
+  EXPECT_EQ(cache.stats().gain_memo_entries, 0u);
+  EXPECT_EQ(cache.stats().memo_entries, 0u);
+}
+
+// --- envelope memo soundness ----------------------------------------------
+
+/// Parses the printed module and saved library back into a workload.
+workloads::Workload reprinted(const workloads::Workload& w) {
+  support::DiagnosticEngine diags;
+  std::optional<ir::Module> module =
+      frontend::parse_module(ir::print_module(w.module), diags);
+  std::optional<iplib::IpLibrary> library =
+      iplib::load_library(iplib::save_library(w.library), diags);
+  EXPECT_TRUE(module.has_value() && library.has_value()) << w.name;
+  workloads::Workload out;
+  out.name = w.name;
+  if (module) out.module = std::move(*module);
+  if (library) out.library = std::move(*library);
+  return out;
+}
+
+// The envelope memo keys on printed text (plus the exact bits of the
+// doubles it rounds, see SeventhDigitDoublesMissTheMemo). It is sound iff
+// printing loses nothing else the structure key or the answer depends on:
+// if print(m) parses to a workload with m's key and answer, any two
+// workloads printing alike share both. Checked on every built-in app and 50
+// generated instances.
+TEST(CacheMemo, PrintedWorkloadKeepsKeyAndAnswer) {
+  std::vector<workloads::Workload> cases;
+  for (const char* name : {"gsm_encoder", "gsm_decoder", "jpeg_encoder", "fig9",
+                           "fig10", "adpcm_codec"}) {
+    cases.push_back(*workloads::builtin(name));
+  }
+  workloads::InstanceGenParams params;
+  params.branch_groups = 2;
+  params.max_hierarchy_depth = 2;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    cases.push_back(workloads::spec_workload(workloads::random_instance_spec(params, seed)));
+  }
+
+  select::SelectOptions problem1;
+  problem1.problem2 = false;
+  for (const workloads::Workload& w : cases) {
+    const workloads::Workload r = reprinted(w);
+    const auto fw = select::Flow::create(w.module, w.library);
+    const auto fr = select::Flow::create(r.module, r.library);
+    ASSERT_TRUE(fw.ok()) << w.name;
+    ASSERT_TRUE(fr.ok()) << w.name;
+    const select::Selector& sw = fw.value()->selector();
+    const select::Selector& sr = fr.value()->selector();
+    EXPECT_EQ(service::structure_fingerprint(sw, {}),
+              service::structure_fingerprint(sr, {}))
+        << w.name;
+    EXPECT_EQ(service::structure_fingerprint(sw, problem1),
+              service::structure_fingerprint(sr, problem1))
+        << w.name;
+    EXPECT_EQ(sw.answer_map_digest(), sr.answer_map_digest()) << w.name;
+    const std::int64_t rg = fw.value()->max_feasible_gain() / 2;
+    EXPECT_EQ(select::solution_signature(fw.value()->select(rg)),
+              select::solution_signature(fr.value()->select(rg)))
+        << w.name;
+  }
+}
+
 // --- service read-through: answers bit-identical to cold solves ----------
 
 TEST(SolveServiceCache, RepeatHitsServeBitIdenticalAnswers) {
@@ -446,6 +541,180 @@ TEST(SolveServiceCache, ModelIdenticalSpecsWithDifferentIpIndicesMiss) {
   EXPECT_EQ(select::solution_signature(rb.selection),
             select::solution_signature(cold_b));
   svc.shutdown();
+}
+
+TEST(SolveServiceCache, ExactRepeatIsAMemoHitUntilInvalidated) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_enabled = true;
+  service::SolveService svc(cfg);
+
+  const auto ask = [&] {
+    service::SolveRequest req;
+    req.workload = workloads::gsm_decoder();
+    req.required_gain = -1;
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    EXPECT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
+    return r;
+  };
+
+  const service::SolveResponse first = ask();
+  EXPECT_EQ(first.cache, "miss");
+  EXPECT_EQ(svc.stats().cache_memo_entries, 1u);
+
+  // The repeat's key comes from the envelope memo: a hit without a Flow.
+  const service::SolveResponse repeat = ask();
+  EXPECT_EQ(repeat.cache, "hit");
+  EXPECT_EQ(select::solution_signature(repeat.selection),
+            select::solution_signature(first.selection));
+  EXPECT_EQ(svc.stats().cache_memo_hits, 1u);
+
+  // Invalidation clears the memo too: the repeat re-solves in full.
+  svc.invalidate_cache();
+  EXPECT_EQ(svc.stats().cache_memo_entries, 0u);
+  const service::SolveResponse after = ask();
+  EXPECT_EQ(after.cache, "miss");
+  EXPECT_EQ(select::solution_signature(after.selection),
+            select::solution_signature(first.selection));
+
+  const service::ServiceStats st = svc.stats();
+  EXPECT_EQ(st.cache_lookups, 3u);
+  EXPECT_EQ(st.cache_hits, 1u);
+  EXPECT_EQ(st.cache_memo_hits, 1u);
+  EXPECT_EQ(st.cache_insertions, 2u);
+  EXPECT_EQ(st.cache_memo_entries, 1u);
+}
+
+TEST(SolveServiceCache, GainPerturbedRepeatCountsOneLookup) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_enabled = true;
+  service::SolveService svc(cfg);
+
+  const workloads::Workload w = workloads::fig9_case();
+  const auto flow = select::Flow::create(w.module, w.library);
+  ASSERT_TRUE(flow.ok());
+  const std::int64_t rg = flow.value()->max_feasible_gain() / 2;
+
+  for (const std::int64_t g : {rg, rg - 1}) {
+    const std::uint64_t lookups_before = svc.stats().cache_lookups;
+    service::SolveRequest req;
+    req.workload = workloads::fig9_case();
+    req.required_gain = g;
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
+    EXPECT_EQ(r.cache, g == rg ? "miss" : "neighbor");
+    EXPECT_EQ(select::solution_signature(r.selection),
+              select::solution_signature(flow.value()->select(g)));
+    // The perturbed repeat finds its structure in the memo and misses the
+    // lookup; that key is reused, never probed a second time.
+    EXPECT_EQ(svc.stats().cache_lookups, lookups_before + 1) << "gain " << g;
+  }
+  const service::ServiceStats st = svc.stats();
+  EXPECT_EQ(st.cache_hits + st.cache_misses, st.cache_lookups);
+  EXPECT_EQ(st.cache_memo_hits, 0u);
+}
+
+/// `w` with IP `ip`'s area replaced.
+workloads::Workload with_area(const workloads::Workload& w, std::size_t ip, double area) {
+  workloads::Workload out{w.name, w.module, {}};
+  for (iplib::IpDescriptor d : w.library.all()) {
+    if (d.id.value == ip) d.area = area;
+    out.library.add(std::move(d));
+  }
+  return out;
+}
+
+/// One s-call whose software time comes from a body with a lopsided branch,
+/// so its if probability moves the gains in the seventh digit.
+workloads::Workload branchy(const char* prob) {
+  const std::string kl = std::string(R"(
+module branchy;
+
+func stage scall {
+  if prob )") + prob + R"( {
+    seg hot 100000000;
+  } else {
+    seg cool 1;
+  }
+}
+
+func main {
+  call stage reads(a) writes(b);
+  seg post 200 reads(b);
+}
+
+entry main;
+)";
+  const std::string lib = R"(
+ip IP_STAGE {
+  area 10
+  ports in 2 out 2
+  rate in 4 out 4
+  latency 16
+  pipelined
+  protocol sync
+  fn stage cycles 6000 in 64 out 64
+}
+)";
+  support::DiagnosticEngine diags;
+  std::optional<ir::Module> module = frontend::parse_module(kl, diags);
+  std::optional<iplib::IpLibrary> library = iplib::load_library(lib, diags);
+  EXPECT_TRUE(module.has_value() && library.has_value()) << diags.render_all();
+  workloads::Workload w;
+  w.name = "branchy";
+  if (module) w.module = std::move(*module);
+  if (library) w.library = std::move(*library);
+  return w;
+}
+
+// The printed text rounds doubles to six significant digits. Two workloads
+// that print alike but differ in the seventh digit of one IP area, or of
+// one if probability, must not share an envelope: each misses and gets its
+// own cold answer.
+TEST(SolveServiceCache, SeventhDigitDoublesMissTheMemo) {
+  const workloads::Workload decoder = workloads::gsm_decoder();
+  const auto decoder_flow = select::Flow::create(decoder.module, decoder.library);
+  ASSERT_TRUE(decoder_flow.ok());
+  const select::Selection decoder_answer =
+      decoder_flow.value()->select(decoder_flow.value()->max_feasible_gain() / 2);
+  ASSERT_FALSE(decoder_answer.ips_used.empty());
+  const std::size_t ip = decoder_answer.ips_used.front().value;
+  const double area = decoder.library.all()[ip].area;
+
+  const std::vector<std::pair<workloads::Workload, workloads::Workload>> pairs = {
+      {with_area(decoder, ip, area + 1.23e-7 * area), with_area(decoder, ip, area + 4.56e-7 * area)},
+      {branchy("0.2500001"), branchy("0.2500004")},
+  };
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(ir::print_module(a.module), ir::print_module(b.module)) << a.name;
+    ASSERT_EQ(iplib::save_library(a.library), iplib::save_library(b.library)) << a.name;
+
+    service::ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.cache_enabled = true;
+    service::SolveService svc(cfg);
+    std::vector<std::string> cold;
+    for (const workloads::Workload* w : {&a, &b}) {
+      const auto flow = select::Flow::create(w->module, w->library);
+      ASSERT_TRUE(flow.ok()) << w->name;
+      cold.push_back(select::solution_signature(
+          flow.value()->select(flow.value()->max_feasible_gain() / 2)));
+
+      service::SolveRequest req;
+      req.workload = *w;
+      const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+      ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
+      EXPECT_EQ(r.cache, "miss") << w->name;
+      EXPECT_EQ(select::solution_signature(r.selection), cold.back()) << w->name;
+    }
+    // The two answers really differ, so sharing an entry would have shown.
+    EXPECT_NE(cold[0], cold[1]) << a.name;
+    const service::ServiceStats st = svc.stats();
+    EXPECT_EQ(st.cache_memo_hits, 0u) << a.name;
+    EXPECT_EQ(st.cache_memo_entries, 2u) << a.name;
+    svc.shutdown();
+  }
 }
 
 TEST(SolveServiceCache, DisabledCacheLeavesBehaviorAndCountersUntouched) {

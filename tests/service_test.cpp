@@ -124,7 +124,7 @@ TEST(SolveServiceAdmission, AggregateMemoryBudgetShedsDeclaredCharges) {
   cfg.workers = 1;
   cfg.max_queue_depth = 64;
   cfg.max_admitted_memory_bytes = std::size_t{100} << 20;
-  cfg.default_memory_charge = std::size_t{64} << 20;
+  static_assert(service::ServiceConfig::kDefaultMemoryCharge == std::size_t{64} << 20);
   cfg.start_paused = true;
   service::SolveService svc(cfg);
 

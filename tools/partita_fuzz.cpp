@@ -12,14 +12,17 @@
 //   partita_fuzz --replay tests/fixtures/shrunk.json
 //
 // `--mode cache` is the cache-consistency harness (docs/caching.md): it
-// streams a mix of fresh, exact-duplicate, RHS-perturbed (same structure,
-// shifted required gain) and permuted-but-equivalent (IP library reordered)
-// instances through a cache-enabled service::SolveService, and checks every
-// answer -- hit, neighbor-seeded or miss -- bit-identically against a cold
-// one-shot Flow::select of the same instance (select::solution_signature).
-// Permuted duplicates additionally cross-check feasibility and optimal area
-// against the original's cold answer. A divergence is ddmin-shrunk and
-// dumped as a replayable fixture like exact mode.
+// streams a mix of fresh, exact-duplicate, option-flipped (same spec and
+// gain under problem 1, a power cap or a retry rung's node budget),
+// RHS-perturbed (same structure, shifted required gain) and
+// permuted-but-equivalent (IP library reordered) instances through a
+// cache-enabled service::SolveService, and checks every answer -- hit,
+// neighbor-seeded or miss -- bit-identically against a cold one-shot
+// Flow::select of the same instance under the same options
+// (select::solution_signature). Permuted duplicates additionally
+// cross-check feasibility and optimal area against the original's cold
+// answer. A divergence is ddmin-shrunk and dumped as a replayable fixture
+// like exact mode.
 //
 // `--mode batch` checks Selector::select_batch, which solves a ladder
 // hardest-first and carries each optimum into the next item: every random
@@ -28,6 +31,7 @@
 // one-shot Flow::select calls. A divergence is shrunk and dumped likewise.
 //
 // Exit codes: 0 all instances agree, 1 divergence found, 2 usage error.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -195,27 +199,28 @@ workloads::InstanceSpec permute_spec(const workloads::InstanceSpec& spec,
   return p;
 }
 
-/// Cold one-shot reference for a spec at a literal gain, under the service's
-/// default options. Returns false when the spec does not pass Flow
-/// verification (then it cannot be submitted either).
+/// Cold one-shot reference for a spec at a literal gain under `opt`.
+/// Returns false when the spec does not pass Flow verification (then it
+/// cannot be submitted either).
 bool cold_reference(const workloads::InstanceSpec& spec, std::int64_t gain,
-                    select::Selection* out) {
+                    const select::SelectOptions& opt, select::Selection* out) {
   const workloads::Workload wl = workloads::spec_workload(spec);
   const auto flow = select::Flow::create(wl.module, wl.library);
   if (!flow.ok()) return false;
-  *out = flow.value()->select(gain);
+  *out = flow.value()->select(gain, opt);
   return true;
 }
 
 /// The shrink predicate: does a cache-enabled service diverge from a cold
-/// solve on this spec (using spec.required_gain as the literal gain)? Runs
-/// the smallest stream that exercises every cache path: miss (insert), exact
-/// hit, and a neighbor-seeded near-miss at gain-1.
-bool cache_inconsistent(const workloads::InstanceSpec& spec) {
+/// solve on this spec under `opt` (using spec.required_gain as the literal
+/// gain)? Runs the smallest stream that exercises every cache path: miss
+/// (insert), exact hit, and a neighbor-seeded near-miss at gain-1.
+bool cache_inconsistent(const workloads::InstanceSpec& spec,
+                        const select::SelectOptions& opt) {
   if (!workloads::spec_valid(spec)) return false;
   const std::int64_t gain = spec.required_gain;
   select::Selection cold;
-  if (!cold_reference(spec, gain, &cold)) return false;
+  if (!cold_reference(spec, gain, opt, &cold)) return false;
 
   service::ServiceConfig cfg;
   cfg.workers = 1;
@@ -225,6 +230,7 @@ bool cache_inconsistent(const workloads::InstanceSpec& spec) {
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
     req.required_gain = gain;
+    req.options = opt;
     const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
     if (r.state != service::RequestState::kCompleted) return true;
     if (select::solution_signature(r.selection) != select::solution_signature(cold)) {
@@ -233,10 +239,11 @@ bool cache_inconsistent(const workloads::InstanceSpec& spec) {
   }
   if (gain > 1) {
     select::Selection near_cold;
-    if (!cold_reference(spec, gain - 1, &near_cold)) return false;
+    if (!cold_reference(spec, gain - 1, opt, &near_cold)) return false;
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
     req.required_gain = gain - 1;
+    req.options = opt;
     const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
     if (r.state != service::RequestState::kCompleted) return true;
     if (select::solution_signature(r.selection) !=
@@ -258,24 +265,30 @@ int run_cache(const Args& args) {
   cfg.cache_capacity = 64;
   service::SolveService svc(cfg);
 
-  /// One issued instance the stream can replay against later.
+  /// One issued instance the stream can replay against later, with the
+  /// options it was solved under and its cold answer.
   struct Issued {
     workloads::InstanceSpec spec;
     std::int64_t gain = 0;
+    select::SelectOptions opt;
+    std::string cold_signature;
     bool cold_feasible = false;
     double cold_area = 0.0;
+    double cold_power = 0.0;
   };
   std::vector<Issued> history;
 
   int failures = 0, skipped = 0;
-  int fresh = 0, duplicates = 0, perturbed = 0, permuted = 0;
+  int fresh = 0, duplicates = 0, flipped = 0, perturbed = 0, permuted = 0;
   int hits = 0, neighbors = 0, misses = 0;
 
   for (int i = 0; i < args.instances; ++i) {
     workloads::InstanceSpec spec;
     std::int64_t gain = 0;
+    select::SelectOptions opt;
     const Issued* base = nullptr;
     bool is_permuted = false;
+    bool is_flipped = false;
 
     const std::uint64_t roll = history.empty() ? 0 : splitmix(&rng) % 100;
     if (history.empty() || roll < 35) {
@@ -296,8 +309,24 @@ int run_cache(const Args& args) {
       base = &history[splitmix(&rng) % history.size()];
       spec = base->spec;
       gain = base->gain;
-      if (roll < 65) {
+      opt = base->opt;
+      if (roll < 55) {
         ++duplicates;  // exact repeat: must be a cache hit
+      } else if (roll < 65) {
+        // Option-flipped repeat: the same spec and gain under options the
+        // structure or options digest must tell apart. It must match its
+        // own cold solve, never the base options' cached entry.
+        switch (splitmix(&rng) % 3) {
+          case 0: opt.problem2 = !opt.problem2; break;
+          case 1:  // a cap below the base answer's power forces a change
+            opt.max_power = base->cold_power > 0 ? 0.9 * base->cold_power : 1.0;
+            break;
+          default:  // the node budget the service retries on
+            opt.ilp.max_nodes = std::max(1, opt.ilp.max_nodes / 16);
+            break;
+        }
+        is_flipped = true;
+        ++flipped;
       } else if (roll < 85) {
         // RHS perturbation: same structure, shifted required gain -- a
         // near-miss that exercises neighbor seeding.
@@ -316,23 +345,27 @@ int run_cache(const Args& args) {
     spec.required_gain = gain;
 
     select::Selection cold;
-    if (!cold_reference(spec, gain, &cold)) {
+    if (!cold_reference(spec, gain, opt, &cold)) {
       ++skipped;
       continue;
     }
+    const std::string cold_signature = select::solution_signature(cold);
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
     req.required_gain = gain;
+    req.options = opt;
     const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
 
     std::string detail;
     if (r.state != service::RequestState::kCompleted) {
       detail = "service did not complete: " + r.error.render();
-    } else if (select::solution_signature(r.selection) !=
-               select::solution_signature(cold)) {
-      detail = "cache=" + r.cache + " answer differs from cold solve:\n  service " +
-               select::solution_signature(r.selection) + "\n  cold    " +
-               select::solution_signature(cold);
+    } else if (const std::string got = select::solution_signature(r.selection);
+               got != cold_signature) {
+      detail = "cache=" + r.cache + " answer differs from cold solve";
+      if (is_flipped && got == base->cold_signature) {
+        detail += " (served the base options' entry)";
+      }
+      detail += ":\n  service " + got + "\n  cold    " + cold_signature;
     } else if (is_permuted && base != nullptr &&
                (cold.feasible != base->cold_feasible ||
                 (cold.feasible &&
@@ -351,19 +384,26 @@ int run_cache(const Args& args) {
 
     if (detail.empty()) {
       if (history.size() < 512) {
-        history.push_back({spec, gain, cold.feasible,
-                           cold.feasible ? cold.total_area() : 0.0});
+        history.push_back({spec, gain, opt, cold_signature, cold.feasible,
+                           cold.feasible ? cold.total_area() : 0.0,
+                           cold.feasible ? cold.ip_power + cold.interface_power : 0.0});
       }
       continue;
     }
 
     ++failures;
-    std::fprintf(stderr, "instance %d (gain %lld) DIVERGES: %s\n", i,
-                 static_cast<long long>(gain), detail.c_str());
+    std::fprintf(stderr,
+                 "instance %d (gain %lld, problem2 %d, max_power %g, max_nodes %d) "
+                 "DIVERGES: %s\n",
+                 i, static_cast<long long>(gain), opt.problem2 ? 1 : 0,
+                 opt.max_power.value_or(-1.0), opt.ilp.max_nodes, detail.c_str());
+    const auto inconsistent = [&opt](const workloads::InstanceSpec& s) {
+      return cache_inconsistent(s, opt);
+    };
     workloads::InstanceSpec repro = spec;
-    if (args.shrink && cache_inconsistent(spec)) {
+    if (args.shrink && inconsistent(spec)) {
       oracle::ShrinkStats stats;
-      repro = oracle::shrink_spec(spec, cache_inconsistent, &stats);
+      repro = oracle::shrink_spec(spec, inconsistent, &stats);
       std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
                    repro.sites.size(), repro.ips.size(), stats.predicate_calls);
     }
@@ -375,21 +415,23 @@ int run_cache(const Args& args) {
   }
 
   const service::ServiceStats st = svc.stats();
-  if (st.cache_hits + st.cache_misses != st.cache_lookups) {
+  if (st.cache_hits + st.cache_misses != st.cache_lookups ||
+      st.cache_memo_hits > st.cache_hits) {
     ++failures;
     std::fprintf(stderr, "counter invariant broken: hits %llu + misses %llu != "
-                 "lookups %llu\n",
+                 "lookups %llu, or memo hits %llu > hits\n",
                  static_cast<unsigned long long>(st.cache_hits),
                  static_cast<unsigned long long>(st.cache_misses),
-                 static_cast<unsigned long long>(st.cache_lookups));
+                 static_cast<unsigned long long>(st.cache_lookups),
+                 static_cast<unsigned long long>(st.cache_memo_hits));
   }
   std::printf(
-      "partita_fuzz cache: %d instances (%d fresh, %d dup, %d perturbed, "
-      "%d permuted), %d skipped, served %d hit / %d neighbor / %d miss "
-      "(%llu seed fallbacks), %d divergences\n",
-      args.instances, fresh, duplicates, perturbed, permuted, skipped, hits,
-      neighbors, misses, static_cast<unsigned long long>(st.cache_seed_fallbacks),
-      failures);
+      "partita_fuzz cache: %d instances (%d fresh, %d dup, %d option-flipped, "
+      "%d perturbed, %d permuted), %d skipped, served %d hit (%llu via memo) / "
+      "%d neighbor / %d miss (%llu seed fallbacks), %d divergences\n",
+      args.instances, fresh, duplicates, flipped, perturbed, permuted, skipped,
+      hits, static_cast<unsigned long long>(st.cache_memo_hits), neighbors,
+      misses, static_cast<unsigned long long>(st.cache_seed_fallbacks), failures);
   return failures ? 1 : 0;
 }
 
@@ -423,7 +465,7 @@ std::string batch_divergence(const workloads::InstanceSpec& spec,
   const std::vector<select::Selection> batch = flow.value()->select_batch(gains);
   for (std::size_t i = 0; i < gains.size(); ++i) {
     select::Selection cold;
-    if (!cold_reference(spec, gains[i], &cold)) return "";
+    if (!cold_reference(spec, gains[i], {}, &cold)) return "";
     const std::string got = select::solution_signature(batch[i]);
     const std::string want = select::solution_signature(cold);
     if (got != want) {

@@ -401,7 +401,8 @@ int run(int argc, char** argv) {
   std::printf(
       "partita_serve: done submitted=%llu completed=%llu cancelled=%llu "
       "rejected=%llu failed=%llu retries=%llu peak-queue=%zu sessions=%llu "
-      "frames=%llu/%llu protocol-errors=%llu\n",
+      "frames=%llu/%llu protocol-errors=%llu cache-hits=%llu/%llu "
+      "memo-hits=%llu memo-entries=%llu gain-memo-entries=%llu\n",
       static_cast<unsigned long long>(st.submitted),
       static_cast<unsigned long long>(st.completed),
       static_cast<unsigned long long>(st.cancelled),
@@ -411,7 +412,12 @@ int run(int argc, char** argv) {
       static_cast<unsigned long long>(ns.sessions_accepted),
       static_cast<unsigned long long>(ns.frames_in),
       static_cast<unsigned long long>(ns.frames_out),
-      static_cast<unsigned long long>(ns.protocol_errors));
+      static_cast<unsigned long long>(ns.protocol_errors),
+      static_cast<unsigned long long>(st.cache_hits),
+      static_cast<unsigned long long>(st.cache_lookups),
+      static_cast<unsigned long long>(st.cache_memo_hits),
+      static_cast<unsigned long long>(st.cache_memo_entries),
+      static_cast<unsigned long long>(st.cache_gain_memo_entries));
   if (journal.is_open()) {
     const service::JournalStats js = journal.stats();
     std::printf(
