@@ -331,9 +331,9 @@ CacheResult bench_cache(bool smoke) {
     partita::service::SolveRequest req;
     req.label = "bench_cache";
     req.workload = w;
-    req.required_gain = gain;
+    req.required_gains = {gain};
     const Clock::time_point t0 = Clock::now();
-    const std::uint64_t ticket = service.submit(std::move(req));
+    const std::uint64_t ticket = service.submit(std::move(req)).ticket();
     const partita::service::SolveResponse r = service.wait(ticket);
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -431,7 +431,7 @@ double durability_round_trip(partita::service::SolveService& service,
   partita::service::SolveRequest req;
   req.label = "durability" + std::to_string(i);
   req.workload = w;
-  req.required_gain = gain;
+  req.required_gains = {gain};
   if (journaled) {
     req.journal_payload =
         "{\"v\": \"partita-wire-v1\", \"verb\": \"submit\", \"workload\": \"" +

@@ -380,8 +380,8 @@ bool resolve_workload(const WireRequest& req, service::SolveRequest* out,
 bool to_service_request(const WireRequest& req, service::SolveRequest* out,
                         std::string* error) {
   if (!resolve_workload(req, out, error)) return false;
-  out->required_gain = req.required_gain;
-  out->required_gains = req.gains;
+  out->required_gains =
+      req.gains.empty() ? std::vector<std::int64_t>{req.required_gain} : req.gains;
   out->tenant = req.tenant;
   out->priority = req.priority;
   out->deadline_seconds = req.deadline_seconds;

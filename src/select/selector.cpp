@@ -28,37 +28,6 @@ ImplSignature signature_of(const isel::Imp& imp) {
   return {imp.ip.value, static_cast<int>(imp.iface_type)};
 }
 
-/// Locates the gain rows of a token-gain model and computes each row's
-/// never-binding floor RHS ((sum of negative coefficients) - 1, satisfied by
-/// every 0/1 point) so rg <= 0 items behave exactly like the serial build
-/// that omits the row. Shared by the batch and seeded solve paths.
-void scan_gain_rows(const ilp::Model& m, std::size_t paths,
-                    std::vector<ilp::RowIndex>& gain_row,
-                    std::vector<double>& floor_rhs) {
-  gain_row.assign(paths, static_cast<ilp::RowIndex>(m.row_count()));
-  floor_rhs.assign(paths, -1.0);
-  for (std::size_t r = 0; r < m.row_count(); ++r) {
-    const ilp::Row& row = m.row(static_cast<ilp::RowIndex>(r));
-    if (row.name.rfind("gain_path", 0) != 0) continue;
-    const std::size_t p = static_cast<std::size_t>(
-        std::stoul(row.name.substr(sizeof("gain_path") - 1)));
-    gain_row[p] = static_cast<ilp::RowIndex>(r);
-    double floor = -1.0;
-    for (const ilp::Term& t : row.terms) floor += std::min(0.0, t.coeff);
-    floor_rhs[p] = floor;
-  }
-}
-
-void retarget_gain_rows(ilp::Model& m, const std::vector<std::int64_t>& item,
-                        const std::vector<ilp::RowIndex>& gain_row,
-                        const std::vector<double>& floor_rhs) {
-  for (std::size_t p = 0; p < item.size(); ++p) {
-    if (gain_row[p] >= static_cast<ilp::RowIndex>(m.row_count())) continue;
-    m.set_rhs(gain_row[p],
-              item[p] > 0 ? static_cast<double>(item[p]) : floor_rhs[p]);
-  }
-}
-
 }  // namespace
 
 ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
@@ -301,15 +270,40 @@ std::vector<Selection> Selector::select_batch(
 std::vector<Selection> Selector::select_batch_per_path(
     const std::vector<std::vector<std::int64_t>>& items,
     const SelectOptions& opt, const BatchItemHook& per_item) const {
+  ilp::BatchContext ctx;
+  ctx.carry_search_state = true;
+  return solve_ladder(items, opt, per_item, ctx, nullptr);
+}
+
+Selection Selector::select_seeded(const std::vector<std::int64_t>& required_gains,
+                                  const SelectOptions& opt, ilp::BatchContext* batch,
+                                  bool* redone_cold) const {
+  PARTITA_ASSERT(batch != nullptr);
+  if (redone_cold != nullptr) *redone_cold = false;
+  return std::move(solve_ladder({required_gains}, opt, {}, *batch, redone_cold).front());
+}
+
+std::vector<Selection> Selector::solve_ladder(
+    const std::vector<std::vector<std::int64_t>>& items, const SelectOptions& opt,
+    const BatchItemHook& per_item, ilp::BatchContext& ctx, bool* redone) const {
   if (items.empty()) return {};
   for (const auto& item : items) PARTITA_ASSERT(item.size() == paths_.size());
 
-  // One model for the whole batch, built with a token gain of 1 so every
-  // path row materializes; items only retarget the gain-row RHS below.
+  // One model for the whole ladder, built with a token gain of 1 so every
+  // path row materializes; items only retarget the gain-row RHS below. An
+  // rg <= 0 item gets a never-binding floor instead ((sum of negative
+  // coefficients) - 1, satisfied by every 0/1 point), so it behaves exactly
+  // like the serial build that omits the row.
   ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt);
-  std::vector<ilp::RowIndex> gain_row;
-  std::vector<double> floor_rhs;
-  scan_gain_rows(m, paths_.size(), gain_row, floor_rhs);
+  std::vector<ilp::RowIndex> gain_row(paths_.size());
+  std::vector<double> floor_rhs(paths_.size(), -1.0);
+  for (std::size_t r = 0; r < m.row_count(); ++r) {
+    const ilp::Row& row = m.row(static_cast<ilp::RowIndex>(r));
+    if (row.name.rfind("gain_path", 0) != 0) continue;
+    const std::size_t p = std::stoul(row.name.substr(sizeof("gain_path") - 1));
+    gain_row[p] = static_cast<ilp::RowIndex>(r);
+    for (const ilp::Term& t : row.terms) floor_rhs[p] += std::min(0.0, t.coeff);
+  }
 
   std::vector<ilp::IlpOptions> iopts(items.size(), opt.ilp);
   if (per_item) {
@@ -329,34 +323,29 @@ std::vector<Selection> Selector::select_batch_per_path(
                    [&](std::size_t a, std::size_t b) { return top[a] > top[b]; });
 
   std::vector<Selection> out(items.size());
-  ilp::BatchContext ctx;
-  ctx.carry_search_state = true;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const std::size_t i = order[k];
-    retarget_gain_rows(m, items[i], gain_row, floor_rhs);
+  for (const std::size_t i : order) {
+    for (std::size_t p = 0; p < paths_.size(); ++p) {
+      m.set_rhs(gain_row[p],
+                items[i][p] > 0 ? static_cast<double>(items[i][p]) : floor_rhs[p]);
+    }
+    // Any earlier solve through ctx -- a previous item or a cache seed --
+    // counts as carried state.
+    const bool carried = ctx.items > 0;
     ilp::IlpResult r = ilp::solve_ilp(m, iopts[i], &ctx);
-    if (k > 0 && ilp::is_truncated(r.status) &&
+    if (carried && ilp::is_truncated(r.status) &&
         r.stats.termination != ilp::TerminationReason::kCancelled) {
       // Carried state is answer-neutral only for completed searches: redo a
-      // truncated item without any context, as a standalone solve.
-      r = ilp::solve_ilp(m, iopts[i]);
+      // truncated item from a fresh context, as a standalone solve, and
+      // carry that context on.
+      ilp::BatchContext fresh;
+      fresh.carry_search_state = ctx.carry_search_state;
+      ctx = std::move(fresh);
+      r = ilp::solve_ilp(m, iopts[i], &ctx);
+      if (redone != nullptr) *redone = true;
     }
     out[i] = finish_selection(r, items[i], opt);
   }
   return out;
-}
-
-Selection Selector::select_seeded(const std::vector<std::int64_t>& required_gains,
-                                  const SelectOptions& opt,
-                                  ilp::BatchContext* batch) const {
-  PARTITA_ASSERT(required_gains.size() == paths_.size());
-  ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt);
-  std::vector<ilp::RowIndex> gain_row;
-  std::vector<double> floor_rhs;
-  scan_gain_rows(m, paths_.size(), gain_row, floor_rhs);
-  retarget_gain_rows(m, required_gains, gain_row, floor_rhs);
-  const ilp::IlpResult r = ilp::solve_ilp(m, opt.ilp, batch);
-  return finish_selection(r, required_gains, opt);
 }
 
 std::uint64_t Selector::answer_map_digest() const {

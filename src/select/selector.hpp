@@ -76,8 +76,8 @@ class Selector {
   /// per gain -- the model is built a single time and only the gain-row RHS
   /// is retargeted between items, and every reused artifact is
   /// answer-neutral for a completed search under canonical tie-breaking. A
-  /// truncated (not cancelled) item after the first is re-solved without
-  /// any carried state, so it answers as a standalone solve.
+  /// truncated (not cancelled) item that started from carried state is
+  /// re-solved from a fresh context, so it answers as a standalone solve.
   std::vector<Selection> select_batch(const std::vector<std::int64_t>& required_gains,
                                       const SelectOptions& opt = {},
                                       const BatchItemHook& per_item = {}) const;
@@ -88,20 +88,18 @@ class Selector {
       const std::vector<std::vector<std::int64_t>>& items,
       const SelectOptions& opt = {}, const BatchItemHook& per_item = {}) const;
 
-  /// Seeded single solve for the cross-request cache: solves one per-path
-  /// gains item through the batch machinery -- the model is built with a
-  /// token gain of 1 so every gain row materializes, then the RHS is
-  /// retargeted exactly as select_batch_per_path does. That keeps the model
-  /// layout identical across ALL same-structure solves, so artifacts carried
-  /// in `batch` (clique table, root basis, and -- when
-  /// batch->carry_search_state is set -- pseudo-cost tables and a seeded
-  /// incumbent) recorded by any previous same-structure solve stay valid
-  /// even when this item's gains differ. Bit-identical to select_per_path
-  /// for the same gains whenever the search completes; a truncated seeded
-  /// search may differ, which is why the solve service re-solves cold on
-  /// that path before answering.
+  /// Seeded single solve for the cross-request cache: a one-item ladder
+  /// through the same core as select_batch_per_path, starting from the
+  /// artifacts in `batch` (non-null; see ilp::BatchContext) and leaving this
+  /// solve's there. The token-gain model keeps its layout identical across
+  /// ALL same-structure solves, so artifacts from any previous
+  /// same-structure solve stay valid even when the gains differ. A seeded
+  /// search that truncates is redone from a fresh context (setting
+  /// `*redone_cold`, when given), so the answer is bit-identical to an
+  /// unseeded one.
   Selection select_seeded(const std::vector<std::int64_t>& required_gains,
-                          const SelectOptions& opt, ilp::BatchContext* batch) const;
+                          const SelectOptions& opt, ilp::BatchContext* batch,
+                          bool* redone_cold = nullptr) const;
 
   /// Number of execution paths (the length build_model/select_per_path
   /// expect of a per-path gains vector).
@@ -126,6 +124,15 @@ class Selector {
   std::int64_t max_feasible_gain(const SelectOptions& opt = {}) const;
 
  private:
+  /// The one ladder core behind select_batch_per_path and select_seeded:
+  /// builds the token-gain model once, solves the items hardest-first
+  /// through `ctx`, and redoes from a fresh context any truncated item that
+  /// started from carried state (setting `*redone`, when given).
+  std::vector<Selection> solve_ladder(const std::vector<std::vector<std::int64_t>>& items,
+                                      const SelectOptions& opt,
+                                      const BatchItemHook& per_item,
+                                      ilp::BatchContext& ctx, bool* redone) const;
+
   /// Decodes one IlpResult into a Selection: degradation ladder, greedy
   /// fallback, rung labeling. Shared by the serial and batch solve paths.
   Selection finish_selection(const ilp::IlpResult& r,

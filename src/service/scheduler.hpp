@@ -187,9 +187,9 @@ class SchedulerPolicy {
 /// FakeClock.
 class DrainRateEstimator {
  public:
-  /// `seed_interval_seconds` is the estimate before any completion has been
-  /// observed (the old static hint base, so cold behavior is unchanged).
-  explicit DrainRateEstimator(double seed_interval_seconds)
+  /// `seed_interval_seconds` is the assumed per-request service interval
+  /// before any completion has been observed (0.05 s unless positive).
+  explicit DrainRateEstimator(double seed_interval_seconds = 0.05)
       : interval_seconds_(seed_interval_seconds > 0 ? seed_interval_seconds : 0.05) {}
 
   /// Feeds one terminal event (completed/cancelled/failed -- anything that

@@ -29,8 +29,9 @@
 //
 // Consistency contract. The cache itself only ever stores what the caller
 // inserts; the SolveService only inserts completed (proven-optimal or
-// proven-infeasible), non-cancelled selections, and falls back to a cold
-// solve whenever a seeded search truncates. Under that discipline every
+// proven-infeasible), non-cancelled selections, and seeds through
+// select::Selector::select_seeded, which falls back to a cold solve
+// whenever a seeded search truncates. Under that discipline every
 // answer served from or through this cache is bit-identical to a cold
 // solve -- enforced end-to-end by `partita_fuzz --mode cache` and the
 // cache soak storm.

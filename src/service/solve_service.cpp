@@ -15,8 +15,7 @@ namespace partita::service {
 
 SolveService::SolveService(ServiceConfig config)
     : cfg_(std::move(config)),
-      clock_(cfg_.clock ? *cfg_.clock : support::Clock::system()),
-      drain_rate_(cfg_.retry_after_seconds) {
+      clock_(cfg_.clock ? *cfg_.clock : support::Clock::system()) {
   PARTITA_ASSERT_MSG(cfg_.workers >= 1, "SolveService needs at least one worker");
   SchedulerLimits limits;
   limits.max_queue_depth = cfg_.max_queue_depth;
@@ -48,11 +47,10 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
   std::lock_guard<std::mutex> g(mu_);
   SubmitOutcome out;
 
-  const bool batch = !request.required_gains.empty();
-  const std::size_t n = batch ? request.required_gains.size() : 1;
+  if (request.required_gains.empty()) request.required_gains.push_back(-1);
+  const std::size_t n = request.required_gains.size();
   const std::string base =
       request.label.empty() ? request.workload.name : request.label;
-  request.tenant = request.tenant.empty() ? "" : request.tenant;
   request.priority = clamp_priority(request.priority);
 
   out.tickets.reserve(n);
@@ -60,13 +58,29 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
     const std::uint64_t ticket = ++next_ticket_;
     Entry& e = entries_[ticket];
     e.response.ticket = ticket;
-    e.response.label = batch ? base + "#" + std::to_string(i) : base;
+    e.response.label = n > 1 ? base + "#" + std::to_string(i) : base;
     e.response.recovered = request.recovered;
     e.tenant = request.tenant;
     out.tickets.push_back(ticket);
   }
   stats_.submitted += n;
   if (request.recovered) ++stats_.recovered_requests;
+  // A refused submit turns every ticket terminal at once. Retry-after
+  // derives from the observed drain rate: a fast-draining pool invites a
+  // quick retry, a slow one proportionally later.
+  const auto reject_all = [&](std::string why) {
+    const double hint = retry_after_hint_locked();
+    for (const std::uint64_t t : out.tickets) {
+      Entry& e = entries_.at(t);
+      e.response.retry_after_seconds = hint;
+      e.response.error = support::Error::transient(why);
+      finalize_locked(e, RequestState::kRejected);
+    }
+    out.state = RequestState::kRejected;
+    out.retry_after_seconds = hint;
+    out.reject_reason = std::move(why);
+    return out;
+  };
 
   // Admission. The memory charge is what the request *declared* it may
   // consume (its solver arena cap), or a conservative default: shedding
@@ -111,21 +125,7 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
     }
   }
 
-  if (!reject.empty()) {
-    // Retry-after derives from the observed drain rate: a fast-draining
-    // pool invites a quick retry, a slow one proportionally later.
-    const double hint = retry_after_hint_locked();
-    for (const std::uint64_t t : out.tickets) {
-      Entry& e = entries_.at(t);
-      e.response.retry_after_seconds = hint;
-      e.response.error = support::Error::transient(reject);
-      finalize_locked(e, RequestState::kRejected);
-    }
-    out.state = RequestState::kRejected;
-    out.retry_after_seconds = hint;
-    out.reject_reason = std::move(reject);
-    return out;
-  }
+  if (!reject.empty()) return reject_all(std::move(reject));
 
   // Rejecter-policy evictions: queued lower-class tickets shed to make room
   // for this arrival become terminal kRejected right now.
@@ -145,54 +145,36 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
     jseq = cfg_.journal->append_admit(request.journal_payload, n);
     if (jseq == 0) {
       ++stats_.journal_rejects;
-      const double hint = retry_after_hint_locked();
-      for (const std::uint64_t t : out.tickets) {
-        Entry& e = entries_.at(t);
-        e.response.retry_after_seconds = hint;
-        e.response.error = support::Error::transient(
-            "journal append failed; request was not acknowledged");
-        finalize_locked(e, RequestState::kRejected);
-      }
+      reject_all("journal append failed; request was not acknowledged");
       // The policy already admitted the ticket; retract it.
       policy_->on_complete(out.tickets.front(), RequestState::kRejected,
                            clock_.now_micros());
-      out.state = RequestState::kRejected;
-      out.retry_after_seconds = hint;
-      out.reject_reason = "journal append failed; request was not acknowledged";
       return out;
     }
   }
 
-  const std::uint64_t leader = out.tickets.front();
-  for (std::size_t i = 0; i < out.tickets.size(); ++i) {
-    const std::uint64_t t = out.tickets[i];
+  const std::uint64_t job = out.tickets.front();
+  for (const std::uint64_t t : out.tickets) {
     Entry& e = entries_.at(t);
     e.live = true;
     e.response.state = RequestState::kQueued;
-    // The leader owns the admission charge (batch members carry none); an
-    // individually-cancelled leader releases it early, which only makes
-    // admission more permissive, never blocks it.
-    e.memory_charge = t == leader ? charge : 0;
-    e.batch_leader = batch ? leader : 0;
+    // The first ticket owns the admission charge (later items carry none);
+    // an individually-cancelled first item releases it early, which only
+    // makes admission more permissive, never blocks it.
+    e.memory_charge = t == job ? charge : 0;
+    e.job = job;
     e.journal_seq = jseq;
-    e.journal_item = i;
     ++live_per_tenant_[e.tenant];
   }
   admitted_memory_ += charge;
   live_count_ += n;
-  if (batch) {
-    BatchJob job;
-    job.workload = std::move(request.workload);
-    job.options = std::move(request.options);
-    job.gains = std::move(request.required_gains);
-    job.tickets = out.tickets;
-    jobs_.emplace(leader, std::move(job));
+  if (n > 1) {
     ++stats_.batches;
     stats_.batch_items += n;
-  } else {
-    request.journal_seq = jseq;  // keys this request's checkpoint file
-    entries_.at(leader).request = std::move(request);
   }
+  request.journal_seq = jseq;  // keys a one-item job's checkpoint file
+  request.journal_payload.clear();
+  jobs_.emplace(job, std::move(request));
   stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, policy_->queued());
   stats_.peak_admitted_memory_bytes =
       std::max(stats_.peak_admitted_memory_bytes, admitted_memory_);
@@ -200,22 +182,19 @@ SubmitOutcome SolveService::submit(SolveRequest request) {
   return out;
 }
 
-void SolveService::shed_queued_locked(std::uint64_t ticket, const std::string& why) {
+void SolveService::shed_queued_locked(std::uint64_t job, const std::string& why) {
   const double hint = retry_after_hint_locked();
-  const auto shed_one = [&](Entry& e) {
-    if (is_terminal(e.response.state)) return;
+  const auto jit = jobs_.find(job);
+  if (jit == jobs_.end()) return;
+  for (std::uint64_t t = job; t < job + jit->second.required_gains.size(); ++t) {
+    Entry& e = entries_.at(t);
+    if (is_terminal(e.response.state)) continue;
     e.response.retry_after_seconds = hint;
     e.response.error = support::Error::transient(why);
     ++stats_.evicted;
     finalize_locked(e, RequestState::kRejected);
-  };
-  const auto jit = jobs_.find(ticket);
-  if (jit != jobs_.end()) {
-    for (const std::uint64_t t : jit->second.tickets) shed_one(entries_.at(t));
-    jobs_.erase(jit);
-    return;
   }
-  shed_one(entries_.at(ticket));
+  jobs_.erase(jit);
 }
 
 bool SolveService::cancel(std::uint64_t ticket) {
@@ -224,37 +203,24 @@ bool SolveService::cancel(std::uint64_t ticket) {
   if (it == entries_.end()) return false;
   Entry& e = it->second;
   if (is_terminal(e.response.state)) return false;
-  if (e.response.state == RequestState::kQueued) {
-    e.response.error = support::Error::cancelled("cancelled while queued");
-    finalize_locked(e, RequestState::kCancelled);
-    if (e.batch_leader == 0) {
-      // Single request: drop it from the scheduler's pending set.
-      policy_->on_complete(ticket, RequestState::kCancelled, clock_.now_micros());
-      return true;
-    }
-    // Batch member: the scheduler holds the leader ticket as the job key,
-    // which must survive until every member is terminal (the worker skips
-    // already-cancelled members). Drop the job once the last one goes.
-    const auto jit = jobs_.find(e.batch_leader);
-    if (jit != jobs_.end()) {
-      bool any_live = false;
-      for (const std::uint64_t t : jit->second.tickets) {
-        if (!is_terminal(entries_.at(t).response.state)) {
-          any_live = true;
-          break;
-        }
-      }
-      if (!any_live) {
-        jobs_.erase(jit);
-        policy_->on_complete(e.batch_leader, RequestState::kCancelled,
-                             clock_.now_micros());
-      }
-    }
+  if (e.response.state == RequestState::kRunning) {
+    // Signal the token; the worker observes it at the next wave boundary
+    // and finalizes the terminal state itself.
+    e.cancel.cancel();
     return true;
   }
-  // Running: signal the token; the worker observes it at the next wave
-  // boundary and finalizes the terminal state itself.
-  e.cancel.cancel();
+  e.response.error = support::Error::cancelled("cancelled while queued");
+  finalize_locked(e, RequestState::kCancelled);
+  // The scheduler holds the job's first ticket as its key, which must
+  // survive until every item is terminal (the worker skips cancelled
+  // items). Drop the job once the last one goes.
+  const auto jit = jobs_.find(e.job);
+  if (jit == jobs_.end()) return true;
+  for (std::uint64_t t = e.job; t < e.job + jit->second.required_gains.size(); ++t) {
+    if (!is_terminal(entries_.at(t).response.state)) return true;
+  }
+  jobs_.erase(jit);
+  policy_->on_complete(e.job, RequestState::kCancelled, clock_.now_micros());
   return true;
 }
 
@@ -368,14 +334,14 @@ void SolveService::finalize_locked(Entry& e, RequestState state) {
   if (e.journal_seq != 0 && cfg_.journal != nullptr) {
     JournalTerminal t;
     t.seq = e.journal_seq;
-    t.item = e.journal_item;
+    t.item = e.response.ticket - e.job;  // position in the job's ladder
     t.state = to_string(state);
     t.label = e.response.label;
     if (state == RequestState::kCompleted) {
       t.signature = select::solution_signature(e.response.selection);
     }
     cfg_.journal->append_terminal(t);
-    if (!cfg_.checkpoint_dir.empty() && e.batch_leader == 0) {
+    if (!cfg_.checkpoint_dir.empty()) {
       support::io::remove_file(checkpoint_path(e.journal_seq));
     }
   }
@@ -401,8 +367,6 @@ void SolveService::finalize_locked(Entry& e, RequestState state) {
     // is estimating.
     drain_rate_.record_terminal(clock_.now_micros());
   }
-  e.request = SolveRequest();  // release the workload: terminal entries keep
-                               // only their (small) response
   done_cv_.notify_all();
 }
 
@@ -416,193 +380,150 @@ void SolveService::worker_main() {
     const std::optional<std::uint64_t> picked =
         policy_->pick_next(clock_.now_micros());
     if (!picked.has_value()) continue;
-    const std::uint64_t ticket = *picked;
+    const auto jit = jobs_.find(*picked);
+    PARTITA_ASSERT_MSG(jit != jobs_.end(), "scheduler picked an unknown job");
+    SolveRequest request = std::move(jit->second);
+    jobs_.erase(jit);
     ++running_count_;
-    const auto jit = jobs_.find(ticket);
-    if (jit != jobs_.end()) {
-      BatchJob job = std::move(jit->second);
-      jobs_.erase(jit);
-      run_batch(lk, std::move(job));
-      --running_count_;
-      policy_->on_complete(ticket, RequestState::kCompleted, clock_.now_micros());
-      continue;
-    }
-    Entry& e = entries_.at(ticket);  // std::map: reference stable across inserts
-    e.response.state = RequestState::kRunning;
-    SolveResponse local = e.response;  // worker-private while running
-    lk.unlock();
-    // Outside the lock the worker reads e.request (mutated only at
-    // finalize, which only this worker can now trigger) and writes `local`;
-    // the shared response stays lock-protected for poll()/wait().
-    const RequestState terminal = run_request(e.request, e.cancel, local);
-    lk.lock();
-    e.response = std::move(local);
-    finalize_locked(e, terminal);
+    run_job(lk, *picked, std::move(request));
     --running_count_;
-    policy_->on_complete(ticket, terminal, clock_.now_micros());
+    policy_->on_complete(*picked, RequestState::kCompleted, clock_.now_micros());
   }
 }
 
-void SolveService::run_batch(std::unique_lock<std::mutex>& lk, BatchJob job) {
-  // Members cancelled while the batch sat in the queue are already terminal;
+void SolveService::run_job(std::unique_lock<std::mutex>& lk, std::uint64_t job,
+                           SolveRequest request) {
+  // A running item: worker-local until it is merged back under mu_, so the
+  // shared Entry::response is never written without the lock and poll()
+  // snapshots stay race-free.
+  struct LiveItem {
+    Entry* entry;  // std::map: reference stable across inserts
+    SolveResponse response;
+    support::CancelToken token;
+    std::int64_t gain;
+  };
+  // Items cancelled while the job sat in the queue are already terminal;
   // everything still live runs now, each under its own cancel token.
-  std::vector<std::uint64_t> active;
-  std::vector<support::CancelToken> tokens;
-  std::vector<std::int64_t> gains;
-  for (std::size_t i = 0; i < job.tickets.size(); ++i) {
-    Entry& e = entries_.at(job.tickets[i]);
+  const std::size_t n = request.required_gains.size();
+  std::vector<LiveItem> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    Entry& e = entries_.at(job + i);
     if (is_terminal(e.response.state)) continue;
     e.response.state = RequestState::kRunning;
-    active.push_back(job.tickets[i]);
-    tokens.push_back(e.cancel.token());
-    gains.push_back(job.gains[i]);
+    items.push_back({&e, e.response, e.cancel.token(), request.required_gains[i]});
   }
   lk.unlock();
 
-  // Crash isolation: like run_attempt, nothing a batch does may take the
-  // worker down. Batch items share one attempt -- no retry ladder; a batch
-  // failure marks every remaining item failed with the same error.
-  std::vector<select::Selection> sels;
-  support::Error batch_error;
-  bool failed = false;
-  if (!active.empty()) {
-    try {
-      if (support::fault_should_trip("service.transient")) {
-        batch_error = support::Error::transient(
-            "injected transient service fault (site service.transient)");
-        failed = true;
-      } else {
-        auto flow_or =
-            select::Flow::create(job.workload.module, job.workload.library);
-        if (!flow_or.ok()) {
-          batch_error = flow_or.error();
-          failed = true;
+  // Per-job jitter seed: deterministic for a ticket, de-correlated across
+  // concurrent retries.
+  support::RetryPolicy policy = cfg_.retry;
+  policy.jitter_seed ^= job;
+  for (int attempt = 1;; ++attempt) {
+    std::vector<LiveItem*> live;
+    std::vector<std::int64_t> gains;
+    std::vector<support::CancelToken> tokens;
+    for (LiveItem& it : items) {
+      if (it.response.state != RequestState::kRunning) continue;
+      if (it.token.cancelled()) {
+        it.response.error = support::Error::cancelled("request cancelled");
+        it.response.state = RequestState::kCancelled;
+        continue;
+      }
+      it.response.attempts = attempt;
+      live.push_back(&it);
+      gains.push_back(it.gain);
+      tokens.push_back(it.token);
+    }
+    if (live.empty()) break;
+    std::string marker;
+    support::Result<std::vector<select::Selection>> r =
+        run_attempt(request, std::move(gains), tokens, attempt, marker);
+    for (LiveItem* it : live) it->response.cache = marker;
+    if (r.ok()) {
+      for (std::size_t k = 0; k < live.size(); ++k) {
+        LiveItem& it = *live[k];
+        select::Selection& sel = r.value()[k];
+        if (it.token.cancelled() ||
+            sel.solver.termination == ilp::TerminationReason::kCancelled) {
+          it.response.error = support::Error::cancelled("request cancelled mid-solve");
+          it.response.state = RequestState::kCancelled;
         } else {
-          select::Flow& flow = *flow_or.value();
-          select::SelectOptions opt = job.options;
-          opt.ilp.budget.clock = cfg_.clock;
-          std::int64_t derived = -1;
-          for (std::int64_t& g : gains) {
-            if (g < 0) {
-              if (derived < 0) derived = flow.max_feasible_gain(opt) / 2;
-              g = derived;  // derived once, amortized across the batch
-            }
-          }
-          sels = flow.selector().select_batch(
-              gains, opt, [&](std::size_t item, ilp::IlpOptions& iopt) {
-                iopt.budget.cancel = tokens[item];
-              });
+          it.response.selection = std::move(sel);
+          it.response.state = RequestState::kCompleted;
         }
       }
-    } catch (const std::exception& ex) {
-      batch_error =
-          support::Error::transient(std::string("escaped exception: ") + ex.what());
-      failed = true;
-    } catch (...) {
-      batch_error = support::Error::transient("escaped non-standard exception");
-      failed = true;
-    }
-  }
-
-  lk.lock();
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    Entry& e = entries_.at(active[i]);
-    e.response.attempts = 1;
-    if (failed) {
-      e.response.error = batch_error;
-      finalize_locked(e, RequestState::kFailed);
-      continue;
-    }
-    select::Selection& sel = sels[i];
-    if (tokens[i].cancelled() ||
-        sel.solver.termination == ilp::TerminationReason::kCancelled) {
-      e.response.error = support::Error::cancelled("request cancelled mid-batch");
-      finalize_locked(e, RequestState::kCancelled);
-      continue;
-    }
-    stats_.batch_amortized_hits += static_cast<std::uint64_t>(sel.solver.batch_hits);
-    e.response.selection = std::move(sel);
-    finalize_locked(e, RequestState::kCompleted);
-  }
-}
-
-RequestState SolveService::run_request(const SolveRequest& request,
-                                       const support::CancelSource& cancel,
-                                       SolveResponse& out) {
-  // Per-request jitter seed: deterministic for a ticket, de-correlated
-  // across concurrent retries.
-  support::RetryPolicy policy = cfg_.retry;
-  policy.jitter_seed ^= out.ticket;
-
-  int attempt = 0;
-  for (;;) {
-    if (cancel.cancelled()) {
-      out.error = support::Error::cancelled("request cancelled");
-      return RequestState::kCancelled;
-    }
-    ++attempt;
-    out.attempts = attempt;
-    support::Result<select::Selection> r =
-        run_attempt(request, cancel, attempt, out.cache);
-    if (r.ok()) {
-      out.selection = r.take();
-      return RequestState::kCompleted;
+      break;
     }
     const support::Error& err = r.error();
-    if (err.kind == support::ErrorKind::kCancelled) {
-      out.error = err;
-      return RequestState::kCancelled;
-    }
     if (policy.should_retry(err, attempt)) {
       clock_.sleep_micros(policy.backoff_micros(attempt));
       continue;
     }
-    out.error = err;
-    // Quarantine: spec-carrying requests leave a replayable fixture behind,
+    // Quarantine: a spec-carrying job leaves one replayable fixture behind,
     // so the exact failing instance can be re-run offline with
-    // `partita_fuzz --replay <fixture>`. Since the journal landed, the file
-    // is one CRC-framed partita-journal-v1 quarantine record embedding the
+    // `partita_fuzz --replay <fixture>`. The file is one CRC-framed
+    // partita-journal-v1 quarantine record embedding the
     // partita-oracle-fixture-v1 document -- the same framing the WAL uses,
     // and the replayer accepts both this and the legacy bare-JSON form.
+    std::string fixture;
     if (request.spec.has_value() && !cfg_.quarantine_dir.empty()) {
-      const std::string path = cfg_.quarantine_dir + "/quarantine_" +
-                               std::to_string(out.ticket) + ".json";
-      const std::uint64_t seq =
-          request.journal_seq != 0 ? request.journal_seq : out.ticket;
+      const std::uint64_t ticket = live.front()->response.ticket;
+      const std::string path =
+          cfg_.quarantine_dir + "/quarantine_" + std::to_string(ticket) + ".json";
+      const std::uint64_t seq = request.journal_seq != 0 ? request.journal_seq : ticket;
       if (Journal::write_quarantine_file(path, seq,
                                          oracle::fixture_json(*request.spec))) {
-        out.quarantine_fixture = path;
+        fixture = path;
       }
     }
-    return RequestState::kFailed;
+    for (LiveItem* it : live) {
+      it->response.error = err;
+      it->response.quarantine_fixture = fixture;
+      it->response.state = RequestState::kFailed;
+    }
+    break;
+  }
+
+  lk.lock();
+  for (LiveItem& it : items) {
+    const RequestState state = it.response.state;
+    if (n > 1 && state == RequestState::kCompleted) {
+      stats_.batch_amortized_hits +=
+          static_cast<std::uint64_t>(it.response.selection.solver.batch_hits);
+    }
+    it.entry->response = std::move(it.response);
+    finalize_locked(*it.entry, state);
   }
 }
 
-support::Result<select::Selection> SolveService::run_attempt(
-    const SolveRequest& req, const support::CancelSource& cancel, int attempt,
+support::Result<std::vector<select::Selection>> SolveService::run_attempt(
+    const SolveRequest& req, std::vector<std::int64_t> gains,
+    const std::vector<support::CancelToken>& tokens, int attempt,
     std::string& cache_marker) {
-  // Crash isolation boundary: nothing a request does -- escaped exceptions,
+  // Crash isolation boundary: nothing a job does -- escaped exceptions,
   // injected faults, allocation failure -- may take a worker down. Every
   // failure becomes a structured Error for the retry/terminal machinery.
   try {
-    cache_marker.clear();
     if (support::fault_should_trip("service.transient")) {
       return support::Error::transient(
           "injected transient service fault (site service.transient)");
     }
 
+    const bool one_item = req.required_gains.size() == 1;
     select::SelectOptions opt = req.options;
-    opt.ilp.budget.cancel = cancel.token();
     opt.ilp.budget.clock = cfg_.clock;
-    // Durability: journaled solves snapshot their branch & bound frontier at
-    // wave boundaries, and a boot-recovery replay resumes from the last
-    // snapshot instead of re-exploring the tree. The solver re-checks
-    // resume_compatible against the actual model, so a snapshot taken by a
-    // different solve under this seq (e.g. the auxiliary gain probe)
-    // silently starts cold. Answers are bit-identical either way
+    // A one-item job's token also stops the derived-gain probe; ladder
+    // items get theirs through the per-item hook below.
+    if (one_item) opt.ilp.budget.cancel = tokens.front();
+    // Durability: journaled one-item solves snapshot their branch & bound
+    // frontier at wave boundaries, and a boot-recovery replay resumes from
+    // the last snapshot instead of re-exploring the tree. The solver
+    // re-checks resume_compatible against the actual model, so a snapshot
+    // taken by a different solve under this seq (e.g. the auxiliary gain
+    // probe) silently starts cold. Answers are bit-identical either way
     // (canonical tie-breaking; checkpoint_resume_test proves it).
     ilp::SearchCheckpoint resume_cp;
-    if (cfg_.checkpoint_every_waves > 0 && !cfg_.checkpoint_dir.empty() &&
+    if (one_item && cfg_.checkpoint_every_waves > 0 && !cfg_.checkpoint_dir.empty() &&
         req.journal_seq != 0) {
       const std::string ckpt = checkpoint_path(req.journal_seq);
       opt.ilp.checkpoint_every_waves = cfg_.checkpoint_every_waves;
@@ -622,11 +543,12 @@ support::Result<select::Selection> SolveService::run_attempt(
       opt.ilp.max_nodes = std::max(1, opt.ilp.max_nodes / 16);
     }
 
-    // imp_filter is an opaque callable: its effect IS materialized in the
-    // model (forced-zero bounds), but the function itself may close over
-    // anything, so filtered requests bypass the cache rather than trust it
-    // to be pure.
-    const bool cacheable = cache_ != nullptr && !req.options.imp_filter;
+    // Only one-item jobs are cached. imp_filter is an opaque callable: its
+    // effect IS materialized in the model (forced-zero bounds), but the
+    // function itself may close over anything, so filtered requests bypass
+    // the cache rather than trust it to be pure.
+    const bool cacheable = cache_ != nullptr && one_item && !req.options.imp_filter;
+    if (cache_ != nullptr && one_item && !cacheable) cache_marker = "bypass";
     SolutionCache::Key key;
     ilp::Fingerprint envelope;
     bool keyed = false;
@@ -635,8 +557,8 @@ support::Result<select::Selection> SolveService::run_attempt(
       // The retry-shrunk max_nodes is digested too: retry answers on a lower
       // rung never collide with first-attempt entries.
       key.options_digest = ilp::digest_options(opt.ilp);
-      key.gains = {req.required_gain};  // literal: -1 = "derived", itself a
-                                        // pure function of (structure, options)
+      key.gains = gains;  // literal: -1 = "derived", itself a pure function
+                          // of (structure, options)
       // Fast path: an envelope seen before names its structure fingerprint,
       // so an exact repeat is answered without building a Flow. Whatever
       // the lookup says, the key is final: a miss is not probed again.
@@ -646,92 +568,63 @@ support::Result<select::Selection> SolveService::run_attempt(
         keyed = true;
         if (std::optional<select::Selection> hit = cache_->lookup(key, true)) {
           cache_marker = "hit";
-          return std::move(*hit);
+          return std::vector<select::Selection>{std::move(*hit)};
         }
       }
     }
 
     auto flow_or = select::Flow::create(req.workload.module, req.workload.library);
     if (!flow_or.ok()) return flow_or.error();  // permanent: bad input
-    select::Flow& flow = *flow_or.value();
-
-    if (!cacheable) {
-      if (cache_ != nullptr) cache_marker = "bypass";
-      std::int64_t rg = req.required_gain;
-      if (rg < 0) rg = flow.max_feasible_gain(opt) / 2;
-      select::Selection sel = flow.select(rg, opt);
-      if (cancel.cancelled() ||
-          sel.solver.termination == ilp::TerminationReason::kCancelled) {
-        return support::Error::cancelled("request cancelled mid-solve");
-      }
-      return sel;
-    }
-
-    // --- read-through solution cache ------------------------------------
-    const select::Selector& selector = flow.selector();
-    if (!keyed) {
+    const select::Selector& selector = flow_or.value()->selector();
+    if (cacheable && !keyed) {
       key.structure = structure_fingerprint(selector, opt);
       cache_->remember_structure(envelope, key.structure);
       if (std::optional<select::Selection> hit = cache_->lookup(key)) {
         cache_marker = "hit";
-        return std::move(*hit);
+        return std::vector<select::Selection>{std::move(*hit)};
       }
     }
+
+    // A negative gain is derived once for the whole job. Group-level memo:
+    // same structure + options => same derived gain, so a near-miss skips
+    // the auxiliary max_feasible_gain ILP entirely.
+    std::optional<std::int64_t> derived;
+    for (std::int64_t& g : gains) {
+      if (g >= 0) continue;
+      if (!derived && cacheable) derived = cache_->derived_gain(key);
+      if (!derived) derived = selector.max_feasible_gain(opt) / 2;
+      g = *derived;
+    }
+
+    if (!cacheable) {
+      return selector.select_batch(gains, opt, [&](std::size_t i, ilp::IlpOptions& iopt) {
+        iopt.budget.cancel = tokens[i];
+      });
+    }
+
+    // Cache miss: a one-item ladder, started from the nearest cached
+    // neighbour's solver artifacts when there is one.
     cache_marker = "miss";
-
-    std::int64_t rg = req.required_gain;
-    bool derived = false;
-    if (rg < 0) {
-      derived = true;
-      // Group-level memo: same structure + options => same derived gain, so
-      // a near-miss skips the auxiliary max_feasible_gain ILP entirely.
-      if (std::optional<std::int64_t> memo = cache_->derived_gain(key)) {
-        rg = *memo;
-      } else {
-        rg = flow.max_feasible_gain(opt) / 2;
-      }
-    }
-    const std::vector<std::int64_t> gains(selector.path_count(), rg);
-
-    ilp::BatchContext ctx;
+    const std::vector<std::int64_t> per_path(selector.path_count(), gains.front());
+    CacheSeed seed;
+    if (cfg_.cache_neighbor_seeding) seed = cache_->nearest(key, per_path);
+    ilp::BatchContext ctx = std::move(seed.artifacts);
     ctx.carry_search_state = true;
-    bool seeded = false;
-    if (cfg_.cache_neighbor_seeding) {
-      CacheSeed seed = cache_->nearest(key, gains);
-      if (seed.valid) {
-        ctx = std::move(seed.artifacts);
-        seeded = true;
-      }
-    }
-    select::Selection sel = selector.select_seeded(gains, opt, &ctx);
-    if (seeded && sel.truncated &&
-        sel.solver.termination != ilp::TerminationReason::kCancelled) {
-      // Answer safety: imported artifacts are answer-neutral only for
-      // COMPLETED searches -- a truncated seeded search may have explored a
-      // different prefix of the tree than a cold one would. Redo cold (fresh
-      // context) so the served answer is bit-identical to a cold solve.
-      cache_seed_fallbacks_.fetch_add(1);
-      ilp::BatchContext cold_ctx;
-      cold_ctx.carry_search_state = true;
-      sel = selector.select_seeded(gains, opt, &cold_ctx);
-      ctx = std::move(cold_ctx);
-      seeded = false;
-    }
-    if (cancel.cancelled() ||
-        sel.solver.termination == ilp::TerminationReason::kCancelled) {
-      // Ordered before the insert: a cancelled solve never populates the
-      // cache, even when its search happened to complete under the wire.
-      return support::Error::cancelled("request cancelled mid-solve");
-    }
-    if (seeded) cache_marker = "neighbor";
-    if (!sel.truncated &&
+    bool redone_cold = false;
+    select::Selection sel = selector.select_seeded(per_path, opt, &ctx, &redone_cold);
+    if (redone_cold) cache_seed_fallbacks_.fetch_add(1);
+    // Ordered before the insert: a cancelled solve never populates the
+    // cache, even when its search happened to complete under the wire.
+    const bool cancelled = tokens.front().cancelled() ||
+                           sel.solver.termination == ilp::TerminationReason::kCancelled;
+    if (seed.valid && !redone_cold && !cancelled) cache_marker = "neighbor";
+    if (!cancelled && !sel.truncated &&
         sel.solver.termination == ilp::TerminationReason::kCompleted) {
       // Only proven answers (optimal or proven-infeasible) are cacheable;
       // truncated rungs depend on the budget that struck and stay uncached.
-      cache_->insert(key, sel, std::move(ctx), gains,
-                     derived ? std::optional<std::int64_t>(rg) : std::nullopt);
+      cache_->insert(key, sel, std::move(ctx), per_path, derived);
     }
-    return sel;
+    return std::vector<select::Selection>{std::move(sel)};
   } catch (const std::exception& ex) {
     return support::Error::transient(std::string("escaped exception: ") + ex.what());
   } catch (...) {

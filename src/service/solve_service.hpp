@@ -3,9 +3,11 @@
 // Every entry point before this layer was one-shot: one workload in, one
 // selection out, and any failure took the whole process down. SolveService
 // turns the library into a request/response system: a fixed worker pool
-// drains an admitted pending set of selection requests, running each one
-// through the existing select::Flow / select::Selector pipeline (which is
-// re-entrant; see selector.hpp). The robustness contract is the point:
+// drains an admitted pending set of selection jobs -- one per submit, a
+// gain ladder with one ticket per item (a single request is a one-item
+// ladder) -- running each one on one worker path through the existing
+// select::Flow / select::Selector pipeline (which is re-entrant; see
+// selector.hpp). The robustness contract is the point:
 //
 //   * Exactly-one-terminal-state: every submitted request ends in exactly
 //     one of completed / cancelled / rejected / failed, and wait(ticket)
@@ -26,15 +28,15 @@
 //     per-tenant live-request cap rejects the over-quota tenant's request
 //     at submit without disturbing anyone else's traffic.
 //   * Retry on transient faults: attempts that fail with
-//     ErrorKind::kTransient re-run under support::RetryPolicy (exponential
-//     backoff + deterministic seeded jitter) on a progressively lower
-//     degradation rung (shrinking node budget), so a persistent fault still
-//     converges to a terminal answer instead of looping.
-//   * Crash isolation + replayable quarantine: a request that exhausts its
-//     retries records a structured support::Error, and -- when it carries an
-//     InstanceSpec -- a PR-3 oracle fixture (partita-oracle-fixture-v1) is
-//     written to the quarantine directory for offline replay via
-//     `partita_fuzz --replay`.
+//     ErrorKind::kTransient re-run a job's live items under
+//     support::RetryPolicy (exponential backoff + deterministic seeded
+//     jitter) on a progressively lower degradation rung (shrinking node
+//     budget), so a persistent fault still converges to a terminal answer.
+//   * Crash isolation + replayable quarantine: a job that exhausts its
+//     retries records a structured support::Error on each live item, and --
+//     when it carries an InstanceSpec -- one oracle fixture
+//     (partita-oracle-fixture-v1) is written to the quarantine directory for
+//     offline replay via `partita_fuzz --replay`.
 //   * Graceful drain: drain() stops admission and blocks until everything
 //     already admitted reached its natural terminal state (cancel tickets
 //     first for a fast abort); shutdown() additionally joins the pool.
@@ -44,8 +46,8 @@
 //     terminal transition appends a matching terminal record. A process
 //     killed mid-storm therefore loses no acknowledged request: boot-time
 //     recovery replays the undecided admits through normal admission under
-//     their original tenant/priority/deadline envelopes. Long solves
-//     additionally checkpoint their branch & bound frontier at wave
+//     their original tenant/priority/deadline envelopes. Long one-item
+//     jobs additionally checkpoint their branch & bound frontier at wave
 //     boundaries (ilp/checkpoint.hpp) so a recovered request resumes the
 //     search instead of restarting it cold -- with answers bit-identical to
 //     an uninterrupted run (canonical tie-breaking).
@@ -89,25 +91,22 @@ class Journal;  // service/journal.hpp
 /// everything else is honored verbatim, so a service solve is bit-identical
 /// to a one-shot Flow::select with the same options.
 ///
-/// Single vs batch: an empty `required_gains` submits ONE request at
-/// `required_gain`. A non-empty `required_gains` submits a batch over the
-/// same workload -- one ticket per gain, one admission slot, solved
-/// sequentially on one worker through Selector::select_batch (amortized
-/// model build / clique table / chained root bases). Batch items trade the
-/// per-request retry ladder for throughput: a failing batch marks its
-/// remaining items failed once.
+/// One submit is one job: a gain ladder over this workload with one ticket
+/// per `required_gains` item, one admission slot, solved on one worker
+/// through Selector::select_batch (amortized model build / clique table /
+/// chained root bases). Every job gets the retry ladder and quarantine; a
+/// one-item job (the default) also goes through the solution cache and,
+/// when journaled, checkpoints its search.
 struct SolveRequest {
   std::string label;
   workloads::Workload workload;
-  /// When present, a failed request dumps this spec as a replayable oracle
+  /// When present, a failed job dumps this spec as a replayable oracle
   /// fixture into ServiceConfig::quarantine_dir.
   std::optional<workloads::InstanceSpec> spec;
-  /// Uniform required gain; < 0 derives max_feasible_gain / 2 (the CLI
-  /// default) under the same options. Ignored when required_gains is set.
-  std::int64_t required_gain = -1;
-  /// Batch mode: one item per entry; a negative gain derives
-  /// max_feasible_gain / 2 once for the whole batch.
-  std::vector<std::int64_t> required_gains;
+  /// Uniform required gain per item; a negative gain derives
+  /// max_feasible_gain / 2 (the CLI default) once for the whole job under
+  /// the same options. Empty counts as the default {-1}.
+  std::vector<std::int64_t> required_gains{-1};
   select::SelectOptions options;
 
   // --- scheduling metadata (consumed by the SchedulerPolicy) ---------------
@@ -137,11 +136,10 @@ struct SolveRequest {
   bool recovered = false;
 };
 
-/// The outcome of one submit: every issued ticket (one for a single
-/// request, one per item for a batch) plus the immediate admission verdict.
-/// kQueued means admitted; kRejected tickets are already terminal and carry
-/// the drain-rate-derived retry-after hint. Converts to the leading ticket
-/// id so call sites that only track tickets keep working.
+/// The outcome of one submit: every issued ticket (one per gain item) plus
+/// the immediate admission verdict. kQueued means admitted; kRejected
+/// tickets are already terminal and carry the drain-rate-derived
+/// retry-after hint.
 struct SubmitOutcome {
   std::vector<std::uint64_t> tickets;
   RequestState state = RequestState::kQueued;
@@ -150,7 +148,6 @@ struct SubmitOutcome {
 
   bool admitted() const { return state == RequestState::kQueued; }
   std::uint64_t ticket() const { return tickets.empty() ? 0 : tickets.front(); }
-  operator std::uint64_t() const { return ticket(); }  // NOLINT(google-explicit-constructor)
 };
 
 /// The terminal record of one request. `selection` is meaningful only for
@@ -166,10 +163,11 @@ struct SolveResponse {
   /// Solve attempts actually started (1 for a clean run; retries add more).
   int attempts = 0;
   std::string quarantine_fixture;
-  /// Solution-cache outcome for this request: "" (cache disabled or batch),
-  /// "bypass" (cache on but the request is uncacheable, e.g. imp_filter),
-  /// "hit" (served verbatim from the cache), "neighbor" (cold answer, but a
-  /// cached neighbor's artifacts seeded the solve), "miss" (cold solve).
+  /// Solution-cache outcome for this request: "" (cache disabled or a
+  /// ladder item), "bypass" (cache on but the request is uncacheable, e.g.
+  /// imp_filter), "hit" (served verbatim from the cache), "neighbor" (cold
+  /// answer, but a cached neighbor's artifacts seeded the solve), "miss"
+  /// (cold solve).
   /// Every non-"hit" answer is a real solve; "hit" answers were inserted by
   /// a completed solve with an identical key, so all outcomes are
   /// bit-identical to a cold solve (see docs/caching.md).
@@ -199,14 +197,10 @@ struct ServiceConfig {
   static constexpr std::size_t kDefaultMemoryCharge = std::size_t{64} << 20;
   /// Per-tenant cap on live (queued + running) requests; 0 disables.
   std::size_t max_live_per_tenant = 0;
-  /// Seed of the drain-rate estimator behind the rejection retry-after
-  /// hint: the assumed per-request service interval before any completion
-  /// has been observed.
-  double retry_after_seconds = 0.05;
   support::RetryPolicy retry;
   /// Clock for deadlines, backoff and scheduling; null means Clock::system().
   support::Clock* clock = nullptr;
-  /// Directory for quarantine fixtures of failed spec requests; "" disables.
+  /// Directory for quarantine fixtures of failed spec jobs; "" disables.
   std::string quarantine_dir;
   /// Start with the workers parked: requests queue up (and admission control
   /// applies) but nothing runs until resume(). Deterministic tests use this
@@ -223,7 +217,7 @@ struct ServiceConfig {
   std::size_t cache_max_bytes = std::size_t{64} << 20;
   /// Seed near-misses from the nearest cached neighbor's solver artifacts
   /// (bases, pseudo-costs, cliques, incumbents). Answer-safe: a seeded
-  /// search that truncates is redone cold before answering.
+  /// search that truncates is redone cold by the Selector before answering.
   bool cache_neighbor_seeding = true;
 
   // --- durability (see service/journal.hpp, docs/durability.md) ------------
@@ -231,8 +225,8 @@ struct ServiceConfig {
   /// unchanged). Not owned. The service appends under its own mutex, so one
   /// journal serves one service.
   Journal* journal = nullptr;
-  /// Directory for branch & bound checkpoints of journaled requests; ""
-  /// disables checkpointing (recovered requests then re-solve cold).
+  /// Directory for branch & bound checkpoints of journaled one-item jobs;
+  /// "" disables checkpointing (recovered requests then re-solve cold).
   std::string checkpoint_dir;
   /// Checkpoint cadence in solver waves (ilp::IlpOptions forward); <= 0
   /// disables.
@@ -250,11 +244,11 @@ struct ServiceStats {
   std::uint64_t retries = 0;  // extra attempts beyond the first, all requests
   std::size_t peak_queue_depth = 0;
   std::size_t peak_admitted_memory_bytes = 0;
-  // Batched admission mode.
-  std::uint64_t batches = 0;      // batch jobs admitted
-  std::uint64_t batch_items = 0;  // items across all admitted batches
+  // Multi-item jobs (gain ladders).
+  std::uint64_t batches = 0;      // ladders admitted
+  std::uint64_t batch_items = 0;  // items across all admitted ladders
   std::uint64_t batch_amortized_hits = 0;  // solver artifacts reused across
-                                           // items (sum of batch_hits)
+                                           // ladder items (sum of batch_hits)
   // Cross-request solution cache (all zero while cache_enabled is false).
   // Invariants: cache_hits + cache_misses == cache_lookups;
   // cache_neighbor_seeds <= cache_misses; cache_memo_hits <= cache_hits;
@@ -287,7 +281,7 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// Admits or rejects the request (single or batch; see SolveRequest).
+  /// Admits or rejects the job (one ticket per gain; see SolveRequest).
   /// Always issues tickets; a rejected outcome's tickets are already
   /// terminal (kRejected with a retry-after hint), so every submission
   /// reaches exactly one terminal state. Admission may evict already-queued
@@ -342,60 +336,43 @@ class SolveService {
 
  private:
   struct Entry {
-    SolveRequest request;  // released (workload freed) at terminal state
     SolveResponse response;
     support::CancelSource cancel;
-    std::string tenant;  // survives request release for quota bookkeeping
+    std::string tenant;  // quota bookkeeping
     std::size_t memory_charge = 0;
     bool live = false;  // admitted and not yet terminal
-    /// Leader ticket of the batch this entry belongs to (0: not batched).
-    /// The leader's ticket doubles as the job key in jobs_ and the
-    /// scheduler's pending set.
-    std::uint64_t batch_leader = 0;
-    /// Journal coordinates (0 seq: not journaled). finalize_locked appends
-    /// the matching terminal record and drops the request's checkpoint.
+    /// Key of this ticket's job in jobs_ (its first ticket, which is also
+    /// what the scheduler's pending set holds for the job).
+    std::uint64_t job = 0;
+    /// Journal admit record (0: not journaled); the item is the ticket's
+    /// position in its job. finalize_locked appends the matching terminal
+    /// record and drops the request's checkpoint.
     std::uint64_t journal_seq = 0;
-    std::size_t journal_item = 0;
-  };
-
-  /// One admitted batch, keyed in jobs_ by its leader (first) ticket, which
-  /// is also the ticket sitting in the scheduler's pending set for it.
-  struct BatchJob {
-    workloads::Workload workload;
-    select::SelectOptions options;
-    std::vector<std::int64_t> gains;
-    std::vector<std::uint64_t> tickets;
   };
 
   void worker_main();
-  /// Runs one dequeued batch job: marks live members running, solves them
-  /// through Selector::select_batch outside the lock, then finalizes each
-  /// member. `lk` is held on entry and on return.
-  void run_batch(std::unique_lock<std::mutex>& lk, BatchJob job);
-  /// Runs the attempt/retry loop for one request into `out` (a worker-local
-  /// response merged back under the lock -- the shared Entry::response is
-  /// never written without mu_, so poll() snapshots race-free). Returns the
-  /// terminal state. Never throws.
-  RequestState run_request(const SolveRequest& request,
-                           const support::CancelSource& cancel,
-                           SolveResponse& out);
-  /// `cache_marker` receives the SolveResponse::cache outcome of this
-  /// attempt ("", "bypass", "hit", "neighbor", "miss").
-  support::Result<select::Selection> run_attempt(const SolveRequest& request,
-                                                 const support::CancelSource& cancel,
-                                                 int attempt,
-                                                 std::string& cache_marker);
-  /// Marks the entry terminal, releases its admission charge, tenant slot
-  /// and workload, feeds the drain-rate estimator, and wakes waiters.
-  /// Caller holds mu_.
+  /// Runs one dequeued job: marks its live items running, runs the
+  /// attempt/retry loop over them outside the lock, then finalizes each.
+  /// `lk` is held on entry and on return. Never throws.
+  void run_job(std::unique_lock<std::mutex>& lk, std::uint64_t job, SolveRequest request);
+  /// One attempt over the live items' `gains` (one Selection per gain, in
+  /// order). `cache_marker` receives the SolveResponse::cache outcome of
+  /// this attempt ("", "bypass", "hit", "neighbor", "miss").
+  support::Result<std::vector<select::Selection>> run_attempt(
+      const SolveRequest& request, std::vector<std::int64_t> gains,
+      const std::vector<support::CancelToken>& tokens, int attempt,
+      std::string& cache_marker);
+  /// Marks the entry terminal, releases its admission charge and tenant
+  /// slot, feeds the drain-rate estimator, and wakes waiters. Caller holds
+  /// mu_.
   void finalize_locked(Entry& entry, RequestState state);
-  /// Finalizes an admitted-but-still-queued ticket (or batch leader and all
-  /// its live members) as kRejected -- the rejecter policy's eviction path.
-  /// The policy has already dropped the ticket from its pending set.
-  void shed_queued_locked(std::uint64_t ticket, const std::string& why);
+  /// Finalizes every live item of a still-queued job as kRejected -- the
+  /// rejecter policy's eviction path. The policy has already dropped the
+  /// job's ticket from its pending set.
+  void shed_queued_locked(std::uint64_t job, const std::string& why);
   /// Current drain-rate-derived retry-after hint. Caller holds mu_.
   double retry_after_hint_locked() const;
-  /// Checkpoint file for one journaled single request (batches solve as one
+  /// Checkpoint file for one journaled one-item job (ladders solve as one
   /// amortized unit and are replayed whole instead of checkpointed).
   std::string checkpoint_path(std::uint64_t journal_seq) const;
 
@@ -404,16 +381,18 @@ class SolveService {
   /// Cross-request solution cache; null when cache_enabled is false. The
   /// cache is internally synchronized -- run_attempt uses it outside mu_.
   std::unique_ptr<SolutionCache> cache_;
-  /// Seeded-solve cold fallbacks (atomic: bumped outside mu_).
+  /// Seeded solves the Selector redid cold (atomic: bumped outside mu_).
   std::atomic<std::uint64_t> cache_seed_fallbacks_{0};
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // workers: pending work / pause / stop
   std::condition_variable done_cv_;  // waiters: entry became terminal
   std::map<std::uint64_t, Entry> entries_;
-  std::map<std::uint64_t, BatchJob> jobs_;  // queued batches by leader ticket
+  /// Queued jobs by first ticket. A job's tickets are consecutive from it,
+  /// one per required_gains item (submit issues them under one lock).
+  std::map<std::uint64_t, SolveRequest> jobs_;
   std::unique_ptr<SchedulerPolicy> policy_;
-  DrainRateEstimator drain_rate_;
+  DrainRateEstimator drain_rate_;  // seeded with its default interval
   std::map<std::string, std::size_t> live_per_tenant_;
   std::uint64_t next_ticket_ = 0;
   std::size_t admitted_memory_ = 0;  // charge of queued + running requests

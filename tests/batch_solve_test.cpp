@@ -1,17 +1,25 @@
 // Batch-vs-serial differential tests: Selector::select_batch (and the
-// service's batched admission on top of it) amortizes the model build, the
-// presolve clique table, chained root bases and carried search state -- and
-// must stay bit-identical to the equivalent serial solves while doing so. Feasible items are also
-// audited against the independent exhaustive oracle.
+// service's job path on top of it, where every submit is a gain ladder)
+// amortizes the model build, the presolve clique table, chained root bases
+// and carried search state -- and must stay bit-identical to the equivalent
+// serial solves while doing so. Feasible items are also audited against the
+// independent exhaustive oracle. The service section also covers what
+// ladders share with single requests: retries, quarantine and queued
+// cancellation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "oracle/exhaustive.hpp"
+#include "oracle/fixture.hpp"
 #include "select/flow.hpp"
+#include "service/journal.hpp"
 #include "service/solve_service.hpp"
+#include "support/clock.hpp"
+#include "support/fault_injection.hpp"
 #include "workloads/random_workload.hpp"
 #include "workloads/workloads.hpp"
 
@@ -146,6 +154,32 @@ TEST(BatchSolve, TruncatedSeededItemAnswersAsAStandaloneSolve) {
   expect_same_selection(flow.select(rgs[1], {}), batched[1], "untruncated item");
 }
 
+TEST(BatchSolve, TruncatedSeededSolveIsRedoneColdAndReported) {
+  // select_seeded shares the ladder core's fallback rule: a search that
+  // started from a cache seed and truncates is redone from a fresh context,
+  // and the caller is told (the service counts it as a seed fallback).
+  const workloads::Workload w = workloads::jpeg_encoder();
+  select::Flow flow(w.module, w.library);
+  const std::int64_t gmax = flow.max_feasible_gain();
+  const std::vector<std::int64_t> hard(flow.paths().size(), gmax);
+  const std::vector<std::int64_t> easy(flow.paths().size(), gmax / 2);
+
+  ilp::BatchContext seed;
+  seed.carry_search_state = true;
+  bool redone = true;
+  const select::Selection first = flow.selector().select_seeded(hard, {}, &seed, &redone);
+  ASSERT_FALSE(first.truncated);
+  EXPECT_FALSE(redone);  // a fresh context carries nothing to fall back from
+
+  select::SelectOptions capped;
+  capped.ilp.max_nodes = 2;
+  const select::Selection sel = flow.selector().select_seeded(easy, capped, &seed, &redone);
+  ASSERT_TRUE(sel.truncated);
+  EXPECT_TRUE(redone);
+  EXPECT_EQ(sel.solver.seeded_artifacts, 0);
+  expect_same_selection(flow.select(gmax / 2, capped), sel, "redone seeded solve");
+}
+
 TEST(BatchSolve, FeasibleItemsPassOracleAudit) {
   workloads::RandomWorkloadParams p;
   p.call_sites = 10;
@@ -170,7 +204,7 @@ TEST(BatchSolve, FeasibleItemsPassOracleAudit) {
   }
 }
 
-// --- service batched admission ---------------------------------------------
+// --- service job path: a request is a gain ladder --------------------------
 
 TEST(BatchSolve, ServiceBatchMatchesSerialSubmits) {
   const workloads::Workload w = workloads::gsm_decoder();
@@ -200,6 +234,129 @@ TEST(BatchSolve, ServiceBatchMatchesSerialSubmits) {
   EXPECT_EQ(st.batch_items, rgs.size());
   EXPECT_GT(st.batch_amortized_hits, 0u);
   svc.shutdown();
+}
+
+TEST(BatchSolve, ServiceLadderRetriesATransientFault) {
+  const workloads::Workload w = workloads::gsm_decoder();
+  select::Flow flow(w.module, w.library);
+  const std::int64_t gmax = flow.max_feasible_gain();
+  const std::vector<std::int64_t> rgs = {gmax / 4, gmax / 2, gmax};
+
+  support::FakeClock clock;
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.clock = &clock;
+  cfg.retry.max_attempts = 3;
+  cfg.retry.jitter = 0.0;
+  service::SolveService svc(cfg);
+
+  // Non-sticky: the ladder's first attempt trips, the second runs clean.
+  support::ScopedFault fault("service.transient", /*trip_at=*/1, /*sticky=*/false);
+  service::SolveRequest req;
+  req.workload = workloads::gsm_decoder();
+  req.required_gains = rgs;
+  const std::vector<std::uint64_t> tickets = svc.submit(std::move(req)).tickets;
+  ASSERT_EQ(tickets.size(), rgs.size());
+  for (std::size_t i = 0; i < rgs.size(); ++i) {
+    const service::SolveResponse r = svc.wait(tickets[i]);
+    ASSERT_EQ(r.state, service::RequestState::kCompleted)
+        << "item " << i << ": " << r.error.render();
+    EXPECT_EQ(r.attempts, 2) << "item " << i;
+    // The retry rung shrinks only the node budget; these ladders complete
+    // well inside it, so every answer is the cold serial one.
+    EXPECT_EQ(select::solution_signature(r.selection),
+              select::solution_signature(flow.select(rgs[i], {})))
+        << "item " << i;
+  }
+  const service::ServiceStats st = svc.stats();
+  EXPECT_EQ(st.completed, rgs.size());
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.retries, rgs.size());
+}
+
+TEST(BatchSolve, ServiceLadderExhaustingRetriesLeavesOneQuarantineFixture) {
+  const std::filesystem::path qdir =
+      std::filesystem::path(::testing::TempDir()) / "partita_ladder_quarantine";
+  std::filesystem::remove_all(qdir);
+  std::filesystem::create_directories(qdir);
+
+  support::FakeClock clock;
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.clock = &clock;
+  cfg.retry.max_attempts = 2;
+  cfg.quarantine_dir = qdir.string();
+  service::SolveService svc(cfg);
+
+  support::ScopedFault fault("service.transient", /*trip_at=*/1, /*sticky=*/true);
+  const workloads::InstanceSpec spec =
+      workloads::random_instance_spec(workloads::InstanceGenParams{}, /*seed=*/11);
+  service::SolveRequest req;
+  req.workload = workloads::spec_workload(spec);
+  req.spec = spec;
+  req.required_gains = {-1, 1, 2};
+  const std::vector<std::uint64_t> tickets = svc.submit(std::move(req)).tickets;
+  ASSERT_EQ(tickets.size(), 3u);
+
+  std::string fixture;
+  for (const std::uint64_t t : tickets) {
+    const service::SolveResponse r = svc.wait(t);
+    EXPECT_EQ(r.state, service::RequestState::kFailed);
+    EXPECT_EQ(r.error.kind, support::ErrorKind::kTransient);
+    EXPECT_EQ(r.attempts, 2);
+    ASSERT_FALSE(r.quarantine_fixture.empty());
+    if (fixture.empty()) fixture = r.quarantine_fixture;
+    EXPECT_EQ(r.quarantine_fixture, fixture);  // one fixture per job
+  }
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator(qdir)) {
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+
+  std::string doc;
+  std::string err;
+  ASSERT_TRUE(service::Journal::read_quarantine_file(fixture, &doc, &err)) << err;
+  const auto reloaded = oracle::parse_fixture(doc, &err);
+  ASSERT_TRUE(reloaded.has_value()) << err;
+  EXPECT_EQ(oracle::fixture_json(*reloaded), oracle::fixture_json(spec));
+}
+
+TEST(BatchSolve, ServiceCancelsQueuedLadderItemAndSingleRequest) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;  // both jobs stay queued until resume()
+  service::SolveService svc(cfg);
+
+  service::SolveRequest ladder;
+  ladder.workload = workloads::fig9_case();
+  ladder.required_gains = {-1, 1, 2};
+  const std::vector<std::uint64_t> items = svc.submit(std::move(ladder)).tickets;
+  ASSERT_EQ(items.size(), 3u);
+  service::SolveRequest single;
+  single.workload = workloads::fig9_case();
+  const std::uint64_t lone = svc.submit(std::move(single)).ticket();
+  EXPECT_EQ(svc.scheduler_stats().queued, 2u);
+
+  EXPECT_TRUE(svc.cancel(items[1]));
+  EXPECT_TRUE(svc.cancel(lone));
+  EXPECT_FALSE(svc.cancel(items[1]));  // already terminal
+  EXPECT_FALSE(svc.cancel(lone));
+  // The single job left the queue; the ladder stays for its live items.
+  EXPECT_EQ(svc.scheduler_stats().queued, 1u);
+
+  svc.resume();
+  EXPECT_EQ(svc.wait(items[0]).state, service::RequestState::kCompleted);
+  EXPECT_EQ(svc.wait(items[1]).state, service::RequestState::kCancelled);
+  EXPECT_EQ(svc.wait(items[2]).state, service::RequestState::kCompleted);
+  EXPECT_EQ(svc.wait(lone).state, service::RequestState::kCancelled);
+  svc.drain();
+  const service::ServiceStats st = svc.stats();
+  EXPECT_EQ(st.submitted, 4u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.cancelled, 2u);
+  EXPECT_EQ(st.completed + st.cancelled + st.rejected + st.failed, st.submitted);
+  EXPECT_EQ(svc.scheduler_stats().queued, 0u);
 }
 
 }  // namespace

@@ -373,8 +373,8 @@ TEST(SolveServiceCache, RepeatHitsServeBitIdenticalAnswers) {
   for (int i = 0; i < 3; ++i) {
     service::SolveRequest req;
     req.workload = workloads::fig9_case();
-    req.required_gain = rg;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    req.required_gains = {rg};
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     EXPECT_EQ(r.cache, expected_marker) << "iteration " << i;
     EXPECT_EQ(select::solution_signature(r.selection),
@@ -399,8 +399,8 @@ TEST(SolveServiceCache, DerivedGainRequestsShareOneEntry) {
   for (int i = 0; i < 2; ++i) {
     service::SolveRequest req;
     req.workload = workloads::fig10_case();
-    req.required_gain = -1;  // derived: max_feasible_gain/2
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    req.required_gains = {-1};  // derived: max_feasible_gain/2
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     EXPECT_EQ(r.cache, i == 0 ? "miss" : "hit");
   }
@@ -423,8 +423,8 @@ TEST(SolveServiceCache, NeighborSeedingAnswersMatchColdSolves) {
   for (const std::int64_t g : {rg, rg - 1, rg + 3, rg / 2}) {
     service::SolveRequest req;
     req.workload = workloads::gsm_encoder();
-    req.required_gain = g;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    req.required_gains = {g};
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     const select::Selection cold = flow.value()->select(g);
     EXPECT_EQ(select::solution_signature(r.selection),
@@ -449,10 +449,10 @@ TEST(SolveServiceCache, DifferentTenantsAndOptionsNeverShareAnswers) {
   const auto run = [&](const std::string& tenant, int max_nodes) {
     service::SolveRequest req;
     req.workload = workloads::fig9_case();
-    req.required_gain = 50;
+    req.required_gains = {50};
     req.tenant = tenant;
     req.options.ilp.max_nodes = max_nodes;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     EXPECT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     return r.cache;
   };
@@ -525,8 +525,8 @@ TEST(SolveServiceCache, ModelIdenticalSpecsWithDifferentIpIndicesMiss) {
   const auto ask = [&](const workloads::Workload& w) {
     service::SolveRequest req;
     req.workload = w;
-    req.required_gain = 1;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    req.required_gains = {1};
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     EXPECT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     return r;
   };
@@ -552,8 +552,8 @@ TEST(SolveServiceCache, ExactRepeatIsAMemoHitUntilInvalidated) {
   const auto ask = [&] {
     service::SolveRequest req;
     req.workload = workloads::gsm_decoder();
-    req.required_gain = -1;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    req.required_gains = {-1};
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     EXPECT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     return r;
   };
@@ -600,8 +600,8 @@ TEST(SolveServiceCache, GainPerturbedRepeatCountsOneLookup) {
     const std::uint64_t lookups_before = svc.stats().cache_lookups;
     service::SolveRequest req;
     req.workload = workloads::fig9_case();
-    req.required_gain = g;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    req.required_gains = {g};
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
     EXPECT_EQ(r.cache, g == rg ? "miss" : "neighbor");
     EXPECT_EQ(select::solution_signature(r.selection),
@@ -703,7 +703,7 @@ TEST(SolveServiceCache, SeventhDigitDoublesMissTheMemo) {
 
       service::SolveRequest req;
       req.workload = *w;
-      const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+      const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
       ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
       EXPECT_EQ(r.cache, "miss") << w->name;
       EXPECT_EQ(select::solution_signature(r.selection), cold.back()) << w->name;
@@ -724,8 +724,8 @@ TEST(SolveServiceCache, DisabledCacheLeavesBehaviorAndCountersUntouched) {
 
   service::SolveRequest req;
   req.workload = workloads::fig9_case();
-  req.required_gain = 50;
-  const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+  req.required_gains = {50};
+  const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
   ASSERT_EQ(r.state, service::RequestState::kCompleted);
   EXPECT_EQ(r.cache, "");
   const service::ServiceStats st = svc.stats();

@@ -114,7 +114,7 @@ TEST(Differential, BitIdenticalAcrossTransportsAndPolicies) {
       service::SolveRequest req;
       req.label = name;
       req.workload = builtin(name);
-      req.required_gain = kGain;
+      req.required_gains = {kGain};
       const service::SubmitOutcome out = svc.submit(std::move(req));
       ASSERT_TRUE(out.admitted()) << name << ": " << out.reject_reason;
       const service::SolveResponse resp = svc.wait(out.ticket());

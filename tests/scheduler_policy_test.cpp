@@ -370,7 +370,7 @@ service::SolveRequest tiny_request(const std::string& tenant, int priority) {
   service::SolveRequest req;
   req.label = "tiny";
   req.workload = workloads::fig9_case();
-  req.required_gain = 1000;
+  req.required_gains = {1000};
   req.tenant = tenant;
   req.priority = priority;
   return req;

@@ -63,8 +63,8 @@ TEST(ServiceRecovery, JournaledLifecycleWritesAdmitThenTerminalThenCompacts) {
   cfg.journal = &journal;
   service::SolveService svc(cfg);
 
-  const std::uint64_t t1 = svc.submit(to_request(wire_submit("fig9", "r1")));
-  const std::uint64_t t2 = svc.submit(to_request(wire_submit("fig10", "r2")));
+  const std::uint64_t t1 = svc.submit(to_request(wire_submit("fig9", "r1"))).ticket();
+  const std::uint64_t t2 = svc.submit(to_request(wire_submit("fig10", "r2"))).ticket();
   const service::SolveResponse r1 = svc.wait(t1);
   const service::SolveResponse r2 = svc.wait(t2);
   ASSERT_EQ(r1.state, service::RequestState::kCompleted) << r1.error.render();
@@ -106,7 +106,7 @@ TEST(ServiceRecovery, UndecidedAdmitsReplayBitIdenticallyToControl) {
     cfg.workers = 2;
     service::SolveService svc(cfg);
     std::vector<std::uint64_t> tickets;
-    for (const net::WireRequest& w : wires) tickets.push_back(svc.submit(to_request(w)));
+    for (const net::WireRequest& w : wires) tickets.push_back(svc.submit(to_request(w)).ticket());
     for (std::size_t i = 0; i < wires.size(); ++i) {
       const service::SolveResponse r = svc.wait(tickets[i]);
       ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
@@ -258,7 +258,7 @@ TEST(ServiceRecovery, JournalAppendFailureRejectsUnacknowledged) {
   EXPECT_EQ(Journal::recover(dir).undecided.size(), 0u);
 
   // With the fault gone the same request is admitted and journaled.
-  const std::uint64_t t = svc.submit(to_request(wire_submit("fig9", "ok")));
+  const std::uint64_t t = svc.submit(to_request(wire_submit("fig9", "ok"))).ticket();
   EXPECT_EQ(svc.wait(t).state, service::RequestState::kCompleted);
   EXPECT_EQ(journal.stats().admits, 1u);
 }
@@ -274,10 +274,10 @@ TEST(ServiceRecovery, CacheSnapshotSurvivesDrainBootCycle) {
     cfg.workers = 1;
     cfg.cache_enabled = true;
     service::SolveService svc(cfg);
-    const service::SolveResponse first = svc.wait(svc.submit(to_request(probe)));
+    const service::SolveResponse first = svc.wait(svc.submit(to_request(probe)).ticket());
     ASSERT_EQ(first.state, service::RequestState::kCompleted);
     EXPECT_EQ(first.cache, "miss");
-    const service::SolveResponse second = svc.wait(svc.submit(to_request(probe)));
+    const service::SolveResponse second = svc.wait(svc.submit(to_request(probe)).ticket());
     ASSERT_EQ(second.state, service::RequestState::kCompleted);
     EXPECT_EQ(second.cache, "hit");
     warm_sig = select::solution_signature(second.selection);
@@ -293,7 +293,7 @@ TEST(ServiceRecovery, CacheSnapshotSurvivesDrainBootCycle) {
   cfg.cache_enabled = true;
   service::SolveService svc(cfg);
   EXPECT_GT(svc.import_cache_snapshot(snapshot), 0u);
-  const service::SolveResponse r = svc.wait(svc.submit(to_request(probe)));
+  const service::SolveResponse r = svc.wait(svc.submit(to_request(probe)).ticket());
   ASSERT_EQ(r.state, service::RequestState::kCompleted);
   EXPECT_EQ(r.cache, "hit");
   EXPECT_EQ(select::solution_signature(r.selection), warm_sig);
@@ -318,7 +318,7 @@ TEST(ServiceRecovery, CheckpointFilesAreRemovedOnceDecided) {
   cfg.checkpoint_every_waves = 1;
   service::SolveService svc(cfg);
 
-  const std::uint64_t t = svc.submit(to_request(wire_submit("gsm_encoder", "ck")));
+  const std::uint64_t t = svc.submit(to_request(wire_submit("gsm_encoder", "ck"))).ticket();
   const service::SolveResponse r = svc.wait(t);
   ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
   // Whatever checkpoints the solve wrote, the decided request must leave no

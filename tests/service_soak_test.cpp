@@ -109,11 +109,11 @@ void cache_storm(int requests, std::uint64_t seed) {
     const std::size_t b = rng() % bases.size();
     service::SolveRequest req;
     req.workload = bases[b].make();
-    req.required_gain = bases[b].gain;
+    req.required_gains = {bases[b].gain};
     req.label = "cache_storm_" + std::to_string(i);
     // Thread count must neither fragment the cache nor change answers.
     req.options.ilp.threads = 1 + static_cast<int>(rng() % 2) * 2;
-    tickets.push_back(svc.submit(std::move(req)));
+    tickets.push_back(svc.submit(std::move(req)).ticket());
     base_of.push_back(b);
     if (rng() % 5 == 0) svc.cancel(tickets[rng() % tickets.size()]);
     if (i == requests / 2) svc.invalidate_cache();
@@ -183,8 +183,8 @@ void cancelled_populates_nothing() {
 
   service::SolveRequest req;
   req.workload = workloads::adpcm_codec();
-  req.required_gain = 100;
-  const std::uint64_t doomed = svc.submit(std::move(req));
+  req.required_gains = {100};
+  const std::uint64_t doomed = svc.submit(std::move(req)).ticket();
   SOAK_CHECK(svc.cancel(doomed), "paused cancel refused");
   svc.resume();
   SOAK_CHECK(svc.wait(doomed).state == service::RequestState::kCancelled,
@@ -192,8 +192,8 @@ void cancelled_populates_nothing() {
 
   service::SolveRequest again;
   again.workload = workloads::adpcm_codec();
-  again.required_gain = 100;
-  const service::SolveResponse r = svc.wait(svc.submit(std::move(again)));
+  again.required_gains = {100};
+  const service::SolveResponse r = svc.wait(svc.submit(std::move(again)).ticket());
   SOAK_CHECK(r.state == service::RequestState::kCompleted,
              "follow-up after cancel did not complete");
   SOAK_CHECK(r.cache == "miss",
@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> tickets;
   tickets.reserve(static_cast<std::size_t>(requests));
   for (int i = 0; i < requests; ++i) {
-    tickets.push_back(svc.submit(make_request(rng, i)));
+    tickets.push_back(svc.submit(make_request(rng, i)).ticket());
     // Random cancels land while earlier requests are queued or running.
     if (rng() % 4 == 0 && !tickets.empty()) {
       svc.cancel(tickets[rng() % tickets.size()]);
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
     req.workload = workloads::gsm_encoder();
     req.label = "fresh_after_storm";
     return req;
-  }());
+  }()).ticket();
   const service::SolveResponse r = svc.wait(fresh);
   SOAK_CHECK(r.state == service::RequestState::kCompleted,
              "fresh request after storm: %s (%s)", service::to_string(r.state),

@@ -42,7 +42,7 @@ TEST(SolveServiceDifferential, MatchesOneShotSelectionOnEveryBuiltin) {
 
   std::vector<std::uint64_t> tickets;
   for (const workloads::Workload& w : workloads) {
-    tickets.push_back(svc.submit(builtin_request(w)));
+    tickets.push_back(svc.submit(builtin_request(w)).ticket());
   }
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const service::SolveResponse r = svc.wait(tickets[i]);
@@ -75,7 +75,7 @@ TEST(SolveServiceDifferential, ConcurrentIdenticalRequestsAgreeExactly) {
   constexpr int kCopies = 8;
   std::vector<std::uint64_t> tickets;
   for (int i = 0; i < kCopies; ++i) {
-    tickets.push_back(svc.submit(builtin_request(workloads::gsm_encoder())));
+    tickets.push_back(svc.submit(builtin_request(workloads::gsm_encoder())).ticket());
   }
   const service::SolveResponse first = svc.wait(tickets[0]);
   ASSERT_EQ(first.state, service::RequestState::kCompleted);
@@ -97,9 +97,9 @@ TEST(SolveServiceAdmission, QueueDepthOverflowShedsWithRetryAfter) {
   cfg.start_paused = true;  // queue fills race-free
   service::SolveService svc(cfg);
 
-  const std::uint64_t t1 = svc.submit(builtin_request(workloads::fig9_case()));
-  const std::uint64_t t2 = svc.submit(builtin_request(workloads::fig9_case()));
-  const std::uint64_t t3 = svc.submit(builtin_request(workloads::fig9_case()));
+  const std::uint64_t t1 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  const std::uint64_t t2 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  const std::uint64_t t3 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
 
   const auto rejected = svc.poll(t3);
   ASSERT_TRUE(rejected.has_value());
@@ -129,8 +129,8 @@ TEST(SolveServiceAdmission, AggregateMemoryBudgetShedsDeclaredCharges) {
   service::SolveService svc(cfg);
 
   // Undeclared charge: the 64 MiB default. 64 + 64 > 100 -> second is shed.
-  const std::uint64_t t1 = svc.submit(builtin_request(workloads::fig9_case()));
-  const std::uint64_t t2 = svc.submit(builtin_request(workloads::fig9_case()));
+  const std::uint64_t t1 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  const std::uint64_t t2 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
   const auto r2 = svc.poll(t2);
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r2->state, service::RequestState::kRejected);
@@ -139,7 +139,7 @@ TEST(SolveServiceAdmission, AggregateMemoryBudgetShedsDeclaredCharges) {
   // A small *declared* cap still fits next to the 64 MiB default charge.
   service::SolveRequest small = builtin_request(workloads::fig10_case());
   small.options.ilp.budget.memory_limit_bytes = std::size_t{8} << 20;
-  const std::uint64_t t3 = svc.submit(std::move(small));
+  const std::uint64_t t3 = svc.submit(std::move(small)).ticket();
   {
     const auto r3 = svc.poll(t3);
     ASSERT_TRUE(r3.has_value());
@@ -163,8 +163,8 @@ TEST(SolveServiceCancel, QueuedRequestCancelsImmediately) {
   cfg.start_paused = true;
   service::SolveService svc(cfg);
 
-  const std::uint64_t t1 = svc.submit(builtin_request(workloads::fig9_case()));
-  const std::uint64_t t2 = svc.submit(builtin_request(workloads::fig9_case()));
+  const std::uint64_t t1 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  const std::uint64_t t2 = svc.submit(builtin_request(workloads::fig9_case())).ticket();
 
   EXPECT_TRUE(svc.cancel(t2));
   const auto r2 = svc.poll(t2);
@@ -222,7 +222,7 @@ TEST(SolveServiceCancel, MidSolveCancelReachesTerminalCancelled) {
       builtin_request(workloads::random_workload(params, /*seed=*/3));
   // An enormous (but enabled) deadline keeps the per-wave clock read live.
   req.options.ilp.budget.time_limit_seconds = 1e9;
-  const std::uint64_t t = svc.submit(std::move(req));
+  const std::uint64_t t = svc.submit(std::move(req)).ticket();
   clock.arm(&svc, t, /*at_call=*/4);
   svc.resume();
 
@@ -246,7 +246,7 @@ TEST(SolveServiceRetry, OneShotTransientFaultRetriesAndSucceeds) {
 
   // Non-sticky: only the first checkpoint trips; the retry recovers.
   support::ScopedFault fault("service.transient", /*trip_at=*/1, /*sticky=*/false);
-  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case()));
+  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case())).ticket();
   const service::SolveResponse r = svc.wait(t);
 
   ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
@@ -273,7 +273,7 @@ TEST(SolveServiceRetry, StickyTransientFaultExhaustsAttemptsAndFails) {
   service::SolveService svc(cfg);
 
   support::ScopedFault fault("service.transient", /*trip_at=*/1, /*sticky=*/true);
-  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case()));
+  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case())).ticket();
   const service::SolveResponse r = svc.wait(t);
 
   EXPECT_EQ(r.state, service::RequestState::kFailed);
@@ -309,7 +309,7 @@ TEST(SolveServiceQuarantine, PermanentFailureDumpsReplayableFixture) {
   req.workload.name = "broken";
   req.workload.module = ir::Module("no_entry");  // no functions: unverifiable
   req.spec = spec;
-  const std::uint64_t t = svc.submit(std::move(req));
+  const std::uint64_t t = svc.submit(std::move(req)).ticket();
   const service::SolveResponse r = svc.wait(t);
 
   EXPECT_EQ(r.state, service::RequestState::kFailed);
@@ -342,14 +342,14 @@ TEST(SolveServiceDrain, FlushesEverythingThenRejectsLateSubmits) {
 
   std::vector<std::uint64_t> tickets;
   for (int i = 0; i < 5; ++i) {
-    tickets.push_back(svc.submit(builtin_request(workloads::fig9_case())));
+    tickets.push_back(svc.submit(builtin_request(workloads::fig9_case())).ticket());
   }
   svc.drain();  // unparks, flushes, and only returns when all are terminal
 
   for (std::uint64_t t : tickets) {
     EXPECT_EQ(svc.wait(t).state, service::RequestState::kCompleted);
   }
-  const std::uint64_t late = svc.submit(builtin_request(workloads::fig9_case()));
+  const std::uint64_t late = svc.submit(builtin_request(workloads::fig9_case())).ticket();
   const auto r = svc.poll(late);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->state, service::RequestState::kRejected);

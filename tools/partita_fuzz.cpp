@@ -28,7 +28,10 @@
 // hardest-first and carries each optimum into the next item: every random
 // spec's shuffled gain ladder (eight steps up to the max feasible gain plus
 // one infeasible item) must answer item for item bit-identically to cold
-// one-shot Flow::select calls. A divergence is shrunk and dumped likewise.
+// one-shot Flow::select calls. The same ladder is also served by a
+// cache-off service::SolveService, once as one multi-gain submit and once
+// as one-item submits, and every ticket must match the cold answer too. A
+// divergence is shrunk and dumped likewise.
 //
 // Exit codes: 0 all instances agree, 1 divergence found, 2 usage error.
 #include <algorithm>
@@ -229,9 +232,9 @@ bool cache_inconsistent(const workloads::InstanceSpec& spec,
   for (int round = 0; round < 2; ++round) {
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
-    req.required_gain = gain;
+    req.required_gains = {gain};
     req.options = opt;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     if (r.state != service::RequestState::kCompleted) return true;
     if (select::solution_signature(r.selection) != select::solution_signature(cold)) {
       return true;
@@ -242,9 +245,9 @@ bool cache_inconsistent(const workloads::InstanceSpec& spec,
     if (!cold_reference(spec, gain - 1, opt, &near_cold)) return false;
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
-    req.required_gain = gain - 1;
+    req.required_gains = {gain - 1};
     req.options = opt;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
     if (r.state != service::RequestState::kCompleted) return true;
     if (select::solution_signature(r.selection) !=
         select::solution_signature(near_cold)) {
@@ -352,9 +355,9 @@ int run_cache(const Args& args) {
     const std::string cold_signature = select::solution_signature(cold);
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
-    req.required_gain = gain;
+    req.required_gains = {gain};
     req.options = opt;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)));
+    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
 
     std::string detail;
     if (r.state != service::RequestState::kCompleted) {
@@ -452,8 +455,10 @@ std::vector<std::int64_t> shuffled_ladder(std::int64_t gmax, std::uint64_t shuff
 }
 
 /// Solves the spec's shuffled ladder through Selector::select_batch and
-/// compares every item with a cold one-shot select of the same gain. Returns
-/// an empty string when all items agree (or the spec does not verify).
+/// through a cache-off SolveService (one ladder submit, then one submit per
+/// gain), and compares every item with a cold one-shot select of the same
+/// gain. Returns an empty string when all items agree (or the spec does not
+/// verify).
 std::string batch_divergence(const workloads::InstanceSpec& spec,
                              std::uint64_t shuffle_seed) {
   if (!workloads::spec_valid(spec)) return "";
@@ -462,15 +467,39 @@ std::string batch_divergence(const workloads::InstanceSpec& spec,
   if (!flow.ok()) return "";
   const std::vector<std::int64_t> gains =
       shuffled_ladder(flow.value()->max_feasible_gain(), shuffle_seed);
-  const std::vector<select::Selection> batch = flow.value()->select_batch(gains);
-  for (std::size_t i = 0; i < gains.size(); ++i) {
-    select::Selection cold;
-    if (!cold_reference(spec, gains[i], {}, &cold)) return "";
-    const std::string got = select::solution_signature(batch[i]);
-    const std::string want = select::solution_signature(cold);
-    if (got != want) {
-      return "item " + std::to_string(i) + " (gain " + std::to_string(gains[i]) +
-             ") differs from cold solve:\n  batch " + got + "\n  cold  " + want;
+  std::vector<std::string> want;
+  for (const std::int64_t g : gains) {
+    want.push_back(select::solution_signature(flow.value()->select(g)));
+  }
+  std::vector<select::Selection> got = flow.value()->select_batch(gains);
+
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.max_queue_depth = gains.size() + 1;
+  service::SolveService svc(cfg);
+  std::vector<std::uint64_t> tickets;
+  for (std::size_t k = 0; k <= gains.size(); ++k) {
+    service::SolveRequest req;
+    req.workload = wl;
+    req.required_gains = k == 0 ? gains : std::vector<std::int64_t>{gains[k - 1]};
+    for (const std::uint64_t t : svc.submit(std::move(req)).tickets) tickets.push_back(t);
+  }
+  for (const std::uint64_t t : tickets) {
+    service::SolveResponse r = svc.wait(t);
+    if (r.state != service::RequestState::kCompleted) {
+      return "served ticket " + std::to_string(t) + " did not complete: " + r.error.render();
+    }
+    got.push_back(std::move(r.selection));
+  }
+
+  const char* const kPath[] = {"batch", "served ladder", "served single"};
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const std::size_t i = k % gains.size();
+    const std::string have = select::solution_signature(got[k]);
+    if (have != want[i]) {
+      return std::string(kPath[k / gains.size()]) + " item " + std::to_string(i) +
+             " (gain " + std::to_string(gains[i]) + ") differs from cold solve:\n  got  " +
+             have + "\n  cold " + want[i];
     }
   }
   return "";
