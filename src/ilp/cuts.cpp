@@ -1,7 +1,6 @@
 #include "ilp/cuts.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <set>
 
@@ -13,47 +12,6 @@ constexpr double kEps = 1e-9;
 
 bool is_binary(const Model& model, VarIndex v) {
   return model.var(v).kind == VarKind::kBinary;
-}
-
-/// Implication cuts from fixed-charge rows: a row
-///   sum_j a_j x_j - M z <= 0   (a_j > 0, M > 0, everything binary)
-/// forces every x_j to 0 whenever z = 0, so x_j <= z is valid. The big-M
-/// aggregate only implies x_j <= (M / a_j) z at the relaxation, which is
-/// strictly weaker whenever M > a_j -- the usual case for shared IPs.
-void separate_implications(const Model& model, const std::vector<double>& x,
-                           const CutOptions& opt, std::vector<Cut>& out) {
-  const std::size_t m = model.row_count();
-  for (std::size_t r = 0; r < m; ++r) {
-    const Row& row = model.row(static_cast<RowIndex>(r));
-    if (row.sense != RowSense::kLessEqual) continue;
-    if (std::abs(row.rhs) > kEps) continue;
-    VarIndex z = 0;
-    int negatives = 0;
-    bool shape_ok = !row.terms.empty();
-    for (const Term& t : row.terms) {
-      if (!is_binary(model, t.var)) {
-        shape_ok = false;
-        break;
-      }
-      if (t.coeff < -kEps) {
-        ++negatives;
-        z = t.var;
-      } else if (t.coeff <= kEps) {
-        shape_ok = false;  // zero coefficient: not a fixed-charge shape
-        break;
-      }
-    }
-    if (!shape_ok || negatives != 1) continue;
-    for (const Term& t : row.terms) {
-      if (t.var == z) continue;
-      if (x[t.var] > x[z] + opt.violation_tol) {
-        out.push_back({"cut_imp_r" + std::to_string(r) + "_v" + std::to_string(t.var),
-                       {{t.var, 1.0}, {z, -1.0}},
-                       RowSense::kLessEqual,
-                       0.0});
-      }
-    }
-  }
 }
 
 /// Clique cuts: emits each lifted clique (see lift_cliques) that the
@@ -205,10 +163,11 @@ std::vector<LiftedClique> lift_cliques(
   return lifted;
 }
 
+// Strongest family first (cliques, then covers), so the per-round cap
+// drops the weaker cuts.
 std::vector<Cut> separate_cuts(const Model& model, const std::vector<LiftedClique>& lifted,
                                const std::vector<double>& x, const CutOptions& opt) {
   std::vector<Cut> out;
-  separate_implications(model, x, opt, out);
   separate_cliques(lifted, x, opt, out);
   separate_covers(model, x, opt, out);
   if (out.size() > static_cast<std::size_t>(opt.max_cuts_per_round)) {

@@ -1,11 +1,8 @@
 // Root cutting planes for the 0/1 selection ILPs.
 //
-// Three families, all derived from row structure the selection formulation
+// Two families, both derived from row structure the selection formulation
 // actually produces (and valid for any model with the same shape):
 //
-//   * implication cuts  x_j <= z  from the Eq. 3 fixed-charge rows
-//     (sum a_j x_j - M z <= 0, a_j > 0, all binaries): the big-M row only
-//     forces z >= a_j x_j / M, the disaggregated form is the full lifting;
 //   * clique cuts  sum_{Q} x <= 1  from greedy extensions of the presolve
 //     clique table over the pairwise conflict graph (Eq. 1 / SC-PC rows give
 //     the seed cliques; an extension merges overlapping at-most-ones). The
@@ -14,6 +11,11 @@
 //   * lifted (extended) cover cuts  sum_{C u E} x <= |C| - 1  from all-binary
 //     knapsack <= rows (the power-budget row), with C a minimal cover and
 //     E the columns at least as heavy as every cover member.
+//
+// The disaggregated implication cuts  x_j <= z  of the Eq. 3 fixed-charge
+// rows are deliberately not separated: they are valid and tighten the root
+// bound, but one row per (IMP, IP) pair makes every node LP dearer by more
+// than the nodes it saves on the selection models (docs/ilp_solver.md).
 //
 // Every cut is valid for the *original* integer feasible set -- no
 // integer-feasible point is ever cut off (the cut-validity property test

@@ -389,12 +389,20 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
     if (var.kind == ilp::VarKind::kBinary) {
       const ilp::VarIndex nv = m2.add_binary(var.name, var.objective);
       m2.var(nv).upper = var.upper;  // preserve filter-forced zeros
+      // Without a power budget an IP column z_k sits only in its own
+      // fixed-charge row, with a negative coefficient, and area is not in
+      // this objective: z_k = 1 keeps every point feasible and G unchanged.
+      // Fixed there, it is not an objective-free fractional column to
+      // branch on.
+      if (!opt.max_power && var.name.rfind("z_", 0) == 0) m2.var(nv).lower = var.upper;
     } else {
       m2.add_continuous(var.name, var.lower, var.upper, var.objective);
     }
   }
+  std::vector<const ilp::Row*> gain_rows;
   for (const ilp::Row& row : m.rows()) {
     if (row.name.rfind("gain_path", 0) == 0) {
+      gain_rows.push_back(&row);
       std::vector<ilp::Term> terms = row.terms;
       terms.push_back({gmin, -1.0});
       m2.add_row(row.name, std::move(terms), ilp::RowSense::kGreaterEqual, 0.0);
@@ -409,7 +417,19 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   bound_opt.canonical_ties = false;
   const ilp::IlpResult r = ilp::solve_ilp(m2, bound_opt);
   if (!r.has_solution) return 0;
-  return static_cast<std::int64_t>(r.objective);
+  // G_min exactly, in integers, from the selection the solve found: the
+  // floating objective can sit just below the integer optimum, and
+  // truncating it would derive a gain one too low. G_min's own bound caps
+  // it as in the model.
+  std::int64_t g = static_cast<std::int64_t>(ub);
+  for (const ilp::Row* row : gain_rows) {
+    std::int64_t path_gain = 0;
+    for (const ilp::Term& t : row->terms) {
+      if (r.x[t.var] > 0.5) path_gain += std::llround(t.coeff);
+    }
+    g = std::min(g, path_gain);
+  }
+  return g;
 }
 
 }  // namespace partita::select

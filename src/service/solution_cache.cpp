@@ -18,7 +18,10 @@ namespace {
 
 namespace json = partita::support::json;
 
-constexpr const char* kSnapshotFormat = "partita-cache-snapshot-v1";
+/// v2: derived gains are exact integers (v1 memos and derived-gain entries
+/// came from a truncated floating objective, sometimes one too low), so a
+/// v1 document imports nothing.
+constexpr const char* kSnapshotFormat = "partita-cache-snapshot-v2";
 
 /// Serializes the answer-defining Selection fields (exactly the set
 /// solution_signature covers, plus the honesty labels). Solver

@@ -184,7 +184,7 @@ class SolutionCache {
   void invalidate_all();
 
   /// Serializes every current-generation entry plus the derived-gain memos
-  /// (never the envelope memo) to a partita-cache-snapshot-v1 JSON
+  /// (never the envelope memo) to a partita-cache-snapshot-v2 JSON
   /// document ("" when there is nothing
   /// to save). Solver artifacts (BatchContext) are deliberately NOT
   /// persisted -- they only accelerate, never decide, so dropping them

@@ -324,7 +324,7 @@ class SolveService {
   /// answers changes underneath the service. No-op when the cache is off.
   void invalidate_cache();
 
-  /// Serialized snapshot of the solution cache (partita-cache-snapshot-v1);
+  /// Serialized snapshot of the solution cache (partita-cache-snapshot-v2);
   /// "" when the cache is disabled or empty. The serve daemon persists this
   /// next to the journal on graceful drain.
   std::string export_cache_snapshot() const;

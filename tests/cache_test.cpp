@@ -295,6 +295,36 @@ TEST(SolutionCache, MemosStayBoundedByCapacity) {
   EXPECT_EQ(cache.stats().memo_entries, 0u);
 }
 
+// A v1 snapshot's derived gains came from the truncated floating objective
+// (sometimes one below the exact integer G_min), so only the current format
+// imports: a v1 document brings back neither entries nor gain memos.
+TEST(SolutionCache, SnapshotImportsOnlyItsOwnFormat) {
+  service::SolutionCache::Config cc;
+  cc.shards = 1;
+  service::SolutionCache cache(cc);
+  const auto k = key_for("t", 9, -1);
+  cache.insert(k, dummy_selection(4), {}, {17}, std::int64_t{17});
+  const std::string doc = cache.export_snapshot();
+  const std::string v2 = "partita-cache-snapshot-v2";
+  const std::size_t at = doc.find(v2);
+  ASSERT_NE(at, std::string::npos) << doc;
+
+  service::SolutionCache round_trip(cc);
+  EXPECT_EQ(round_trip.import_snapshot(doc), 1u);
+  EXPECT_EQ(round_trip.derived_gain(k), std::optional<std::int64_t>(17));
+  const auto hit = round_trip.lookup(k);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->chosen, dummy_selection(4).chosen);
+
+  std::string v1_doc = doc;
+  v1_doc.replace(at, v2.size(), "partita-cache-snapshot-v1");
+  service::SolutionCache from_v1(cc);
+  EXPECT_EQ(from_v1.import_snapshot(v1_doc), 0u);
+  EXPECT_FALSE(from_v1.derived_gain(k).has_value());
+  EXPECT_FALSE(from_v1.lookup(k).has_value());
+  EXPECT_EQ(from_v1.stats().entries, 0u);
+}
+
 // --- envelope memo soundness ----------------------------------------------
 
 /// Parses the printed module and saved library back into a workload.

@@ -79,17 +79,6 @@ std::size_t check_cuts_exhaustively(const Model& m) {
   return cuts.size();
 }
 
-TEST(Cuts, ImplicationCutsFromFixedChargeRow) {
-  // min -3 x1 - 2 x2 + 10 z  st  x1 + x2 - 4 z <= 0. The LP relaxation sets
-  // z = (x1 + x2) / 4 fractional, so the disaggregated x_j <= z cuts fire.
-  Model m;
-  const VarIndex x1 = m.add_binary("x1", -3.0);
-  const VarIndex x2 = m.add_binary("x2", -2.0);
-  const VarIndex z = m.add_binary("z", 10.0);
-  m.add_row("fc", {{x1, 1.0}, {x2, 1.0}, {z, -4.0}}, RowSense::kLessEqual, 0.0);
-  EXPECT_GT(check_cuts_exhaustively(m), 0u);
-}
-
 TEST(Cuts, CliqueCutFromPairwiseConflicts) {
   // Pairwise at-most-ones over {x1,x2,x3}; LP optimum is all-half, which the
   // merged 3-clique  x1 + x2 + x3 <= 1  cuts off.
@@ -116,8 +105,8 @@ TEST(Cuts, LiftedCoverCutFromKnapsackRow) {
 }
 
 TEST(Cuts, RandomSmallModelsNeverCutFeasiblePoints) {
-  // Random all-binary models mixing the three row shapes the separator
-  // understands. The property (no feasible point cut off) must hold no
+  // Random all-binary models mixing the three row shapes of the selection
+  // models (at-most-one, knapsack, fixed charge). The property (no feasible point cut off) must hold no
   // matter whether any particular instance separates cuts.
   std::mt19937 rng(20260808u);
   std::size_t separated = 0;

@@ -2,6 +2,7 @@
 // solution decoding, the selection rule, and the baselines.
 #include <gtest/gtest.h>
 
+#include "oracle/exhaustive.hpp"
 #include "select/flow.hpp"
 #include "workloads/random_workload.hpp"
 #include "workloads/workloads.hpp"
@@ -89,6 +90,52 @@ TEST(Formulation, InfeasibleAboveMaxGain) {
   const std::int64_t gmax = flow.max_feasible_gain();
   EXPECT_TRUE(flow.select(gmax).feasible);
   EXPECT_FALSE(flow.select(gmax + gmax / 10 + 1000).feasible);
+}
+
+// The derived gain is the exact integer optimum of the max-min-gain ILP,
+// not its floating objective truncated (which can land one below).
+TEST(Formulation, MaxFeasibleGainIsExact) {
+  // Oracle-sized specs: the exhaustive oracle is feasible at G and
+  // infeasible at G + 1 wherever it exhausts.
+  workloads::InstanceGenParams small;
+  small.scalls = 8;
+  small.ips = 6;
+  small.branch_groups = 2;
+  int checked = 0;
+  for (std::uint64_t seed = 500; seed < 524; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const workloads::Workload w =
+        workloads::spec_workload(workloads::random_instance_spec(small, seed));
+    Flow flow(w.module, w.library);
+    const std::int64_t g = flow.max_feasible_gain();
+    auto oracle_at = [&](std::int64_t gain) {
+      return oracle::exhaustive_select(flow.imp_database(), flow.library(),
+                                       flow.entry_cdfg(), flow.paths(), gain);
+    };
+    const oracle::OracleResult at = oracle_at(g);
+    const oracle::OracleResult above = oracle_at(g + 1);
+    if (!at.exhausted || !above.exhausted) continue;
+    EXPECT_TRUE(at.feasible) << "derived gain " << g;
+    EXPECT_FALSE(above.feasible) << "derived gain " << g << " is below the optimum";
+    ++checked;
+  }
+  EXPECT_GE(checked, 20);
+
+  // 256 paths (a spec_unique instance, too large to enumerate), where the
+  // floating objective sits just below the integer optimum.
+  workloads::InstanceGenParams large;
+  large.scalls = 20;
+  large.kernels = 8;
+  large.ips = 10;
+  large.branch_groups = 8;
+  large.max_hierarchy_depth = 1;
+  const workloads::Workload w =
+      workloads::spec_workload(workloads::random_instance_spec(large, 1013));
+  Flow flow(w.module, w.library);
+  ASSERT_EQ(flow.paths().size(), 256u);
+  const std::int64_t g = flow.max_feasible_gain();
+  EXPECT_TRUE(flow.select(g).feasible);
+  EXPECT_FALSE(flow.select(g + 1).feasible) << "derived gain " << g << " is below the optimum";
 }
 
 TEST(Formulation, AreaMonotoneInRequiredGain) {

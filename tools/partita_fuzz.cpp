@@ -4,6 +4,9 @@
 // exhaustive oracle and the production ILP selector, and fails loudly on any
 // divergence. On a mismatch the offending instance is delta-debugged to a
 // minimal repro and dumped as a JSON fixture that `--replay` loads back.
+// Exact mode also checks the derived gain: wherever the oracle exhausts, it
+// must be feasible at Flow::max_feasible_gain and infeasible one above; the
+// summary line counts those instances as "max-gain checked".
 //
 //   partita_fuzz --instances 500 --seed 1 --scalls 8        # exact mode
 //   partita_fuzz --mode sandwich --instances 100 --scalls 18
@@ -121,29 +124,59 @@ workloads::InstanceGenParams gen_params(const Args& args) {
   return p;
 }
 
+/// The derived gain against the oracle: feasible at max_feasible_gain and
+/// infeasible one above. Empty when both hold or the oracle's guard struck;
+/// `checked` says whether it answered at both gains.
+std::string max_gain_divergence(const workloads::InstanceSpec& spec, bool* checked) {
+  const workloads::Workload wl = workloads::spec_workload(spec);
+  const select::Flow flow(wl.module, wl.library);
+  const std::int64_t gmax = flow.max_feasible_gain();
+  for (const std::int64_t g : {gmax, gmax + 1}) {
+    const oracle::OracleResult o = oracle::exhaustive_select(
+        flow.imp_database(), flow.library(), flow.entry_cdfg(), flow.paths(), g);
+    if (!o.exhausted) return "";
+    if (o.feasible != (g == gmax)) {
+      return "max_feasible_gain " + std::to_string(gmax) + " but the oracle is " +
+             (o.feasible ? "feasible" : "infeasible") + " at " + std::to_string(g);
+    }
+  }
+  *checked = true;
+  return "";
+}
+
+/// Exact mode's verdict on one spec: the differential check at the derived
+/// gain, then the derived gain itself. Empty when both agree or the oracle's
+/// guard struck; `skipped` / `gain_checked` say which.
+std::string exact_divergence(const workloads::InstanceSpec& spec, bool* skipped,
+                             bool* gain_checked) {
+  const oracle::DiffResult r = oracle::differential_check_spec(spec);
+  if (r.skipped) *skipped = true;
+  if (!r.ok) return r.skipped ? "" : r.detail;
+  return max_gain_divergence(spec, gain_checked);
+}
+
 int run_exact(const Args& args) {
   const workloads::InstanceGenParams params = gen_params(args);
-  int failures = 0, skipped = 0;
+  int failures = 0, skipped = 0, gain_checked = 0;
   for (int i = 0; i < args.instances; ++i) {
     const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(i);
     const workloads::InstanceSpec spec = workloads::random_instance_spec(params, seed);
-    const oracle::DiffResult r = oracle::differential_check_spec(spec);
-    if (r.ok) continue;
-    if (r.skipped) {
-      ++skipped;
-      continue;
-    }
+    bool guard = false, checked = false;
+    const std::string detail = exact_divergence(spec, &guard, &checked);
+    skipped += guard;
+    gain_checked += checked;
+    if (detail.empty()) continue;
     ++failures;
     std::fprintf(stderr, "seed %llu DIVERGES: %s\n",
-                 static_cast<unsigned long long>(seed), r.detail.c_str());
+                 static_cast<unsigned long long>(seed), detail.c_str());
     workloads::InstanceSpec repro = spec;
     if (args.shrink) {
       oracle::ShrinkStats stats;
       repro = oracle::shrink_spec(
           spec,
           [](const workloads::InstanceSpec& s) {
-            const oracle::DiffResult rr = oracle::differential_check_spec(s);
-            return !rr.ok && !rr.skipped;
+            bool g = false, c = false;
+            return !exact_divergence(s, &g, &c).empty();
           },
           &stats);
       std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
@@ -155,8 +188,9 @@ int run_exact(const Args& args) {
       std::fprintf(stderr, "  fixture written to %s\n", path.c_str());
     }
   }
-  std::printf("partita_fuzz exact: %d instances, %d skipped (guard), %d divergences\n",
-              args.instances, skipped, failures);
+  std::printf("partita_fuzz exact: %d instances, %d skipped (guard), %d max-gain checked, "
+              "%d divergences\n",
+              args.instances, skipped, gain_checked, failures);
   return failures ? 1 : 0;
 }
 
