@@ -182,8 +182,6 @@ class SimplexSolver::Impl {
   LpResult run(const std::vector<double>& lower, const std::vector<double>& upper,
                const LpOptions& opt, const Basis* warm, Basis* out_basis) {
     opt_ = opt;
-    opt_.candidate_list_size = std::max(4, opt.candidate_list_size);
-    opt_.stall_limit = std::max(1, opt.stall_limit);
     cand_.clear();  // solves must not depend on a previous solve's list
     cand_scans_ = 0;
     cand_refreshes_ = 0;
@@ -850,7 +848,7 @@ class SimplexSolver::Impl {
 
   /// Full Dantzig scan: picks the steepest eligible column (identical choice
   /// to classic Dantzig pricing, first-lowest-index on score ties) and
-  /// retains the best candidate_list_size eligible columns for the next
+  /// retains the best kCandidateListSize eligible columns for the next
   /// iterations. Leaves enter == total_ exactly when no column improves --
   /// the optimality / phase-1 infeasibility certificate.
   void refresh_candidates(int phase, std::size_t& enter, int& direction,
@@ -882,7 +880,7 @@ class SimplexSolver::Impl {
       }
       scored_.push_back({score, static_cast<int>(j)});
     }
-    const std::size_t cap = static_cast<std::size_t>(opt_.candidate_list_size);
+    const std::size_t cap = static_cast<std::size_t>(kCandidateListSize);
     if (scored_.size() > cap) {
       // Deterministic top-`cap`: score descending, then lowest index.
       std::nth_element(scored_.begin(), scored_.begin() + cap, scored_.end(),
@@ -1107,7 +1105,7 @@ class SimplexSolver::Impl {
       if (obj < last_obj - 1e-12) {
         stall = 0;
         bland = false;
-      } else if (++stall > opt_.stall_limit) {
+      } else if (++stall > kStallLimit) {
         bland = true;  // anti-cycling
       }
       last_obj = obj;
@@ -1210,7 +1208,7 @@ class SimplexSolver::Impl {
       std::size_t enter = total_;
       double best_ratio = kInfinity;
       double best_alpha = 0;
-      const bool use_bland = degenerate > opt_.stall_limit;
+      const bool use_bland = degenerate > kStallLimit;
       for (std::size_t j = 0; j < total_; ++j) {
         if (status_[j] == BasisStatus::kBasic) continue;
         if (lb_[j] == ub_[j]) continue;

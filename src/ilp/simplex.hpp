@@ -90,12 +90,13 @@ struct LpOptions {
   /// Entering-column pricing. The Bland's-rule anti-cycling fallback always
   /// prices with a full lowest-index scan regardless of this setting.
   PricingMode pricing = PricingMode::kCandidateList;
-  /// Candidate-list capacity for kCandidateList (clamped to >= 4).
-  int candidate_list_size = 24;
-  /// Non-improving iterations tolerated before switching to Bland's rule
-  /// (also bounds the dual simplex's degenerate-step tolerance).
-  int stall_limit = 64;
 };
+
+/// Candidate-list capacity for PricingMode::kCandidateList.
+inline constexpr int kCandidateListSize = 24;
+/// Non-improving iterations tolerated before switching to Bland's rule
+/// (also bounds the dual simplex's degenerate-step tolerance).
+inline constexpr int kStallLimit = 64;
 
 /// Reusable revised-simplex engine for one Model.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 
 #include "ilp/fingerprint.hpp"
@@ -96,15 +97,18 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
   }
 
   // --- fixed charge: IP area counted once --------------------------------
-  // M is the number of IMPs that could possibly use the IP -- the tightest
-  // valid constant, which keeps the LP relaxation strong.
+  // Eq. 1 lets at most one IMP per s-call be chosen, so M_k is the number of
+  // distinct s-calls with an IMP on IP k, not the (larger) number of IMPs:
+  // same integer feasible set, tighter LP relaxation.
   for (const auto& [ip_raw, zvar] : z) {
     std::vector<ilp::Term> terms;
+    std::set<ir::CallSiteId> scalls;
     for (std::size_t j = 0; j < imps.size(); ++j) {
-      if (imps[j].ip.value == ip_raw) terms.push_back({x[j], 1.0});
+      if (imps[j].ip.value != ip_raw) continue;
+      terms.push_back({x[j], 1.0});
+      scalls.insert(imps[j].scall);
     }
-    const double big_m = static_cast<double>(terms.size());
-    terms.push_back({zvar, -big_m});
+    terms.push_back({zvar, -static_cast<double>(scalls.size())});
     m.add_row("fc_ip" + std::to_string(ip_raw), std::move(terms),
               ilp::RowSense::kLessEqual, 0.0);
   }

@@ -2,6 +2,10 @@
 // solution decoding, the selection rule, and the baselines.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "ilp/simplex.hpp"
 #include "oracle/exhaustive.hpp"
 #include "select/flow.hpp"
 #include "workloads/random_workload.hpp"
@@ -70,6 +74,79 @@ TEST(Formulation, FixedChargeCountsIpOnce) {
   // the IP count only through sharing.
   std::set<std::uint32_t> distinct;
   for (iplib::IpId ip : sel.ips_used) EXPECT_TRUE(distinct.insert(ip.value).second);
+}
+
+// Eq. 3's fixed-charge row sum_{j on IP k} x_j <= M_k z_k takes M_k = the
+// number of distinct s-calls with an IMP on k: Eq. 1 picks at most one IMP
+// per s-call, so that M_k is valid and no larger than the IMP count.
+TEST(Formulation, FixedChargeBigMCountsSCalls) {
+  std::vector<std::pair<std::string, workloads::Workload>> cases;
+  for (const char* name :
+       {"gsm_encoder", "gsm_decoder", "jpeg_encoder", "fig9", "fig10", "adpcm_codec"}) {
+    cases.emplace_back(name, *workloads::builtin(name));
+  }
+  workloads::InstanceGenParams p;  // the spec_unique shape: 256 paths
+  p.scalls = 20;
+  p.kernels = 8;
+  p.ips = 10;
+  p.branch_groups = 8;
+  p.max_hierarchy_depth = 1;
+  cases.emplace_back("spec_256_paths",
+                     workloads::spec_workload(workloads::random_instance_spec(p, 1)));
+
+  for (const auto& [name, w] : cases) {
+    SCOPED_TRACE(name);
+    Flow flow(w.module, w.library);
+    std::map<std::uint32_t, std::set<ir::CallSiteId>> scalls_on;
+    std::map<std::uint32_t, std::size_t> imps_on;
+    for (const isel::Imp& imp : flow.imp_database().imps()) {
+      scalls_on[imp.ip.value].insert(imp.scall);
+      ++imps_on[imp.ip.value];
+    }
+    const ilp::Model m = flow.selector().build_model(
+        std::vector<std::int64_t>(flow.paths().size(), flow.max_feasible_gain() / 2), {});
+
+    // The same model with the IMP-count M_k, rebuilt row by row.
+    ilp::Model loose;
+    loose.set_sense(m.sense());
+    for (const ilp::Variable& v : m.vars()) {
+      const ilp::VarIndex i = v.kind == ilp::VarKind::kBinary
+                                  ? loose.add_binary(v.name, v.objective)
+                                  : loose.add_continuous(v.name, v.lower, v.upper, v.objective);
+      loose.var(i).lower = v.lower;
+      loose.var(i).upper = v.upper;
+    }
+    std::size_t fc_rows = 0, strictly_tighter = 0;
+    for (const ilp::Row& row : m.rows()) {
+      std::vector<ilp::Term> terms = row.terms;
+      if (row.name.rfind("fc_ip", 0) == 0) {
+        ++fc_rows;
+        const std::uint32_t ip = static_cast<std::uint32_t>(std::stoul(row.name.substr(5)));
+        const double scalls = static_cast<double>(scalls_on.at(ip).size());
+        const double imps = static_cast<double>(imps_on.at(ip));
+        int z_terms = 0;
+        for (ilp::Term& t : terms) {
+          if (m.var(t.var).name.rfind("z_", 0) != 0) continue;
+          ++z_terms;
+          EXPECT_EQ(t.coeff, -scalls) << row.name;
+          t.coeff = -imps;
+        }
+        EXPECT_EQ(z_terms, 1) << row.name;
+        strictly_tighter += scalls < imps;
+      }
+      loose.add_row(row.name, std::move(terms), row.sense, row.rhs);
+    }
+    EXPECT_EQ(fc_rows, scalls_on.size());
+    if (name == "gsm_encoder") {
+      EXPECT_GT(strictly_tighter, 0u);
+    }
+
+    const ilp::LpResult tight_lp = ilp::solve_lp(m);
+    const ilp::LpResult loose_lp = ilp::solve_lp(loose);
+    ASSERT_EQ(tight_lp.status, ilp::LpStatus::kOptimal);
+    ASSERT_EQ(loose_lp.status, ilp::LpStatus::kOptimal);
+    EXPECT_GE(tight_lp.objective, loose_lp.objective - 1e-9);
+  }
 }
 
 TEST(Formulation, MergingRuleSLeO) {

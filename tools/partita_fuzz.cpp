@@ -4,9 +4,10 @@
 // exhaustive oracle and the production ILP selector, and fails loudly on any
 // divergence. On a mismatch the offending instance is delta-debugged to a
 // minimal repro and dumped as a JSON fixture that `--replay` loads back.
-// Exact mode also checks the derived gain: wherever the oracle exhausts, it
-// must be feasible at Flow::max_feasible_gain and infeasible one above; the
-// summary line counts those instances as "max-gain checked".
+// Exact mode checks every instance under Problem 2 and Problem 1, and also
+// checks the derived gain: wherever the oracle exhausts, it must be feasible
+// at Flow::max_feasible_gain and infeasible one above; the summary line
+// counts those instances as "max-gain checked".
 //
 //   partita_fuzz --instances 500 --seed 1 --scalls 8        # exact mode
 //   partita_fuzz --mode sandwich --instances 100 --scalls 18
@@ -88,6 +89,21 @@ bool parse_int(const char* s, long long* out) {
   return end && *end == '\0' && end != s;
 }
 
+/// The differential check under Problem 2, then Problem 1 (a fixture carries
+/// no problem flag, so its replay runs both): the first result that is not
+/// ok, its detail prefixed with the problem, else the Problem 1 result.
+oracle::DiffResult differential_check_both(const workloads::InstanceSpec& spec) {
+  oracle::DiffResult r;
+  for (const bool problem2 : {true, false}) {
+    r = oracle::differential_check_spec(spec, {.problem2 = problem2});
+    if (!r.ok) {
+      r.detail = (problem2 ? "problem 2: " : "problem 1: ") + r.detail;
+      break;
+    }
+  }
+  return r;
+}
+
 // Accepts both quarantine formats: a CRC-framed partita-journal-v1
 // quarantine record (what the journaling service writes) and legacy bare
 // fixture JSON -- read_quarantine_file dispatches on the frame magic.
@@ -105,7 +121,7 @@ int replay_fixture(const std::string& path) {
                  error.c_str());
     return 2;
   }
-  const oracle::DiffResult r = oracle::differential_check_spec(*spec);
+  const oracle::DiffResult r = differential_check_both(*spec);
   std::printf("fixture %s: rg=%lld oracle=%s/%.4f ilp=%s/%.4f (%s)\n", path.c_str(),
               static_cast<long long>(r.required_gain),
               r.oracle_feasible ? "feasible" : "infeasible", r.oracle_area,
@@ -122,6 +138,23 @@ workloads::InstanceGenParams gen_params(const Args& args) {
   p.branch_groups = args.branch_groups;
   p.max_hierarchy_depth = args.hierarchy;
   return p;
+}
+
+/// Writes a diverging spec to <fixture-dir>/<name>.json, first shrunk while
+/// `failing` still holds (unless --no-shrink).
+void dump_repro(const Args& args, const workloads::InstanceSpec& spec,
+                const oracle::FailurePredicate& failing, const std::string& name) {
+  workloads::InstanceSpec repro = spec;
+  if (args.shrink && failing(spec)) {
+    oracle::ShrinkStats stats;
+    repro = oracle::shrink_spec(spec, failing, &stats);
+    std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
+                 repro.sites.size(), repro.ips.size(), stats.predicate_calls);
+  }
+  const std::string path = args.fixture_dir + "/" + name + ".json";
+  if (oracle::write_fixture(path, repro)) {
+    std::fprintf(stderr, "  fixture written to %s\n", path.c_str());
+  }
 }
 
 /// The derived gain against the oracle: feasible at max_feasible_gain and
@@ -149,7 +182,7 @@ std::string max_gain_divergence(const workloads::InstanceSpec& spec, bool* check
 /// guard struck; `skipped` / `gain_checked` say which.
 std::string exact_divergence(const workloads::InstanceSpec& spec, bool* skipped,
                              bool* gain_checked) {
-  const oracle::DiffResult r = oracle::differential_check_spec(spec);
+  const oracle::DiffResult r = differential_check_both(spec);
   if (r.skipped) *skipped = true;
   if (!r.ok) return r.skipped ? "" : r.detail;
   return max_gain_divergence(spec, gain_checked);
@@ -169,24 +202,13 @@ int run_exact(const Args& args) {
     ++failures;
     std::fprintf(stderr, "seed %llu DIVERGES: %s\n",
                  static_cast<unsigned long long>(seed), detail.c_str());
-    workloads::InstanceSpec repro = spec;
-    if (args.shrink) {
-      oracle::ShrinkStats stats;
-      repro = oracle::shrink_spec(
-          spec,
-          [](const workloads::InstanceSpec& s) {
-            bool g = false, c = false;
-            return !exact_divergence(s, &g, &c).empty();
-          },
-          &stats);
-      std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
-                   repro.sites.size(), repro.ips.size(), stats.predicate_calls);
-    }
-    const std::string path =
-        args.fixture_dir + "/fuzz_seed" + std::to_string(seed) + ".json";
-    if (oracle::write_fixture(path, repro)) {
-      std::fprintf(stderr, "  fixture written to %s\n", path.c_str());
-    }
+    dump_repro(
+        args, spec,
+        [](const workloads::InstanceSpec& s) {
+          bool g = false, c = false;
+          return !exact_divergence(s, &g, &c).empty();
+        },
+        "fuzz_seed" + std::to_string(seed));
   }
   std::printf("partita_fuzz exact: %d instances, %d skipped (guard), %d max-gain checked, "
               "%d divergences\n",
@@ -255,40 +277,23 @@ bool cold_reference(const workloads::InstanceSpec& spec, std::int64_t gain,
 bool cache_inconsistent(const workloads::InstanceSpec& spec,
                         const select::SelectOptions& opt) {
   if (!workloads::spec_valid(spec)) return false;
-  const std::int64_t gain = spec.required_gain;
-  select::Selection cold;
-  if (!cold_reference(spec, gain, opt, &cold)) return false;
-
   service::ServiceConfig cfg;
   cfg.workers = 1;
   cfg.cache_enabled = true;
   service::SolveService svc(cfg);
-  for (int round = 0; round < 2; ++round) {
+  const auto diverges = [&](std::int64_t gain) {
+    select::Selection cold;
+    if (!cold_reference(spec, gain, opt, &cold)) return false;
     service::SolveRequest req;
     req.workload = workloads::spec_workload(spec);
     req.required_gains = {gain};
     req.options = opt;
     const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
-    if (r.state != service::RequestState::kCompleted) return true;
-    if (select::solution_signature(r.selection) != select::solution_signature(cold)) {
-      return true;
-    }
-  }
-  if (gain > 1) {
-    select::Selection near_cold;
-    if (!cold_reference(spec, gain - 1, opt, &near_cold)) return false;
-    service::SolveRequest req;
-    req.workload = workloads::spec_workload(spec);
-    req.required_gains = {gain - 1};
-    req.options = opt;
-    const service::SolveResponse r = svc.wait(svc.submit(std::move(req)).ticket());
-    if (r.state != service::RequestState::kCompleted) return true;
-    if (select::solution_signature(r.selection) !=
-        select::solution_signature(near_cold)) {
-      return true;
-    }
-  }
-  return false;
+    return r.state != service::RequestState::kCompleted ||
+           select::solution_signature(r.selection) != select::solution_signature(cold);
+  };
+  const std::int64_t gain = spec.required_gain;
+  return diverges(gain) || diverges(gain) || (gain > 1 && diverges(gain - 1));
 }
 
 int run_cache(const Args& args) {
@@ -434,21 +439,10 @@ int run_cache(const Args& args) {
                  "DIVERGES: %s\n",
                  i, static_cast<long long>(gain), opt.problem2 ? 1 : 0,
                  opt.max_power.value_or(-1.0), opt.ilp.max_nodes, detail.c_str());
-    const auto inconsistent = [&opt](const workloads::InstanceSpec& s) {
-      return cache_inconsistent(s, opt);
-    };
-    workloads::InstanceSpec repro = spec;
-    if (args.shrink && inconsistent(spec)) {
-      oracle::ShrinkStats stats;
-      repro = oracle::shrink_spec(spec, inconsistent, &stats);
-      std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
-                   repro.sites.size(), repro.ips.size(), stats.predicate_calls);
-    }
-    const std::string path =
-        args.fixture_dir + "/fuzz_cache_" + std::to_string(i) + ".json";
-    if (oracle::write_fixture(path, repro)) {
-      std::fprintf(stderr, "  fixture written to %s\n", path.c_str());
-    }
+    dump_repro(
+        args, spec,
+        [&opt](const workloads::InstanceSpec& s) { return cache_inconsistent(s, opt); },
+        "fuzz_cache_" + std::to_string(i));
   }
 
   const service::ServiceStats st = svc.stats();
@@ -552,23 +546,12 @@ int run_batch(const Args& args) {
     ++failures;
     std::fprintf(stderr, "instance %d (seed %llu) DIVERGES: %s\n", i,
                  static_cast<unsigned long long>(seed), detail.c_str());
-    workloads::InstanceSpec repro = spec;
-    if (args.shrink) {
-      oracle::ShrinkStats stats;
-      repro = oracle::shrink_spec(
-          spec,
-          [&](const workloads::InstanceSpec& s) {
-            return !batch_divergence(s, shuffle_seed).empty();
-          },
-          &stats);
-      std::fprintf(stderr, "  shrunk to %zu sites / %zu ips (%d probes)\n",
-                   repro.sites.size(), repro.ips.size(), stats.predicate_calls);
-    }
-    const std::string path =
-        args.fixture_dir + "/fuzz_batch_" + std::to_string(i) + ".json";
-    if (oracle::write_fixture(path, repro)) {
-      std::fprintf(stderr, "  fixture written to %s\n", path.c_str());
-    }
+    dump_repro(
+        args, spec,
+        [&](const workloads::InstanceSpec& s) {
+          return !batch_divergence(s, shuffle_seed).empty();
+        },
+        "fuzz_batch_" + std::to_string(i));
   }
   std::printf("partita_fuzz batch: %d instances, %d divergences\n", args.instances,
               failures);
