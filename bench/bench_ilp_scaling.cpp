@@ -1,9 +1,8 @@
 // B&B throughput scaling: sweeps synthetic selection-instance sizes and
-// reports nodes/sec and LP-iterations/sec of the branch & bound core, plus
-// the single-threaded vs multi-threaded wave search. Complements
-// bench_ilp_solver (which times whole selection calls): this bench isolates
-// the solver loop on a pre-built model so the rates are directly
-// comparable across sizes and thread counts.
+// reports nodes/sec and LP-iterations/sec of the branch & bound core.
+// Complements bench_ilp_solver (which times whole selection calls): this
+// bench isolates the solver loop on a pre-built model so the rates are
+// directly comparable across sizes.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -53,31 +52,6 @@ BENCHMARK(BM_BranchBoundThroughput)
     ->Arg(32)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
-
-/// Same instance, swept over worker-thread counts (the wave search must
-/// return identical optima; see solver_determinism_test).
-void BM_BranchBoundThreads(benchmark::State& state) {
-  workloads::Workload w = sized_workload(48, 4242);
-  select::Flow flow(w.module, w.library);
-  const std::int64_t rg = flow.max_feasible_gain() / 2;
-  const ilp::Model m = flow.selector().build_model(
-      std::vector<std::int64_t>(flow.paths().size(), rg), {});
-  ilp::IlpOptions opt;
-  opt.threads = static_cast<int>(state.range(0));
-
-  std::int64_t nodes = 0, lp_iters = 0;
-  for (auto _ : state) {
-    const ilp::IlpResult r = ilp::solve_ilp(m, opt);
-    benchmark::DoNotOptimize(r.objective);
-    nodes += r.stats.nodes;
-    lp_iters += r.stats.lp_iterations;
-  }
-  state.counters["nodes_per_sec"] =
-      benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
-  state.counters["lp_iters_per_sec"] =
-      benchmark::Counter(static_cast<double>(lp_iters), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BranchBoundThreads)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -55,7 +55,6 @@ void set_solver_counters(benchmark::State& state, const select::Selection& sel) 
   state.counters["warm_hit_rate"] = sel.solver.warm_start_hit_rate();
   state.counters["presolve_fixed"] = static_cast<double>(sel.solver.presolve_fixed);
   state.counters["clique_props"] = static_cast<double>(sel.solver.clique_propagations);
-  state.counters["solver_threads"] = static_cast<double>(sel.solver.threads);
   if (sel.truncated) state.counters["optimality_gap"] = sel.optimality_gap;
 }
 

@@ -41,8 +41,8 @@ void print_experiment_header(const std::string& title, const workloads::Workload
 
 /// Publishes a selection's SolverStats as benchmark counters so they land in
 /// the JSON output (--benchmark_format=json): nodes, LP iterations,
-/// warm-start hit rate, presolve fixings, threads, and the optimality gap
-/// when the search was truncated.
+/// warm-start hit rate, presolve fixings, clique propagations, and the
+/// optimality gap when the search was truncated.
 void set_solver_counters(benchmark::State& state, const select::Selection& sel);
 
 /// Common main tail: strips a `--smoke` flag (CI mode -- registration is

@@ -1,15 +1,10 @@
 #include "ilp/branch_bound.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "ilp/checkpoint.hpp"
 #include "ilp/cuts.hpp"
@@ -75,77 +70,6 @@ struct HeapCmp {
   }
 };
 
-/// Fixed-lane worker pool: run(fn) executes fn(lane) for every lane, lane 0
-/// on the calling thread and each other lane always on the same worker
-/// thread. No work stealing -- lane k's computation is a pure function of
-/// lane k's input, which keeps the search reproducible.
-class LanePool {
- public:
-  explicit LanePool(int lanes) : lanes_(lanes) {
-    for (int k = 1; k < lanes_; ++k) {
-      workers_.emplace_back([this, k] { worker_loop(k); });
-    }
-  }
-
-  ~LanePool() {
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      stop_ = true;
-      ++generation_;
-    }
-    cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  void run(const std::function<void(int)>& fn) {
-    if (lanes_ <= 1) {
-      fn(0);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      fn_ = &fn;
-      done_ = 0;
-      ++generation_;
-    }
-    cv_.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] { return done_ == lanes_ - 1; });
-    fn_ = nullptr;
-  }
-
- private:
-  void worker_loop(int lane) {
-    std::uint64_t seen = 0;
-    while (true) {
-      const std::function<void(int)>* fn = nullptr;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        fn = fn_;
-      }
-      if (fn) (*fn)(lane);
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        ++done_;
-      }
-      done_cv_.notify_one();
-    }
-  }
-
-  const int lanes_;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_, done_cv_;
-  const std::function<void(int)>* fn_ = nullptr;
-  std::uint64_t generation_ = 0;
-  int done_ = 0;
-  bool stop_ = false;
-};
-
 class Solver {
  public:
   Solver(const Model& model, const IlpOptions& opt, BatchContext* batch)
@@ -154,7 +78,6 @@ class Solver {
         batch_(batch),
         clock_(opt.budget.clock ? *opt.budget.clock : support::Clock::system()) {
     sign_ = model.sense() == Sense::kMinimize ? 1.0 : -1.0;
-    lanes_count_ = std::max(1, opt.threads);
     root_lo_.resize(model.var_count());
     root_hi_.resize(model.var_count());
     for (std::size_t j = 0; j < model.var_count(); ++j) {
@@ -184,7 +107,6 @@ class Solver {
   IlpResult run() {
     const Clock::time_point t0 = Clock::now();
     budget_start_micros_ = clock_.now_micros();
-    result_.stats.threads = lanes_count_;
 
     // ---- root presolve -----------------------------------------------------
     if (opt_.presolve) {
@@ -234,14 +156,10 @@ class Solver {
       if (has_incumbent_) ++result_.stats.seeded_artifacts;
     }
 
-    // ---- lanes and root node ----------------------------------------------
-    lanes_.resize(lanes_count_);
-    for (Lane& lane : lanes_) {
-      lane.lp = std::make_unique<SimplexSolver>(*search_model_);
-      lane.lo.resize(model_.var_count());
-      lane.hi.resize(model_.var_count());
-    }
-    LanePool pool(lanes_count_);
+    // ---- node LP and root node --------------------------------------------
+    lane_.lp = std::make_unique<SimplexSolver>(*search_model_);
+    lane_.lo.resize(model_.var_count());
+    lane_.hi.resize(model_.var_count());
 
     // Resume seeds the open set with the checkpointed frontier instead of
     // the root; a checkpoint for a different model or under different
@@ -262,13 +180,13 @@ class Solver {
     }
 
     // ---- wave loop ---------------------------------------------------------
-    // The top of each iteration is a *wave boundary*: the only point where
-    // the budget is consulted, so cancellation never interrupts a lane
-    // mid-LP and repeated runs with the same thread count stop at the same
-    // wave. Checkpoint k happens after k-1 completed waves.
+    // Each wave solves exactly one node LP. The top of each iteration is a
+    // *wave boundary*: the only point where the budget is consulted, so
+    // cancellation never interrupts a node LP and repeated runs stop at the
+    // same wave. Checkpoint k happens after k-1 completed waves.
     TerminationReason stop = TerminationReason::kCompleted;
     while (true) {
-      if (const auto over = budget_exceeded(t0)) {
+      if (const auto over = budget_exceeded()) {
         stop = *over;
         break;
       }
@@ -276,9 +194,8 @@ class Solver {
         stop = TerminationReason::kNodeLimit;
         break;
       }
-      if (!fill_lanes()) break;  // every lane idle and the heap is empty
-      pool.run([this](int lane) { solve_lane(lane); });
-      for (int k = 0; k < lanes_count_; ++k) reduce_lane(k);
+      if (!next_node()) break;  // no plunge continuation and the heap is empty
+      solve_node();
       ++result_.stats.waves;
       if (opt_.checkpoint_every_waves > 0 && opt_.checkpoint_sink &&
           result_.stats.waves % opt_.checkpoint_every_waves == 0) {
@@ -380,19 +297,19 @@ class Solver {
     return batch_->lifted_cliques;
   }
 
+  /// The node being solved. Between waves `node_id` holds a parked plunge
+  /// continuation (-1 when the next node comes from the heap).
   struct Lane {
     std::unique_ptr<SimplexSolver> lp;
     std::vector<double> lo, hi;  // reconstructed bounds of the current node
     std::int32_t node_id = -1;
-    LpResult result;
-    Basis opt_basis;  // optimal basis of the current node's LP
-    int plunge = 0;   // consecutive dives in this lane
+    int plunge = 0;  // consecutive dives
   };
 
   // --- checkpoint/resume ----------------------------------------------------
 
   /// Snapshot of the live search at a wave boundary: every open node (heap
-  /// + lane-parked plunge continuations) as a fix delta against the
+  /// + the parked plunge continuation) as a fix delta against the
   /// presolved root, the incumbent, and the pseudo-cost tables.
   SearchCheckpoint build_checkpoint() {
     SearchCheckpoint cp;
@@ -436,9 +353,7 @@ class Solver {
       cp.frontier.push_back(std::move(cn));
     };
     for (const HeapEntry& e : open_) add_node(e.id);
-    for (const Lane& lane : lanes_) {
-      if (lane.node_id >= 0) add_node(lane.node_id);
-    }
+    if (lane_.node_id >= 0) add_node(lane_.node_id);
     return cp;
   }
 
@@ -523,7 +438,7 @@ class Solver {
   /// consulted first, so a cancelled solve reports kCancelled even when a
   /// deadline expired in the same wave. The deadline reads the *injected*
   /// clock (budget.clock), never steady_clock directly.
-  std::optional<TerminationReason> budget_exceeded(Clock::time_point) {
+  std::optional<TerminationReason> budget_exceeded() {
     if (opt_.budget.cancel.cancelled()) {
       return TerminationReason::kCancelled;
     }
@@ -556,59 +471,36 @@ class Solver {
     return id;
   }
 
-  /// Assigns a node to every idle lane (plunging lanes keep theirs). Returns
-  /// false when no lane received a node -- the search is exhausted.
-  bool fill_lanes() {
-    bool any = false;
-    for (Lane& lane : lanes_) {
-      if (lane.node_id >= 0) {  // plunge continuation, counted at assignment
-        any = true;
-        continue;
-      }
-      while (!open_.empty() && result_.stats.nodes < opt_.max_nodes) {
-        const std::int32_t id = pop_open();
-        ++result_.stats.nodes;
-        const Node& node = nodes_[id];
-        bool prune = false;
-        if (has_incumbent_) {
-          const double inc = incumbent_obj_.load();
-          if (node.bound > inc + opt_.gap_tol) {
+  /// Picks the next node: the parked plunge continuation, else the best
+  /// surviving open node. Returns false when the search is exhausted.
+  bool next_node() {
+    if (lane_.node_id >= 0) return true;  // plunge continuation, counted at assignment
+    while (!open_.empty() && result_.stats.nodes < opt_.max_nodes) {
+      const std::int32_t id = pop_open();
+      ++result_.stats.nodes;
+      const Node& node = nodes_[id];
+      bool prune = false;
+      if (has_incumbent_) {
+        if (node.bound > incumbent_obj_ + opt_.gap_tol) {
+          prune = true;
+        } else if (node.bound >= incumbent_obj_ - opt_.gap_tol) {
+          if (opt_.canonical_ties) {
+            reconstruct_bounds(id, scratch_lo_, scratch_hi_);
+            prune = !lex_improvable(scratch_lo_);
+          } else {
             prune = true;
-          } else if (node.bound >= inc - opt_.gap_tol) {
-            if (opt_.canonical_ties) {
-              reconstruct_bounds(id, scratch_lo_, scratch_hi_);
-              prune = !lex_improvable(scratch_lo_);
-            } else {
-              prune = true;
-            }
           }
         }
-        if (prune) {
-          release_basis(node.basis_id);
-          continue;  // the incumbent improved since enqueue
-        }
-        lane.node_id = id;
-        lane.plunge = 0;
-        any = true;
-        break;
       }
+      if (prune) {
+        release_basis(node.basis_id);
+        continue;  // the incumbent improved since enqueue
+      }
+      lane_.node_id = id;
+      lane_.plunge = 0;
+      return true;
     }
-    return any;
-  }
-
-  // --- wave: parallel node relaxations -------------------------------------
-
-  void solve_lane(int k) {
-    Lane& lane = lanes_[k];
-    if (lane.node_id < 0) return;
-    reconstruct_bounds(lane.node_id, lane.lo, lane.hi);
-    const Node& node = nodes_[lane.node_id];
-    if (opt_.warm_start && node.basis_id >= 0) {
-      lane.result = lane.lp->solve_warm(lane.lo, lane.hi, bases_[node.basis_id], opt_.lp);
-    } else {
-      lane.result = lane.lp->solve(lane.lo, lane.hi, opt_.lp);
-    }
-    lane.opt_basis = lane.lp->last_basis();
+    return false;
   }
 
   void reconstruct_bounds(std::int32_t id, std::vector<double>& lo,
@@ -631,17 +523,19 @@ class Solver {
     }
   }
 
-  // --- reduction: deterministic, in lane order ------------------------------
+  // --- one wave: solve the node LP, then branch -----------------------------
 
-  void reduce_lane(int k) {
-    Lane& lane = lanes_[k];
-    if (lane.node_id < 0) return;
-    const std::int32_t id = lane.node_id;
-    lane.node_id = -1;
+  void solve_node() {
+    const std::int32_t id = lane_.node_id;
+    lane_.node_id = -1;
+    reconstruct_bounds(id, lane_.lo, lane_.hi);
     const Node node = nodes_[id];  // copy: the arena may grow below
+    const LpResult lp =
+        opt_.warm_start && node.basis_id >= 0
+            ? lane_.lp->solve_warm(lane_.lo, lane_.hi, bases_[node.basis_id], opt_.lp)
+            : lane_.lp->solve(lane_.lo, lane_.hi, opt_.lp);
     release_basis(node.basis_id);
 
-    const LpResult& lp = lane.result;
     result_.stats.lp_iterations += lp.iterations;
     result_.stats.pricing_candidate_scans += lp.candidate_scans;
     result_.stats.pricing_refreshes += lp.pricing_refreshes;
@@ -667,12 +561,12 @@ class Solver {
     if (lp.status == LpStatus::kIterationLimit) {
       // No usable bound; keep exploring below this node.
       node_bound = node.bound;
-      have_branch_var = pick_any_unfixed(lane.lo, lane.hi, branch_var);
+      have_branch_var = pick_any_unfixed(lane_.lo, lane_.hi, branch_var);
       branch_frac = 0.5;
     } else {
       node_bound = sign_ * lp.objective;
       if (node.has_parent_obj) update_pseudo_cost(node, node_bound);
-      if (pruned_by_bound(node_bound, lane.lo)) return;
+      if (pruned_by_bound(node_bound, lane_.lo)) return;
       have_branch_var = pick_branch_var(lp.x, branch_var, branch_frac);
       if (!have_branch_var) {
         offer_incumbent(lp.x);  // integral: candidate incumbent
@@ -681,33 +575,34 @@ class Solver {
         // lex-smaller than the incumbent, so a subtree in the tie window
         // keeps splitting until lex_improvable rules it out.
         if (!opt_.canonical_ties || !has_incumbent_ ||
-            pruned_by_bound(node_bound, lane.lo)) {
+            pruned_by_bound(node_bound, lane_.lo)) {
           return;
         }
-        if (!pick_lex_branch_var(lane.lo, lane.hi, branch_var)) return;
+        if (!pick_lex_branch_var(lane_.lo, lane_.hi, branch_var)) return;
         bound_usable = false;  // no fractional move: nothing for the pseudo-costs
         have_branch_var = true;
       } else {
         try_rounding(lp.x);
       }
-      if (pruned_by_bound(node_bound, lane.lo)) return;
+      if (pruned_by_bound(node_bound, lane_.lo)) return;
     }
     if (!have_branch_var) return;
 
     // Parent basis for the children's warm starts.
     std::int32_t basis_id = -1;
-    if (opt_.warm_start && lp.status == LpStatus::kOptimal && !lane.opt_basis.empty()) {
-      basis_id = store_basis(std::move(lane.opt_basis));
+    if (opt_.warm_start && lp.status == LpStatus::kOptimal &&
+        !lane_.lp->last_basis().empty()) {
+      basis_id = store_basis(Basis(lane_.lp->last_basis()));
     }
 
-    // Children: the preferred side continues the lane's plunge, the other
+    // Children: the preferred side continues the plunge, the other
     // goes to the best-bound heap.
     const std::int32_t down = make_child(id, node_bound, bound_usable, basis_id,
                                          branch_var, branch_frac,
-                                         /*up=*/false, lane.lo, lane.hi);
+                                         /*up=*/false, lane_.lo, lane_.hi);
     const std::int32_t up = make_child(id, node_bound, bound_usable, basis_id,
                                        branch_var, branch_frac,
-                                       /*up=*/true, lane.lo, lane.hi);
+                                       /*up=*/true, lane_.lo, lane_.hi);
     if (basis_id >= 0 && basis_refs_[basis_id] == 0) free_basis_slot(basis_id);
 
     const bool prefer_up =
@@ -717,10 +612,10 @@ class Solver {
     std::int32_t other = prefer_up ? down : up;
     if (dive < 0) std::swap(dive, other);
 
-    if (dive >= 0 && lane.plunge < kMaxPlungeDepth &&
+    if (dive >= 0 && lane_.plunge < kMaxPlungeDepth &&
         result_.stats.nodes < opt_.max_nodes) {
-      lane.node_id = dive;
-      ++lane.plunge;
+      lane_.node_id = dive;
+      ++lane_.plunge;
       ++result_.stats.nodes;
     } else if (dive >= 0) {
       push_open(dive);
@@ -733,12 +628,11 @@ class Solver {
   std::int32_t make_child(std::int32_t parent, double bound, bool bound_usable,
                           std::int32_t basis_id, VarIndex var, double frac, bool up,
                           const std::vector<double>& lo, const std::vector<double>& hi) {
-    if (has_incumbent_ && bound > incumbent_obj_.load() + opt_.gap_tol) return -1;
+    if (has_incumbent_ && bound > incumbent_obj_ + opt_.gap_tol) return -1;
 
     // Test-only allocation-failure injection: behaves exactly like a failed
     // arena reservation -- the child is dropped and the next wave-boundary
-    // check turns the sticky flag into a kMemoryLimit stop. Runs on the
-    // reducer thread, so the checkpoint count is deterministic.
+    // check turns the sticky flag into a kMemoryLimit stop.
     if (support::fault_should_trip("ilp.node_arena")) {
       arena_alloc_failed_ = true;
       return -1;
@@ -764,7 +658,7 @@ class Solver {
 
     // In the incumbent's tie window the child survives only while it can
     // still improve the canonical (lexicographic) tie-break.
-    if (has_incumbent_ && bound >= incumbent_obj_.load() - opt_.gap_tol) {
+    if (has_incumbent_ && bound >= incumbent_obj_ - opt_.gap_tol) {
       bool keep = false;
       if (opt_.canonical_ties) {
         scratch_lo_ = lo;
@@ -898,7 +792,7 @@ class Solver {
   /// componentwise >= implies lexicographic >=, so this test is a sound
   /// prune; keeping exactly these nodes alive makes the reported optimum the
   /// lexicographically smallest optimal vector -- a canonical answer that
-  /// does not depend on search order or thread count.
+  /// does not depend on search order.
   bool lex_improvable(const std::vector<double>& lo) const {
     for (std::size_t j = 0; j < lo.size(); ++j) {
       const double d = lo[j] - incumbent_x_[j];
@@ -912,9 +806,8 @@ class Solver {
   /// alive while they may still lex-improve the incumbent.
   bool pruned_by_bound(double bound, const std::vector<double>& lo) const {
     if (!has_incumbent_) return false;
-    const double inc = incumbent_obj_.load();
-    if (bound > inc + opt_.gap_tol) return true;
-    if (bound < inc - opt_.gap_tol) return false;
+    if (bound > incumbent_obj_ + opt_.gap_tol) return true;
+    if (bound < incumbent_obj_ - opt_.gap_tol) return false;
     return !opt_.canonical_ties || !lex_improvable(lo);
   }
 
@@ -929,11 +822,11 @@ class Solver {
     }
     if (!model_.is_feasible(xi)) return;
     const double obj = sign_ * model_.objective_value(xi);
-    const double inc = incumbent_obj_.load();
+    const double inc = incumbent_obj_;
     const bool better = !has_incumbent_ || obj < inc - opt_.gap_tol;
     // Equal-objective tie-break on the solution vector keeps the reported
-    // selection independent of search order (and therefore of thread count)
-    // whenever ties exist at the optimum.
+    // selection independent of search order whenever ties exist at the
+    // optimum.
     const bool tie_wins = opt_.canonical_ties && has_incumbent_ &&
                           obj <= inc + opt_.gap_tol &&
                           std::lexicographical_compare(xi.begin(), xi.end(),
@@ -941,7 +834,7 @@ class Solver {
                                                        incumbent_x_.end());
     if (better || tie_wins) {
       has_incumbent_ = true;
-      incumbent_obj_.store(tie_wins ? std::min(obj, inc) : obj);
+      incumbent_obj_ = tie_wins ? std::min(obj, inc) : obj;
       incumbent_x_ = std::move(xi);
     }
   }
@@ -982,13 +875,11 @@ class Solver {
                                            : IlpStatus::kResourceLimit;
 
     // Global lower bound (internal sense): open nodes still in the heap or
-    // parked in a lane, else the incumbent itself.
-    double lb = has_incumbent_ ? incumbent_obj_.load() : kInfinity;
+    // parked as the plunge continuation, else the incumbent itself.
+    double lb = has_incumbent_ ? incumbent_obj_ : kInfinity;
     if (truncated) {
       for (const HeapEntry& e : open_) lb = std::min(lb, e.bound);
-      for (const Lane& lane : lanes_) {
-        if (lane.node_id >= 0) lb = std::min(lb, nodes_[lane.node_id].bound);
-      }
+      if (lane_.node_id >= 0) lb = std::min(lb, nodes_[lane_.node_id].bound);
     }
 
     if (!has_incumbent_) {
@@ -998,7 +889,7 @@ class Solver {
     }
     result_.status = truncated ? truncated_status : IlpStatus::kOptimal;
     result_.has_solution = true;
-    result_.objective = sign_ * incumbent_obj_.load();
+    result_.objective = sign_ * incumbent_obj_;
     result_.best_bound = sign_ * lb;
     result_.x = incumbent_x_;
   }
@@ -1017,7 +908,6 @@ class Solver {
   support::Clock& clock_;               // deadline clock (injectable)
   std::int64_t budget_start_micros_ = 0;
   double sign_ = 1.0;
-  int lanes_count_ = 1;
   std::vector<double> root_lo_, root_hi_;
   std::vector<double> scratch_lo_, scratch_hi_;  // prune-time reconstruction
   PresolveResult pre_;
@@ -1031,8 +921,8 @@ class Solver {
 
   // Search state.
   std::vector<HeapEntry> open_;
-  std::vector<Lane> lanes_;
-  std::atomic<double> incumbent_obj_{kInfinity};
+  Lane lane_;
+  double incumbent_obj_ = kInfinity;
   bool has_incumbent_ = false;
   std::vector<double> incumbent_x_;
   std::vector<double> pc_sum_[2];

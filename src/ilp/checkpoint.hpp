@@ -12,7 +12,7 @@
 // (wave composition, plunge order), never *what* it reports: with canonical
 // tie-breaking a COMPLETED search always returns the lexicographically
 // smallest optimal vector, which is invariant to search order. The frontier
-// is exhaustive (open heap + lane-parked plunge nodes), every stored bound
+// is exhaustive (open heap + the parked plunge node), every stored bound
 // is a valid subtree bound, and the incumbent is re-audited against the
 // model on import, so no optimal solution is lost across the
 // checkpoint/resume edge. checkpoint_resume_test proves bit-identity
@@ -62,7 +62,7 @@ struct SearchCheckpoint {
   /// Pseudo-cost tables per branch direction (search-order heuristics).
   std::vector<double> pc_sum[2];
   std::vector<int> pc_cnt[2];
-  /// Open nodes: best-bound heap entries plus lane-parked plunge nodes.
+  /// Open nodes: best-bound heap entries plus the parked plunge node.
   std::vector<CheckpointNode> frontier;
 };
 

@@ -20,10 +20,9 @@
 //
 // digest_options() folds every answer-affecting IlpOptions field into a
 // 64-bit digest so a cache key changes whenever the solver contract does.
-// Thread count and the resource budget's runtime plumbing (cancel token,
-// clock) are excluded: the canonical optimum is thread-count independent,
-// and tokens/clocks are per-request wiring, not semantics. Budget *limits*
-// are included -- a tighter budget can truncate to a different rung.
+// The resource budget's runtime plumbing (cancel token, clock) is excluded:
+// tokens/clocks are per-request wiring, not semantics. Budget *limits* are
+// included -- a tighter budget can truncate to a different rung.
 #pragma once
 
 #include <cstdint>

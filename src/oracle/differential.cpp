@@ -21,7 +21,6 @@ isel::EnumerateOptions enumerate_options(const DiffOptions& opt) {
 select::SelectOptions select_options(const DiffOptions& opt) {
   select::SelectOptions so;
   so.problem2 = opt.problem2;
-  so.ilp.threads = opt.threads;
   return so;
 }
 

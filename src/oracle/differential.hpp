@@ -24,7 +24,6 @@ struct DiffOptions {
   /// keeps the constraint binding without forcing infeasibility.
   double rg_fraction = 0.6;
   std::uint64_t max_visited = 50'000'000;
-  int threads = 1;
 };
 
 struct DiffResult {

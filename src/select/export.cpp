@@ -72,7 +72,6 @@ std::string to_json(const Selection& sel, const isel::ImpDatabase& db,
      << ", \"warm_start_hit_rate\": " << num(sel.solver.warm_start_hit_rate())
      << ", \"presolve_fixed\": " << sel.solver.presolve_fixed
      << ", \"clique_propagations\": " << sel.solver.clique_propagations
-     << ", \"threads\": " << sel.solver.threads
      << ", \"waves\": " << sel.solver.waves
      << ", \"peak_arena_bytes\": " << sel.solver.peak_arena_bytes
      << ", \"pricing_candidate_scans\": " << sel.solver.pricing_candidate_scans

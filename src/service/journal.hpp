@@ -160,11 +160,13 @@ class Journal {
 
   /// Writes `path` as one CRC-framed quarantine record embedding
   /// `fixture_json` (atomic replace). The partita_fuzz replayer accepts
-  /// both this format and bare fixture JSON.
+  /// both this format and bare fixture JSON, which is what partita_fuzz
+  /// itself writes for its repros.
   static bool write_quarantine_file(const std::string& path, std::uint64_t seq,
                                     const std::string& fixture_json);
   /// Extracts the fixture document from a file in either format (framed
-  /// quarantine record or bare JSON).
+  /// quarantine record, or bare JSON as partita_fuzz's repro dumps and
+  /// tests/fixtures use).
   static bool read_quarantine_file(const std::string& path, std::string* fixture_json,
                                    std::string* error);
 

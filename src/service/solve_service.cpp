@@ -464,7 +464,8 @@ void SolveService::run_job(std::unique_lock<std::mutex>& lk, std::uint64_t job,
     // `partita_fuzz --replay <fixture>`. The file is one CRC-framed
     // partita-journal-v1 quarantine record embedding the
     // partita-oracle-fixture-v1 document -- the same framing the WAL uses,
-    // and the replayer accepts both this and the legacy bare-JSON form.
+    // and the replayer accepts both this and the bare-JSON form that
+    // partita_fuzz writes for its own repros.
     std::string fixture;
     if (request.spec.has_value() && !cfg_.quarantine_dir.empty()) {
       const std::uint64_t ticket = live.front()->response.ticket;

@@ -86,7 +86,7 @@ class Journal;  // service/journal.hpp
 /// The one request envelope, shared by the in-process API and the wire
 /// protocol (partita-wire-v1, also spoken by partita_serve's script mode):
 /// a workload, scheduling metadata (tenant, priority class, optional
-/// deadline) and the solve options (budget, threads, problem variant). The
+/// deadline) and the solve options (budget, problem variant). The
 /// service installs its own cancel token and clock into options.ilp.budget;
 /// everything else is honored verbatim, so a service solve is bit-identical
 /// to a one-shot Flow::select with the same options.
@@ -178,8 +178,8 @@ struct SolveResponse {
 };
 
 struct ServiceConfig {
-  /// Fixed worker pool size (each worker runs one request at a time; the
-  /// request's own opt.ilp.threads parallelizes inside the solve).
+  /// Fixed worker pool size (each worker runs one request at a time, and
+  /// each solve runs on its worker's thread alone).
   int workers = 2;
   /// Scheduling policy name: "fifo" (default), "priority", "edf",
   /// "rejecter". Unknown names fall back to fifo.

@@ -18,7 +18,7 @@
 // trips). The disarmed fast path is one relaxed atomic load; with nothing
 // armed the hooks cost nothing measurable.
 //
-// For a deterministic trip *position* across thread counts, arm
+// For a deterministic trip *position* under concurrency, arm
 // multi-threaded sites with trip_at = 1 (every check trips) and reserve
 // trip_at > 1 for sites checked on a single thread (wave boundaries, arena
 // allocation).

@@ -121,12 +121,6 @@ TEST(Fingerprint, OptionsDigestCoversAnswerAffectingKnobsOnly) {
   ilp::IlpOptions o3 = opt;
   o3.budget.time_limit_seconds = 1.0;
   EXPECT_NE(ilp::digest_options(o3), ref);
-
-  // Thread count is answer-neutral (wave reduction is lane-ordered) and must
-  // NOT fragment the cache.
-  ilp::IlpOptions o4 = opt;
-  o4.threads = 7;
-  EXPECT_EQ(ilp::digest_options(o4), ref);
 }
 
 // --- SolutionCache mechanics ---------------------------------------------

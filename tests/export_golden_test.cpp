@@ -63,7 +63,7 @@ std::string select_json(workloads::Workload (*make)(), std::int64_t rg_num,
                         std::int64_t rg_den) {
   const workloads::Workload w = make();
   const select::Flow flow(w.module, w.library);
-  select::SelectOptions opt;  // threads = 1: canonical, thread-independent
+  select::SelectOptions opt;  // defaults: canonical ties, a reproducible search
   const std::int64_t rg = rg_den ? flow.max_feasible_gain(opt) * rg_num / rg_den
                                  : rg_num;
   const select::Selection sel = flow.select(rg, opt);

@@ -257,13 +257,14 @@ TEST(Journal, QuarantineFileRoundTripsBothFormats) {
   ASSERT_TRUE(Journal::read_quarantine_file(framed, &got, &error)) << error;
   EXPECT_EQ(got, fixture);
 
-  // Legacy PR-4 fixtures are bare JSON; the reader must pass them through.
-  const std::string legacy = dir + "/legacy.json";
+  // partita_fuzz's repro dumps and the committed fixtures are bare JSON;
+  // the reader must pass them through.
+  const std::string bare = dir + "/bare.json";
   {
-    std::ofstream f(legacy);
+    std::ofstream f(bare);
     f << fixture;
   }
-  ASSERT_TRUE(Journal::read_quarantine_file(legacy, &got, &error)) << error;
+  ASSERT_TRUE(Journal::read_quarantine_file(bare, &got, &error)) << error;
   EXPECT_EQ(got, fixture);
 
   EXPECT_FALSE(Journal::read_quarantine_file(dir + "/absent", &got, &error));

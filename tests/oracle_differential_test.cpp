@@ -1,8 +1,7 @@
 // Differential verification of the ILP selection pipeline against the
 // exhaustive oracle (src/oracle/): hundreds of seeded random instances must
 // agree *exactly* on the optimal area; larger instances must respect the
-// LP-relaxation / greedy sandwich; results must not depend on the solver
-// thread count.
+// LP-relaxation / greedy sandwich.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -105,30 +104,6 @@ TEST(OracleDifferential, HundredLargerInstancesRespectSandwichBounds) {
     }
   }
   EXPECT_EQ(violations, 0);
-}
-
-TEST(OracleDifferential, SelectionIsThreadCountInvariant) {
-  const InstanceGenParams p = make_params(10, 5, 7, 2, 1, 0.5);
-  for (std::uint64_t seed = 300; seed < 320; ++seed) {
-    const InstanceSpec spec = workloads::random_instance_spec(p, seed);
-    const workloads::Workload wl = workloads::spec_workload(spec);
-    const select::Flow flow(wl.module, wl.library);
-    select::SelectOptions so;
-    const std::int64_t rg =
-        static_cast<std::int64_t>(0.6 * static_cast<double>(flow.max_feasible_gain(so)));
-
-    so.ilp.threads = 1;
-    const select::Selection one = flow.select(rg, so);
-    so.ilp.threads = 4;
-    const select::Selection four = flow.select(rg, so);
-
-    ASSERT_EQ(one.feasible, four.feasible) << "seed " << seed;
-    if (!one.feasible) continue;
-    EXPECT_EQ(one.chosen, four.chosen)
-        << "seed " << seed << ": canonical tie-break must make the selected "
-        << "IMP set independent of the thread count";
-    EXPECT_NEAR(one.total_area(), four.total_area(), 1e-9);
-  }
 }
 
 // The oracle's audit must also accept what the oracle itself selects (the

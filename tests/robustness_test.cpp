@@ -153,59 +153,53 @@ TEST(SolverStress, WideKnapsackCloses) {
 
 // --- resource budgets & degradation ladder --------------------------------------
 
-// An injected deadline that trips at the second wave-boundary checkpoint
-// cancels the search right after the root wave -- which solves only the root
-// node at ANY thread count -- so the truncated result must be bit-identical
-// across 1/2/4 threads.
-TEST(ResourceGovernance, InjectedDeadlineDeterministicAcrossThreads) {
+// An injected deadline that trips at the k-th wave-boundary checkpoint stops
+// the search after exactly k-1 waves. Each wave solves one node LP, so the
+// overshoot past the deadline is at most one node LP, and the truncated
+// result is the same on every run.
+TEST(ResourceGovernance, InjectedDeadlineStopsAfterOneNodeLpPerWave) {
   const workloads::Workload w = workloads::gsm_encoder();
   const auto flow = select::Flow::create(w.module, w.library);
   ASSERT_TRUE(flow.ok());
   const std::int64_t rg = flow.value()->max_feasible_gain() / 2;
 
-  std::vector<select::Selection> runs;
-  for (int threads : {1, 2, 4}) {
-    support::ScopedFault deadline("ilp.deadline", /*trip_at=*/2);
-    select::SelectOptions opt;
-    opt.ilp.threads = threads;
-    runs.push_back(flow.value()->select(rg, opt));
-  }
-  for (const select::Selection& sel : runs) {
-    EXPECT_TRUE(sel.truncated);
-    EXPECT_EQ(sel.solver.termination, ilp::TerminationReason::kDeadline);
-    EXPECT_LE(sel.solver.waves, 1);
-    EXPECT_EQ(sel.feasible, runs[0].feasible);
-    EXPECT_EQ(sel.chosen, runs[0].chosen);
-    EXPECT_EQ(sel.rung, runs[0].rung);
-    EXPECT_EQ(sel.greedy_fallback, runs[0].greedy_fallback);
+  for (int trip_at : {2, 3, 5}) {
+    std::vector<select::Selection> runs;
+    for (int run = 0; run < 2; ++run) {
+      support::ScopedFault deadline("ilp.deadline", trip_at);
+      runs.push_back(flow.value()->select(rg));
+    }
+    for (const select::Selection& sel : runs) {
+      EXPECT_TRUE(sel.truncated) << "trip_at=" << trip_at;
+      EXPECT_EQ(sel.solver.termination, ilp::TerminationReason::kDeadline);
+      EXPECT_EQ(sel.solver.waves, trip_at - 1);
+      EXPECT_LE(sel.solver.warm_starts + sel.solver.cold_starts, sel.solver.waves);
+    }
+    EXPECT_EQ(runs[1].feasible, runs[0].feasible) << "trip_at=" << trip_at;
+    EXPECT_EQ(runs[1].chosen, runs[0].chosen) << "trip_at=" << trip_at;
+    EXPECT_EQ(runs[1].rung, runs[0].rung) << "trip_at=" << trip_at;
+    EXPECT_EQ(runs[1].greedy_fallback, runs[0].greedy_fallback) << "trip_at=" << trip_at;
   }
 }
 
 // A 1-byte arena cap trips at the very first checkpoint (the root node is
 // already allocated), before any incumbent exists: the ladder must answer
-// with the deterministic greedy baseline, identically at every thread count.
+// with the deterministic greedy baseline.
 TEST(ResourceGovernance, ArenaCapFallsBackToGreedy) {
   const workloads::Workload w = workloads::gsm_encoder();
   const auto flow = select::Flow::create(w.module, w.library);
   ASSERT_TRUE(flow.ok());
   const std::int64_t rg = flow.value()->max_feasible_gain() / 4;
 
-  std::vector<select::Selection> runs;
-  for (int threads : {1, 2, 4}) {
-    select::SelectOptions opt;
-    opt.ilp.threads = threads;
-    opt.ilp.budget.memory_limit_bytes = 1;
-    runs.push_back(flow.value()->select(rg, opt));
-  }
-  for (const select::Selection& sel : runs) {
-    EXPECT_TRUE(sel.truncated);
-    EXPECT_EQ(sel.solver.termination, ilp::TerminationReason::kMemoryLimit);
-    ASSERT_TRUE(sel.feasible);
-    EXPECT_TRUE(sel.greedy_fallback);
-    EXPECT_EQ(sel.rung, select::DegradationRung::kGreedyFallback);
-    EXPECT_EQ(sel.chosen, runs[0].chosen);
-    EXPECT_GE(sel.min_path_gain, rg);
-  }
+  select::SelectOptions opt;
+  opt.ilp.budget.memory_limit_bytes = 1;
+  const select::Selection sel = flow.value()->select(rg, opt);
+  EXPECT_TRUE(sel.truncated);
+  EXPECT_EQ(sel.solver.termination, ilp::TerminationReason::kMemoryLimit);
+  ASSERT_TRUE(sel.feasible);
+  EXPECT_TRUE(sel.greedy_fallback);
+  EXPECT_EQ(sel.rung, select::DegradationRung::kGreedyFallback);
+  EXPECT_GE(sel.min_path_gain, rg);
 }
 
 // Forcing every warm-basis refactorization to fail must route node LPs

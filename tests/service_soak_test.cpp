@@ -60,14 +60,13 @@ service::SolveRequest make_request(std::mt19937_64& rng, int index) {
     }
   }
   req.label = "soak_" + std::to_string(index);
-  // A few requests solve multi-threaded inside one worker slot.
-  req.options.ilp.threads = 1 + static_cast<int>(rng() % 2) * 2;
+  rng();  // the retired thread-count draw: keeps the request stream unchanged
   return req;
 }
 
 // Cache-enabled storm: random repeats of a small base set (so hits are
-// frequent), random cancels, a transient service fault, random per-request
-// thread counts and a mid-storm invalidation. The invariants: every
+// frequent), random cancels, a transient service fault and a mid-storm
+// invalidation. The invariants: every
 // completed answer -- hit, neighbor-seeded or cold -- is bit-identical to
 // the precomputed cold solve of its (workload, gain), so no stale or torn
 // entry is ever served; a cancelled solve never populates the cache; and the
@@ -111,8 +110,7 @@ void cache_storm(int requests, std::uint64_t seed) {
     req.workload = bases[b].make();
     req.required_gains = {bases[b].gain};
     req.label = "cache_storm_" + std::to_string(i);
-    // Thread count must neither fragment the cache nor change answers.
-    req.options.ilp.threads = 1 + static_cast<int>(rng() % 2) * 2;
+    rng();  // the retired thread-count draw: keeps cancels and faults unchanged
     tickets.push_back(svc.submit(std::move(req)).ticket());
     base_of.push_back(b);
     if (rng() % 5 == 0) svc.cancel(tickets[rng() % tickets.size()]);

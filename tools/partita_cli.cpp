@@ -254,9 +254,9 @@ int cmd_select(const Args& args, select::Flow& flow) {
   std::printf("power         : %.3f\n", sel.total_power());
   std::printf("S-instructions: %d for %d s-calls\n", sel.s_instructions,
               sel.selected_scalls);
-  std::printf("solver        : %d nodes, %d LP iterations, %.0f%% warm hits, %d threads\n",
+  std::printf("solver        : %d nodes, %d LP iterations, %.0f%% warm hits\n",
               sel.solver.nodes, sel.solver.lp_iterations,
-              sel.solver.warm_start_hit_rate() * 100.0, sel.solver.threads);
+              sel.solver.warm_start_hit_rate() * 100.0);
   std::printf("quality       : %s", select::to_string(sel.rung));
   if (sel.truncated) {
     std::printf(" [%s; gap <= %.2f%%%s]", ilp::to_string(sel.solver.termination),

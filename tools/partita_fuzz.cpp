@@ -104,9 +104,9 @@ oracle::DiffResult differential_check_both(const workloads::InstanceSpec& spec) 
   return r;
 }
 
-// Accepts both quarantine formats: a CRC-framed partita-journal-v1
-// quarantine record (what the journaling service writes) and legacy bare
-// fixture JSON -- read_quarantine_file dispatches on the frame magic.
+// Accepts both fixture formats: a CRC-framed partita-journal-v1 quarantine
+// record (what the journaling service writes) and bare fixture JSON (what
+// dump_repro writes) -- read_quarantine_file dispatches on the frame magic.
 int replay_fixture(const std::string& path) {
   std::string error;
   std::string doc;
