@@ -1,21 +1,19 @@
-// Whole-stack perf driver: one binary, one JSON record, the full hot path.
+// Whole-stack perf driver: one binary, one JSON record, the full hot path,
+// all under the default solver configuration.
 //
-// Measures, for the pre-PR solver configuration (full Dantzig pricing, no
-// root cuts, serial solves) and the current one (candidate-list pricing,
-// root cuts, batch solve):
-//
-//   * lp        -- raw simplex throughput (LP iterations/sec) on the seed
-//                  apps' root relaxations;
-//   * bnb       -- branch & bound throughput (nodes/sec) on full selections;
 //   * end_to_end-- wall clock of an RG-ladder sweep per workload (the Fig. 9
-//                  use case), old serial-vs-new batched, with the speedup;
+//                  use case): one select_batch over the ladder, repeated
+//                  kLadderRepeats times, reported as median and quartiles.
+//                  Every repeat's answers are checked against untimed cold
+//                  selects; a disagreement exits 2 (the answer gate);
 //   * service   -- SolveService throughput and p50/p99 latency over a burst
-//                  of requests (batched admission vs one-shot);
+//                  of requests (batched admission vs one-shot). A request
+//                  that does not complete exits 2;
 //   * cache     -- cross-request solution cache: median latency of exact
 //                  repeats vs the cold solve, and LP-iteration savings from
 //                  neighbor-seeded near-repeats. Every cached / seeded answer
 //                  is checked bit-identical to a cold solve; a disagreement
-//                  exits 2 (the same answer gate as the batch sweep);
+//                  exits 2;
 //   * durability-- cost and payoff of the write-ahead journal
 //                  (docs/durability.md): closed-loop submit->complete p50/p99
 //                  against a journaled service vs a journal-less control
@@ -26,14 +24,15 @@
 //                  random workload (the kill-mid-search recovery scenario).
 //                  Resumed answers are held to the same bit-identity gate.
 //
-// Output: a partita-bench-v1 JSON record (schema in docs/benchmarks.md),
+// Output: a partita-bench-v2 JSON record (schema in docs/benchmarks.md),
 // default BENCH_<date>.json in the working directory.
 //
 //   bench_all [--smoke] [--out <path>] [--check <baseline.json>]
 //
 // --smoke shrinks repetitions and workload sizes for CI;
-// --check compares lp.iters_per_sec / bnb.nodes_per_sec against a committed
-// baseline record and exits 1 on a >20% regression (the CI gate).
+// --check reads end_to_end.<scenario>.seconds_max from a committed baseline
+// record and exits 1 when a scenario's median ladder time exceeds it, or
+// when the baseline has no ceiling for a timed scenario (the CI gate).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -41,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,14 +49,12 @@
 
 #include "bench_meta.hpp"
 #include "durability_gate.hpp"
-#include "ilp/branch_bound.hpp"
 #include "ilp/checkpoint.hpp"
-#include "ilp/presolve.hpp"
-#include "ilp/simplex.hpp"
 #include "select/flow.hpp"
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
 #include "support/io.hpp"
+#include "support/json.hpp"
 #include "workloads/random_workload.hpp"
 #include "workloads/workloads.hpp"
 
@@ -71,17 +69,9 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Pre-PR solver configuration: the hot path as it was before this change.
-SelectOptions old_config() {
-  SelectOptions opt;
-  opt.ilp.lp.pricing = partita::ilp::PricingMode::kDantzig;
-  opt.ilp.cuts = false;
-  return opt;
-}
-
-/// Current defaults: candidate-list pricing + root cuts (+ batching where
-/// the scenario uses select_batch).
-SelectOptions new_config() { return SelectOptions{}; }
+/// Timed select_batch runs per end_to_end ladder (full / smoke).
+constexpr int kLadderRepeats = 10;
+constexpr int kLadderRepeatsSmoke = 5;
 
 partita::workloads::Workload sized_workload(int sites, std::uint64_t seed) {
   partita::workloads::RandomWorkloadParams p;
@@ -108,29 +98,15 @@ std::vector<Scenario> scenarios(bool smoke) {
 
 // --- section results -------------------------------------------------------
 
-struct LpResultRow {
-  std::string name;
-  long long iterations = 0;
-  double seconds = 0.0;
-  double iters_per_sec = 0.0;
-};
-
-struct BnbResultRow {
-  std::string name;
-  long long nodes = 0;
-  long long cuts_applied = 0;
-  double seconds = 0.0;
-  double nodes_per_sec = 0.0;
-};
-
 struct EndToEndRow {
   std::string name;
   int items = 0;
-  double old_seconds = 0.0;
-  double new_seconds = 0.0;
-  double speedup = 0.0;
-  long long batch_hits = 0;
-  long long cuts_applied = 0;
+  int repeats = 0;
+  double seconds_median = 0.0;
+  double seconds_q1 = 0.0;
+  double seconds_q3 = 0.0;
+  long long batch_hits = 0;    // per ladder
+  long long cuts_applied = 0;  // per ladder
 };
 
 struct ServiceResult {
@@ -142,92 +118,47 @@ struct ServiceResult {
   long long amortized_hits = 0;
 };
 
-/// Repeated root-relaxation solves of the workload's full-gain model.
-LpResultRow bench_lp(const Scenario& sc, const partita::ilp::LpOptions& lp_opt,
-                     int reps) {
-  Flow flow(sc.workload.module, sc.workload.library);
-  const std::int64_t gmax = flow.max_feasible_gain();
-  partita::ilp::Model m = flow.selector().build_model(
-      std::vector<std::int64_t>(flow.paths().size(), std::max<std::int64_t>(1, gmax)),
-      {});
-  std::vector<double> lo(m.var_count()), hi(m.var_count());
-  for (std::size_t j = 0; j < m.var_count(); ++j) {
-    lo[j] = m.var(static_cast<partita::ilp::VarIndex>(j)).lower;
-    hi[j] = m.var(static_cast<partita::ilp::VarIndex>(j)).upper;
-  }
-  const partita::ilp::PresolveResult pre = partita::ilp::presolve(m, lo, hi);
-
-  LpResultRow row;
-  row.name = sc.name;
-  const Clock::time_point t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
-    const partita::ilp::LpResult res =
-        partita::ilp::solve_lp(m, pre.lower, pre.upper, lp_opt);
-    row.iterations += res.iterations;
-  }
-  row.seconds = seconds_since(t0);
-  row.iters_per_sec = row.seconds > 0 ? row.iterations / row.seconds : 0.0;
-  return row;
-}
-
-/// Full selections at gmax/2 (the CLI default operating point).
-BnbResultRow bench_bnb(const Scenario& sc, const SelectOptions& opt, int reps) {
-  Flow flow(sc.workload.module, sc.workload.library);
-  const std::int64_t rg = flow.max_feasible_gain() / 2;
-  BnbResultRow row;
-  row.name = sc.name;
-  const Clock::time_point t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
-    const partita::select::Selection sel = flow.select(rg, opt);
-    row.nodes += sel.solver.nodes;
-    row.cuts_applied += sel.solver.cuts_applied;
-  }
-  row.seconds = seconds_since(t0);
-  row.nodes_per_sec = row.seconds > 0 ? row.nodes / row.seconds : 0.0;
-  return row;
-}
-
-/// RG-ladder sweep: old = serial selects under the pre-PR config, new =
-/// one select_batch under current defaults.
-EndToEndRow bench_end_to_end(const Scenario& sc, int steps) {
+/// RG-ladder sweep: one select_batch over `steps` rungs, timed `repeats`
+/// times. Each repeat's answers must match untimed cold selects.
+EndToEndRow bench_end_to_end(const Scenario& sc, int steps, int repeats) {
   Flow flow(sc.workload.module, sc.workload.library);
   const std::int64_t gmax = flow.max_feasible_gain();
   std::vector<std::int64_t> rgs;
   for (int k = 1; k <= steps; ++k) rgs.push_back(gmax * k / steps);
 
+  std::vector<std::string> cold;
+  cold.reserve(rgs.size());
+  for (const std::int64_t rg : rgs) {
+    cold.push_back(partita::select::solution_signature(flow.select(rg)));
+  }
+
   EndToEndRow row;
   row.name = sc.name;
   row.items = steps;
+  row.repeats = repeats;
+  std::vector<double> seconds;
+  for (int r = 0; r < repeats; ++r) {
+    const Clock::time_point t0 = Clock::now();
+    const std::vector<partita::select::Selection> batched = flow.select_batch(rgs);
+    seconds.push_back(seconds_since(t0));
 
-  const SelectOptions oldc = old_config();
-  Clock::time_point t0 = Clock::now();
-  std::vector<partita::select::Selection> serial;
-  serial.reserve(rgs.size());
-  for (const std::int64_t rg : rgs) serial.push_back(flow.select(rg, oldc));
-  row.old_seconds = seconds_since(t0);
-
-  t0 = Clock::now();
-  const std::vector<partita::select::Selection> batched =
-      flow.select_batch(rgs, new_config());
-  row.new_seconds = seconds_since(t0);
-
-  for (const partita::select::Selection& sel : batched) {
-    row.batch_hits += sel.solver.batch_hits;
-    row.cuts_applied += sel.solver.cuts_applied;
-  }
-  row.speedup = row.new_seconds > 0 ? row.old_seconds / row.new_seconds : 0.0;
-
-  // Paranoia: the two configurations must agree on every answer (the
-  // determinism tests pin this; the bench double-checks the instances it
-  // actually timed).
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    if (serial[i].feasible != batched[i].feasible ||
-        serial[i].chosen != batched[i].chosen) {
-      std::fprintf(stderr, "bench_all: %s item %zu: serial/batch disagree\n",
-                   sc.name.c_str(), i);
-      std::exit(2);
+    row.batch_hits = 0;
+    row.cuts_applied = 0;
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      row.batch_hits += batched[i].solver.batch_hits;
+      row.cuts_applied += batched[i].solver.cuts_applied;
+      if (partita::select::solution_signature(batched[i]) != cold[i]) {
+        std::fprintf(stderr,
+                     "bench_all: ANSWER GATE: %s repeat %d item %zu: batched "
+                     "answer differs from cold solve\n",
+                     sc.name.c_str(), r, i);
+        std::exit(2);
+      }
     }
   }
+  row.seconds_q1 = percentile_ms(seconds, 25);
+  row.seconds_median = percentile_ms(seconds, 50);
+  row.seconds_q3 = percentile_ms(seconds, 75);
   return row;
 }
 
@@ -265,17 +196,14 @@ ServiceResult bench_service(bool smoke) {
     if (r.state != partita::service::RequestState::kCompleted) {
       std::fprintf(stderr, "bench_all: service request %llu not completed\n",
                    static_cast<unsigned long long>(tickets[i]));
+      std::exit(2);
     }
   }
   res.seconds = seconds_since(t0);
   res.requests = static_cast<int>(tickets.size());
   res.requests_per_sec = res.seconds > 0 ? res.requests / res.seconds : 0.0;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  if (!latencies_ms.empty()) {
-    res.p50_ms = latencies_ms[latencies_ms.size() / 2];
-    res.p99_ms = latencies_ms[std::min(latencies_ms.size() - 1,
-                                       latencies_ms.size() * 99 / 100)];
-  }
+  res.p50_ms = percentile_ms(latencies_ms, 50);
+  res.p99_ms = percentile_ms(latencies_ms, 99);
   res.amortized_hits =
       static_cast<long long>(service.stats().batch_amortized_hits);
   service.shutdown();
@@ -296,12 +224,6 @@ struct CacheResult {
   long long hits = 0;
   long long neighbor_seeds = 0;
 };
-
-double median_ms(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Exact-repeat and near-repeat traffic against a cache-enabled service.
 ///
@@ -376,8 +298,8 @@ CacheResult bench_cache(bool smoke) {
     res.seeded_nodes += r.selection.solver.nodes;
   }
 
-  res.cold_ms_median = median_ms(cold_ms);
-  res.warm_ms_median = median_ms(warm_ms);
+  res.cold_ms_median = percentile_ms(cold_ms, 50);
+  res.warm_ms_median = percentile_ms(warm_ms, 50);
   res.repeat_speedup =
       res.warm_ms_median > 0 ? res.cold_ms_median / res.warm_ms_median : 0.0;
   res.iteration_savings =
@@ -587,10 +509,6 @@ std::string fmt(double v) {
 }
 
 std::string render_json(const partita::bench::MachineMeta& meta, bool smoke,
-                        const std::vector<LpResultRow>& lp_old,
-                        const std::vector<LpResultRow>& lp_new,
-                        const std::vector<BnbResultRow>& bnb_old,
-                        const std::vector<BnbResultRow>& bnb_new,
                         const std::vector<EndToEndRow>& e2e,
                         const ServiceResult& svc, const CacheResult& cache,
                         const DurabilityResult& dur) {
@@ -598,47 +516,13 @@ std::string render_json(const partita::bench::MachineMeta& meta, bool smoke,
   os << "{\n  \"metadata\": " << partita::bench::meta_json(meta) << ",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
 
-  auto lp_section = [&](const char* key, const std::vector<LpResultRow>& rows) {
-    os << "  \"" << key << "\": {";
-    long long iters = 0;
-    double secs = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      iters += rows[i].iterations;
-      secs += rows[i].seconds;
-      os << (i ? ", " : "") << "\"" << rows[i].name
-         << "\": {\"iterations\": " << rows[i].iterations
-         << ", \"seconds\": " << fmt(rows[i].seconds)
-         << ", \"iters_per_sec\": " << fmt(rows[i].iters_per_sec) << "}";
-    }
-    os << ", \"iters_per_sec\": " << fmt(secs > 0 ? iters / secs : 0.0) << "},\n";
-  };
-  lp_section("lp_dantzig", lp_old);
-  lp_section("lp", lp_new);
-
-  auto bnb_section = [&](const char* key, const std::vector<BnbResultRow>& rows) {
-    os << "  \"" << key << "\": {";
-    long long nodes = 0;
-    double secs = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      nodes += rows[i].nodes;
-      secs += rows[i].seconds;
-      os << (i ? ", " : "") << "\"" << rows[i].name
-         << "\": {\"nodes\": " << rows[i].nodes
-         << ", \"cuts_applied\": " << rows[i].cuts_applied
-         << ", \"seconds\": " << fmt(rows[i].seconds)
-         << ", \"nodes_per_sec\": " << fmt(rows[i].nodes_per_sec) << "}";
-    }
-    os << ", \"nodes_per_sec\": " << fmt(secs > 0 ? nodes / secs : 0.0) << "},\n";
-  };
-  bnb_section("bnb_baseline", bnb_old);
-  bnb_section("bnb", bnb_new);
-
   os << "  \"end_to_end\": {";
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     os << (i ? ", " : "") << "\"" << e2e[i].name << "\": {\"items\": " << e2e[i].items
-       << ", \"old_seconds\": " << fmt(e2e[i].old_seconds)
-       << ", \"new_seconds\": " << fmt(e2e[i].new_seconds)
-       << ", \"speedup\": " << fmt(e2e[i].speedup)
+       << ", \"repeats\": " << e2e[i].repeats
+       << ", \"seconds_median\": " << fmt(e2e[i].seconds_median)
+       << ", \"seconds_q1\": " << fmt(e2e[i].seconds_q1)
+       << ", \"seconds_q3\": " << fmt(e2e[i].seconds_q3)
        << ", \"batch_hits\": " << e2e[i].batch_hits
        << ", \"cuts_applied\": " << e2e[i].cuts_applied << "}";
   }
@@ -684,23 +568,12 @@ std::string render_json(const partita::bench::MachineMeta& meta, bool smoke,
   return os.str();
 }
 
-/// Minimal extractor for our own schema: finds `"key": <number>` at the
-/// given nesting context by scanning for `"section"` first.
-double extract_metric(const std::string& json, const std::string& section,
-                      const std::string& key) {
-  const auto spos = json.find("\"" + section + "\"");
-  if (spos == std::string::npos) return -1.0;
-  // Last occurrence of the key inside the section object (the aggregate).
-  const auto end = json.find("\n  \"", spos + 1);
-  const std::string scope =
-      json.substr(spos, end == std::string::npos ? std::string::npos : end - spos);
-  const std::string needle = "\"" + key + "\": ";
-  const auto kpos = scope.rfind(needle);
-  if (kpos == std::string::npos) return -1.0;
-  return std::atof(scope.c_str() + kpos + needle.size());
-}
-
-int check_regression(const std::string& current, const std::string& baseline_path) {
+/// The CI gate: every timed scenario's median must stay at or under the
+/// baseline's end_to_end.<scenario>.seconds_max. A scenario the baseline
+/// has no ceiling for fails the gate rather than passing unchecked.
+int check_baseline(const std::vector<EndToEndRow>& e2e,
+                   const std::string& baseline_path) {
+  namespace json = partita::support::json;
   std::ifstream in(baseline_path);
   if (!in) {
     std::fprintf(stderr, "bench_all: cannot read baseline %s\n",
@@ -709,27 +582,33 @@ int check_regression(const std::string& current, const std::string& baseline_pat
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string baseline = ss.str();
-
+  std::string err;
+  const std::optional<json::Value> doc = json::parse(ss.str(), &err);
+  if (!doc || !doc->is_object()) {
+    std::fprintf(stderr, "bench_all: bad baseline %s: %s\n", baseline_path.c_str(),
+                 err.c_str());
+    return 1;
+  }
+  const json::Object* ceilings = json::object_or_null(doc->object(), "end_to_end");
   int failures = 0;
-  const struct {
-    const char* section;
-    const char* key;
-  } gates[] = {{"lp", "iters_per_sec"}, {"bnb", "nodes_per_sec"}};
-  for (const auto& g : gates) {
-    const double base = extract_metric(baseline, g.section, g.key);
-    const double cur = extract_metric(current, g.section, g.key);
-    if (base <= 0) {
-      std::fprintf(stderr, "bench_all: baseline lacks %s.%s; skipping gate\n",
-                   g.section, g.key);
+  for (const EndToEndRow& row : e2e) {
+    const json::Object* sc =
+        ceilings ? json::object_or_null(*ceilings, row.name.c_str()) : nullptr;
+    const double ceiling = sc ? json::num_or(*sc, "seconds_max", -1) : -1;
+    if (ceiling <= 0) {
+      std::fprintf(stderr,
+                   "bench_all: GATE FAILED: baseline lacks end_to_end.%s.seconds_max\n",
+                   row.name.c_str());
+      ++failures;
       continue;
     }
-    const double ratio = cur / base;
-    std::printf("gate %s.%s: baseline %.0f, current %.0f (%.2fx)\n", g.section,
-                g.key, base, cur, ratio);
-    if (ratio < 0.8) {
-      std::fprintf(stderr, "bench_all: REGRESSION: %s.%s dropped >20%% (%.2fx)\n",
-                   g.section, g.key, ratio);
+    std::printf("gate end_to_end.%s: median %.6gs, ceiling %.6gs\n",
+                row.name.c_str(), row.seconds_median, ceiling);
+    if (row.seconds_median > ceiling) {
+      std::fprintf(stderr,
+                   "bench_all: REGRESSION: end_to_end.%s median %.6gs over "
+                   "ceiling %.6gs\n",
+                   row.name.c_str(), row.seconds_median, ceiling);
       ++failures;
     }
   }
@@ -759,38 +638,17 @@ int main(int argc, char** argv) {
   const partita::bench::MachineMeta meta = partita::bench::collect_machine_meta();
   if (out_path.empty()) out_path = "BENCH_" + meta.date + ".json";
 
-  const int lp_reps = smoke ? 3 : 20;
-  const int bnb_reps = smoke ? 1 : 5;
   const int sweep_steps = smoke ? 4 : 8;
-
-  const std::vector<Scenario> scs = scenarios(smoke);
-
-  std::vector<LpResultRow> lp_old, lp_new;
-  partita::ilp::LpOptions dantzig;
-  dantzig.pricing = partita::ilp::PricingMode::kDantzig;
-  for (const Scenario& sc : scs) {
-    lp_old.push_back(bench_lp(sc, dantzig, lp_reps));
-    lp_new.push_back(bench_lp(sc, {}, lp_reps));
-    std::printf("lp %-14s dantzig %8.0f it/s  candidate %8.0f it/s\n",
-                sc.name.c_str(), lp_old.back().iters_per_sec,
-                lp_new.back().iters_per_sec);
-  }
-
-  std::vector<BnbResultRow> bnb_old, bnb_new;
-  for (const Scenario& sc : scs) {
-    bnb_old.push_back(bench_bnb(sc, old_config(), bnb_reps));
-    bnb_new.push_back(bench_bnb(sc, new_config(), bnb_reps));
-    std::printf("bnb %-14s old %8.0f nodes/s  new %8.0f nodes/s (%lld cuts)\n",
-                sc.name.c_str(), bnb_old.back().nodes_per_sec,
-                bnb_new.back().nodes_per_sec, bnb_new.back().cuts_applied);
-  }
+  const int repeats = smoke ? kLadderRepeatsSmoke : kLadderRepeats;
 
   std::vector<EndToEndRow> e2e;
-  for (const Scenario& sc : scs) {
-    e2e.push_back(bench_end_to_end(sc, sweep_steps));
-    std::printf("e2e %-14s old %.3fs  new %.3fs  speedup %.2fx (%lld batch hits)\n",
-                sc.name.c_str(), e2e.back().old_seconds, e2e.back().new_seconds,
-                e2e.back().speedup, e2e.back().batch_hits);
+  for (const Scenario& sc : scenarios(smoke)) {
+    e2e.push_back(bench_end_to_end(sc, sweep_steps, repeats));
+    const EndToEndRow& row = e2e.back();
+    std::printf("e2e %-14s median %.4fs (q1 %.4fs, q3 %.4fs) over %d ladders "
+                "(%lld batch hits)\n",
+                sc.name.c_str(), row.seconds_median, row.seconds_q1,
+                row.seconds_q3, row.repeats, row.batch_hits);
   }
 
   const ServiceResult svc = bench_service(smoke);
@@ -821,21 +679,21 @@ int main(int argc, char** argv) {
       dur.sites, dur.cold_seconds, dur.resume_seconds,
       dur.saved_fraction * 100.0, dur.frontier_nodes, dur.waves);
 
-  const std::string json = render_json(meta, smoke, lp_old, lp_new, bnb_old,
-                                       bnb_new, e2e, svc, cache, dur);
+  const std::string json = render_json(meta, smoke, e2e, svc, cache, dur);
   std::ofstream out(out_path);
   out << json;
   out.close();
   std::printf("wrote %s\n", out_path.c_str());
 
+  int rc = 0;
   if (dur.gate_failed) {
     std::fprintf(stderr,
                  "bench_all: REGRESSION: journal overhead on submit->complete "
                  "exceeds 10%% + 2ms (p50 %.2fx, paired median +%.2fms vs "
                  "bound %.2fms)\n",
                  dur.overhead_p50, dur.paired_diff_p50_ms, dur.gate_bound_ms);
-    return 1;
+    rc = 1;
   }
-  if (!check_path.empty()) return check_regression(json, check_path);
-  return 0;
+  if (!check_path.empty()) rc = std::max(rc, check_baseline(e2e, check_path));
+  return rc;
 }

@@ -1,6 +1,6 @@
 // Machine / build provenance for benchmark JSON records.
 //
-// Every bench JSON record carries a `partita-bench-v1` schema tag plus the
+// Every bench JSON record carries a `partita-bench-v2` schema tag plus the
 // machine metadata needed to interpret a number a month later: git SHA, CPU
 // model, core count and the compiler flags the binary was built with. The
 // perf trajectory (BENCH_<date>.json files at the repo root) is only
@@ -12,7 +12,7 @@
 namespace partita::bench {
 
 /// Schema tag stamped into every bench JSON record.
-inline constexpr const char* kBenchSchema = "partita-bench-v1";
+inline constexpr const char* kBenchSchema = "partita-bench-v2";
 
 struct MachineMeta {
   std::string schema = kBenchSchema;

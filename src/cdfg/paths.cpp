@@ -24,7 +24,7 @@ namespace {
 /// of (if_stmt, arm) decisions.
 class Enumerator {
  public:
-  Enumerator(const Cdfg& g, const PathOptions& opt) : g_(g), opt_(opt) {}
+  explicit Enumerator(const Cdfg& g) : g_(g) {}
 
   std::vector<ExecPath> run() {
     // Collect the distinct conditionals, outermost-first by first occurrence.
@@ -48,7 +48,7 @@ class Enumerator {
   void expand(const std::vector<ir::StmtId>& ifs, std::size_t k, double prob,
               std::vector<std::pair<ir::StmtId, bool>>& decision,
               std::vector<ExecPath>& out) {
-    if (out.size() >= opt_.max_paths) return;
+    if (out.size() >= kMaxPaths) return;
     if (k == ifs.size()) {
       out.push_back(materialize(decision, prob));
       return;
@@ -97,13 +97,12 @@ class Enumerator {
   }
 
   const Cdfg& g_;
-  const PathOptions& opt_;
 };
 
 }  // namespace
 
-std::vector<ExecPath> enumerate_paths(const Cdfg& g, const PathOptions& opt) {
-  return Enumerator(g, opt).run();
+std::vector<ExecPath> enumerate_paths(const Cdfg& g) {
+  return Enumerator(g).run();
 }
 
 }  // namespace partita::cdfg

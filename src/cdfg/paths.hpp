@@ -29,16 +29,13 @@ struct ExecPath {
   std::int64_t software_cycles(const Cdfg& g) const;
 };
 
-/// Enumeration options.
-struct PathOptions {
-  /// Hard cap; enumeration stops adding forks beyond it (the lowest-
-  /// probability arms are the ones dropped by construction order).
-  std::size_t max_paths = 4096;
-};
+/// Hard cap on enumerated paths; enumeration stops adding forks beyond it
+/// (the lowest-probability arms are the ones dropped by construction order).
+inline constexpr std::size_t kMaxPaths = 4096;
 
 /// Enumerates execution paths of the function underlying `g`.
 /// Always returns at least one path (a straight-line function has exactly
 /// one, possibly empty).
-std::vector<ExecPath> enumerate_paths(const Cdfg& g, const PathOptions& opt = {});
+std::vector<ExecPath> enumerate_paths(const Cdfg& g);
 
 }  // namespace partita::cdfg

@@ -481,9 +481,9 @@ class Solver {
       const Node& node = nodes_[id];
       bool prune = false;
       if (has_incumbent_) {
-        if (node.bound > incumbent_obj_ + opt_.gap_tol) {
+        if (node.bound > incumbent_obj_ + kGapTol) {
           prune = true;
-        } else if (node.bound >= incumbent_obj_ - opt_.gap_tol) {
+        } else if (node.bound >= incumbent_obj_ - kGapTol) {
           if (opt_.canonical_ties) {
             reconstruct_bounds(id, scratch_lo_, scratch_hi_);
             prune = !lex_improvable(scratch_lo_);
@@ -628,7 +628,7 @@ class Solver {
   std::int32_t make_child(std::int32_t parent, double bound, bool bound_usable,
                           std::int32_t basis_id, VarIndex var, double frac, bool up,
                           const std::vector<double>& lo, const std::vector<double>& hi) {
-    if (has_incumbent_ && bound > incumbent_obj_ + opt_.gap_tol) return -1;
+    if (has_incumbent_ && bound > incumbent_obj_ + kGapTol) return -1;
 
     // Test-only allocation-failure injection: behaves exactly like a failed
     // arena reservation -- the child is dropped and the next wave-boundary
@@ -658,7 +658,7 @@ class Solver {
 
     // In the incumbent's tie window the child survives only while it can
     // still improve the canonical (lexicographic) tie-break.
-    if (has_incumbent_ && bound >= incumbent_obj_ - opt_.gap_tol) {
+    if (has_incumbent_ && bound >= incumbent_obj_ - kGapTol) {
       bool keep = false;
       if (opt_.canonical_ties) {
         scratch_lo_ = lo;
@@ -743,7 +743,7 @@ class Solver {
     for (std::size_t j = 0; j < model_.var_count(); ++j) {
       if (model_.var(static_cast<VarIndex>(j)).kind != VarKind::kBinary) continue;
       const double frac = std::abs(x[j] - std::round(x[j]));
-      if (frac <= opt_.int_tol) continue;
+      if (frac <= kIntTol) continue;
       const double score =
           std::max(pc_estimate(0, static_cast<VarIndex>(j)) * frac, 1e-12) *
           std::max(pc_estimate(1, static_cast<VarIndex>(j)) * (1.0 - frac), 1e-12);
@@ -764,7 +764,7 @@ class Solver {
                            VarIndex& out) const {
     for (std::size_t j = 0; j < model_.var_count(); ++j) {
       if (model_.var(static_cast<VarIndex>(j)).kind != VarKind::kBinary) continue;
-      if (lo[j] < hi[j] - opt_.int_tol && incumbent_x_[j] > 0.5) {
+      if (lo[j] < hi[j] - kIntTol && incumbent_x_[j] > 0.5) {
         out = static_cast<VarIndex>(j);
         return true;
       }
@@ -776,7 +776,7 @@ class Solver {
                         VarIndex& out) const {
     for (std::size_t j = 0; j < model_.var_count(); ++j) {
       if (model_.var(static_cast<VarIndex>(j)).kind != VarKind::kBinary) continue;
-      if (lo[j] < hi[j] - opt_.int_tol) {
+      if (lo[j] < hi[j] - kIntTol) {
         out = static_cast<VarIndex>(j);
         return true;
       }
@@ -796,8 +796,8 @@ class Solver {
   bool lex_improvable(const std::vector<double>& lo) const {
     for (std::size_t j = 0; j < lo.size(); ++j) {
       const double d = lo[j] - incumbent_x_[j];
-      if (d < -opt_.int_tol) return true;
-      if (d > opt_.int_tol) return false;
+      if (d < -kIntTol) return true;
+      if (d > kIntTol) return false;
     }
     return false;  // equal everywhere: cannot be strictly smaller
   }
@@ -806,8 +806,8 @@ class Solver {
   /// alive while they may still lex-improve the incumbent.
   bool pruned_by_bound(double bound, const std::vector<double>& lo) const {
     if (!has_incumbent_) return false;
-    if (bound > incumbent_obj_ + opt_.gap_tol) return true;
-    if (bound < incumbent_obj_ - opt_.gap_tol) return false;
+    if (bound > incumbent_obj_ + kGapTol) return true;
+    if (bound < incumbent_obj_ - kGapTol) return false;
     return !opt_.canonical_ties || !lex_improvable(lo);
   }
 
@@ -823,12 +823,12 @@ class Solver {
     if (!model_.is_feasible(xi)) return;
     const double obj = sign_ * model_.objective_value(xi);
     const double inc = incumbent_obj_;
-    const bool better = !has_incumbent_ || obj < inc - opt_.gap_tol;
+    const bool better = !has_incumbent_ || obj < inc - kGapTol;
     // Equal-objective tie-break on the solution vector keeps the reported
     // selection independent of search order whenever ties exist at the
     // optimum.
     const bool tie_wins = opt_.canonical_ties && has_incumbent_ &&
-                          obj <= inc + opt_.gap_tol &&
+                          obj <= inc + kGapTol &&
                           std::lexicographical_compare(xi.begin(), xi.end(),
                                                        incumbent_x_.begin(),
                                                        incumbent_x_.end());

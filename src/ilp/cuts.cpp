@@ -17,13 +17,12 @@ bool is_binary(const Model& model, VarIndex v) {
 /// Clique cuts: emits each lifted clique (see lift_cliques) that the
 /// fractional point packs more than 1 into.
 void separate_cliques(const std::vector<LiftedClique>& lifted,
-                      const std::vector<double>& x, const CutOptions& opt,
-                      std::vector<Cut>& out) {
+                      const std::vector<double>& x, std::vector<Cut>& out) {
   for (const LiftedClique& lc : lifted) {
-    if (out.size() >= static_cast<std::size_t>(opt.max_cuts_per_round)) return;
+    if (out.size() >= kMaxCutsPerRound) return;
     double activity = 0.0;
     for (VarIndex v : lc.members) activity += x[v];
-    if (activity <= 1.0 + opt.violation_tol) continue;
+    if (activity <= 1.0 + kCutViolationTol) continue;
     Cut cut;
     cut.name = "cut_clique" + std::to_string(lc.source);
     cut.terms.reserve(lc.members.size());
@@ -39,10 +38,10 @@ void separate_cliques(const std::vector<LiftedClique>& lifted,
 /// sum_C x <= |C| - 1 valid; extending by E = {j : a_j >= max_C a_i} keeps
 /// validity (any |C| columns of C u E already overflow the knapsack).
 void separate_covers(const Model& model, const std::vector<double>& x,
-                     const CutOptions& opt, std::vector<Cut>& out) {
+                     std::vector<Cut>& out) {
   const std::size_t m = model.row_count();
   for (std::size_t r = 0; r < m; ++r) {
-    if (out.size() >= static_cast<std::size_t>(opt.max_cuts_per_round)) return;
+    if (out.size() >= kMaxCutsPerRound) return;
     const Row& row = model.row(static_cast<RowIndex>(r));
     if (row.sense != RowSense::kLessEqual) continue;
     if (row.rhs <= kEps || row.terms.size() < 2) continue;
@@ -103,7 +102,7 @@ void separate_covers(const Model& model, const std::vector<double>& x,
     const double rhs = static_cast<double>(cover.size()) - 1.0;
     double activity = 0.0;
     for (VarIndex v : lhs) activity += x[v];
-    if (activity <= rhs + opt.violation_tol) continue;
+    if (activity <= rhs + kCutViolationTol) continue;
     std::sort(lhs.begin(), lhs.end());
     Cut cut;
     cut.name = "cut_cover_r" + std::to_string(r);
@@ -166,13 +165,11 @@ std::vector<LiftedClique> lift_cliques(
 // Strongest family first (cliques, then covers), so the per-round cap
 // drops the weaker cuts.
 std::vector<Cut> separate_cuts(const Model& model, const std::vector<LiftedClique>& lifted,
-                               const std::vector<double>& x, const CutOptions& opt) {
+                               const std::vector<double>& x) {
   std::vector<Cut> out;
-  separate_cliques(lifted, x, opt, out);
-  separate_covers(model, x, opt, out);
-  if (out.size() > static_cast<std::size_t>(opt.max_cuts_per_round)) {
-    out.resize(opt.max_cuts_per_round);
-  }
+  separate_cliques(lifted, x, out);
+  separate_covers(model, x, out);
+  if (out.size() > kMaxCutsPerRound) out.resize(kMaxCutsPerRound);
   return out;
 }
 

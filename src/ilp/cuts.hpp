@@ -25,6 +25,7 @@
 // violated by that LP's optimum again.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,13 +34,11 @@
 
 namespace partita::ilp {
 
-struct CutOptions {
-  /// Minimum violation (activity minus rhs at the fractional point) for a
-  /// cut to be worth adding.
-  double violation_tol = 1e-6;
-  /// Hard cap per separation round, strongest-family-first.
-  int max_cuts_per_round = 64;
-};
+/// Minimum violation (activity minus rhs at the fractional point) for a
+/// cut to be worth adding.
+inline constexpr double kCutViolationTol = 1e-6;
+/// Hard cap per separation round, strongest-family-first.
+inline constexpr std::size_t kMaxCutsPerRound = 64;
 
 /// One separated inequality, ready for Model::add_row.
 struct Cut {
@@ -70,6 +69,6 @@ std::vector<LiftedClique> lift_cliques(const std::vector<std::vector<VarIndex>>&
 /// `lifted` is lift_cliques() of the presolve clique table. Deterministic:
 /// identical inputs produce an identical cut list.
 std::vector<Cut> separate_cuts(const Model& model, const std::vector<LiftedClique>& lifted,
-                               const std::vector<double>& x, const CutOptions& opt = {});
+                               const std::vector<double>& x);
 
 }  // namespace partita::ilp

@@ -88,18 +88,18 @@ Fingerprint fingerprint_model(const Model& m) {
 std::uint64_t digest_options(const IlpOptions& opt) {
   std::uint64_t d = fp_mix(kSeedOpt);
   d = mix2(d, static_cast<std::uint64_t>(opt.max_nodes));
-  d = mix2(d, fp_double(opt.int_tol));
-  d = mix2(d, fp_double(opt.gap_tol));
+  // The k* constants are fixed but stay mixed in, in this order: digests
+  // persisted in cache snapshots and checkpoints must keep their values.
+  d = mix2(d, fp_double(kIntTol));
+  d = mix2(d, fp_double(kGapTol));
   d = mix2(d, opt.presolve ? 1 : 0);
   d = mix2(d, opt.warm_start ? 1 : 0);
-  // Mixed in although fixed: digests persisted in cache snapshots and
-  // checkpoints must keep their values.
   d = mix2(d, static_cast<std::uint64_t>(kMaxPlungeDepth));
   d = mix2(d, opt.canonical_ties ? 1 : 0);
   d = mix2(d, opt.cuts ? 1 : 0);
   d = mix2(d, static_cast<std::uint64_t>(kMaxCutRounds));
-  d = mix2(d, static_cast<std::uint64_t>(opt.lp.max_iterations));
-  d = mix2(d, fp_double(opt.lp.eps));
+  d = mix2(d, static_cast<std::uint64_t>(kMaxLpIterations));
+  d = mix2(d, fp_double(kLpEps));
   // Budget *limits* change what can truncate; the cancel token and clock are
   // runtime wiring and stay out.
   d = mix2(d, fp_double(opt.budget.time_limit_seconds));

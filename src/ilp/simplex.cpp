@@ -188,7 +188,7 @@ class SimplexSolver::Impl {
     LpResult res;
 
     for (std::size_t j = 0; j < n_; ++j) {
-      if (lower[j] > upper[j] + opt.eps) {
+      if (lower[j] > upper[j] + kLpEps) {
         res.status = LpStatus::kInfeasible;  // empty domain from branching
         return res;
       }
@@ -215,7 +215,7 @@ class SimplexSolver::Impl {
       // dual infeasibility from tolerance drift.
       if (status == LpStatus::kOptimal) status = primal(/*phase=*/2, res.iterations);
       if (status == LpStatus::kIterationLimit &&
-          res.iterations < opt_.max_iterations) {
+          res.iterations < kMaxLpIterations) {
         // The imported basis led into a numerical dead end (singular kernel
         // or tiny-pivot ban-out) before the real budget ran out: restart
         // cold, which takes a different pivot trajectory entirely.
@@ -590,7 +590,7 @@ class SimplexSolver::Impl {
       alpha_touch(col_slot_[b]);
     }
     // Ascending row order keeps the ratio test's near-tie decisions (within
-    // opt_.eps) identical to the old dense row sweep. One O(m) sweep over
+    // kLpEps) identical to the old dense row sweep. One O(m) sweep over
     // the marks rebuilds it; the callers already pay O(m) per iteration.
     alpha_nz_.clear();
     for (std::size_t i = 0; i < m_; ++i) {
@@ -864,10 +864,10 @@ class SimplexSolver::Impl {
       const double d = (phase == 2 ? cost_[j] : 0.0) - ay_[j];
       double score;
       int dir;
-      if (status_[j] == BasisStatus::kAtLower && d < -opt_.eps) {
+      if (status_[j] == BasisStatus::kAtLower && d < -kLpEps) {
         score = -d;
         dir = +1;
-      } else if (status_[j] == BasisStatus::kAtUpper && d > opt_.eps) {
+      } else if (status_[j] == BasisStatus::kAtUpper && d > kLpEps) {
         score = d;
         dir = -1;
       } else {
@@ -916,8 +916,8 @@ class SimplexSolver::Impl {
       // `iterations` counts executed pivots/bound flips (the number callers
       // and benches care about); the spin guard bounds pure bookkeeping
       // passes so termination never depends on a pivot happening.
-      if (iterations >= opt_.max_iterations) return LpStatus::kIterationLimit;
-      if (++spins > 2 * opt_.max_iterations + 64) return LpStatus::kIterationLimit;
+      if (iterations >= kMaxLpIterations) return LpStatus::kIterationLimit;
+      if (++spins > 2 * kMaxLpIterations + 64) return LpStatus::kIterationLimit;
       if (!periodic_refactor()) return LpStatus::kIterationLimit;
 
       // Basic costs. Phase 1: infeasibility direction of each basic column.
@@ -949,7 +949,7 @@ class SimplexSolver::Impl {
       // full scan, so the restriction cannot terminate early.
       std::size_t enter = total_;
       int direction = 0;  // +1 increase from lower, -1 decrease from upper
-      double best_score = opt_.eps;
+      double best_score = kLpEps;
       if (opt_.pricing == PricingMode::kCandidateList && !bland) {
         if (!price_candidates(phase, enter, direction, best_score)) {
           refresh_candidates(phase, enter, direction, best_score);
@@ -1003,7 +1003,7 @@ class SimplexSolver::Impl {
       const auto row_limit = [&](std::size_t i, bool& at_upper) -> double {
         const double g = -direction * alpha_[i];
         at_upper = false;
-        if (std::abs(g) <= opt_.eps) return kInfinity;
+        if (std::abs(g) <= kLpEps) return kInfinity;
         const int bj = basis_[i];
         if (phase == 1 && xb_[i] < lb_[bj] - kFeasTol) {
           // Violated below: blocks only when climbing back to its lower
@@ -1030,8 +1030,8 @@ class SimplexSolver::Impl {
         bool at_upper = false;
         const double limit = row_limit(i, at_upper);
         if (limit >= kInfinity) continue;
-        if (limit < theta - opt_.eps ||
-            (bland && limit < theta + opt_.eps && leave_row != m_ &&
+        if (limit < theta - kLpEps ||
+            (bland && limit < theta + kLpEps && leave_row != m_ &&
              basis_[i] < basis_[leave_row])) {
           theta = std::max(0.0, limit);
           leave_row = i;
@@ -1057,7 +1057,7 @@ class SimplexSolver::Impl {
           // Eligible when snapping row i to its bound at step theta leaves
           // at most a sliver of residual travel ((limit - theta) * |alpha|
           // bounds the displacement this substitution introduces).
-          if (limit - theta <= opt_.eps ||
+          if (limit - theta <= kLpEps ||
               (limit - theta) * mag <= kFeasTol * 1e-2) {
             leave_row = i;
             leave_at_upper = at_upper;
@@ -1162,8 +1162,8 @@ class SimplexSolver::Impl {
     clear_bans();
 
     while (true) {
-      if (iterations >= opt_.max_iterations) return LpStatus::kIterationLimit;
-      if (++spins > 2 * opt_.max_iterations + 64) return LpStatus::kIterationLimit;
+      if (iterations >= kMaxLpIterations) return LpStatus::kIterationLimit;
+      if (++spins > 2 * kMaxLpIterations + 64) return LpStatus::kIterationLimit;
       if (!periodic_refactor()) return LpStatus::kIterationLimit;
 
       // --- leaving row: largest bound violation --------------------------
@@ -1226,8 +1226,8 @@ class SimplexSolver::Impl {
         // tolerance drift so ratios stay nonnegative.
         d = from_lower ? std::max(d, 0.0) : std::min(d, 0.0);
         const double ratio = std::abs(d) / std::abs(a);
-        if (ratio < best_ratio - opt_.eps ||
-            (ratio < best_ratio + opt_.eps &&
+        if (ratio < best_ratio - kLpEps ||
+            (ratio < best_ratio + kLpEps &&
              (use_bland ? (enter == total_ || j < enter)
                         : std::abs(a) > std::abs(best_alpha)))) {
           best_ratio = ratio;
@@ -1261,7 +1261,7 @@ class SimplexSolver::Impl {
       }
       const double dx = delta / -arj;
       const int direction = dx >= 0 ? +1 : -1;
-      if (std::abs(dx) <= opt_.eps) ++degenerate;
+      if (std::abs(dx) <= kLpEps) ++degenerate;
       else degenerate = 0;
       apply_step(enter, direction, std::abs(dx), r, to_upper);
       ++iterations;

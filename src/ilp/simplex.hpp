@@ -85,13 +85,15 @@ enum class PricingMode : std::uint8_t {
 };
 
 struct LpOptions {
-  int max_iterations = 20000;
-  double eps = 1e-9;
   /// Entering-column pricing. The Bland's-rule anti-cycling fallback always
   /// prices with a full lowest-index scan regardless of this setting.
   PricingMode pricing = PricingMode::kCandidateList;
 };
 
+/// Pivot cap per solve; a solve that reaches it ends kIterationLimit.
+inline constexpr int kMaxLpIterations = 20000;
+/// Reduced-cost optimality and ratio-test tie tolerance.
+inline constexpr double kLpEps = 1e-9;
 /// Candidate-list capacity for PricingMode::kCandidateList.
 inline constexpr int kCandidateListSize = 24;
 /// Non-improving iterations tolerated before switching to Bland's rule

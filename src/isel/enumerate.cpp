@@ -188,7 +188,7 @@ void ImpDatabase::build_for_scall(const SCall& sc) {
   // Parallel-code material from the caller's CDFG (top-level context).
   cdfg::ParallelCode pc_plain;
   std::vector<cdfg::ParallelCode> pc_sw_variants;  // consuming 1..n s-calls
-  if (opts_.use_parallel_code && sc.node != cdfg::kInvalidNode) {
+  if (sc.node != cdfg::kInvalidNode) {
     const auto is_scall = [this](ir::CallSiteId c) { return scall_of(c) != nullptr; };
     cdfg::PcOptions plain_opt;
     plain_opt.is_scall = is_scall;

@@ -29,8 +29,6 @@ namespace partita::isel {
 
 struct EnumerateOptions {
   iface::KernelParams kernel;
-  /// Offer parallel-code variants on buffered interfaces.
-  bool use_parallel_code = true;
   /// Problem 2: allow software bodies of other s-calls inside a PC and
   /// (in the selector) differing implementations per call site.
   bool problem2 = true;

@@ -42,8 +42,8 @@ class FrameDecoder {
     kEmpty,       // length field 0 (no room for the version byte)
   };
 
-  explicit FrameDecoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_(max_frame_bytes) {}
+  explicit FrameDecoder(std::size_t max_frame = kDefaultMaxFrameBytes)
+      : max_frame_(max_frame) {}
 
   /// Appends raw bytes from the transport. Safe to call after an error
   /// (bytes are dropped; the error is sticky).

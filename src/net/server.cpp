@@ -196,7 +196,7 @@ void WireServer::reap_finished_locked() {
 }
 
 void WireServer::session_main(Session* session) {
-  FrameDecoder decoder(cfg_.max_frame_bytes);
+  FrameDecoder decoder;
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(session->fd, buf, sizeof buf, 0);

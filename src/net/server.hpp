@@ -37,7 +37,6 @@ struct ServerConfig {
   /// "tcp:HOST:PORT" (PORT 0 = ephemeral, read back via port()) or
   /// "unix:PATH".
   std::string listen = "tcp:127.0.0.1:0";
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Concurrent connections; extras are refused with one error frame.
   std::size_t max_sessions = 64;
 };

@@ -25,10 +25,10 @@ select::SelectOptions select_options(const DiffOptions& opt) {
 }
 
 std::int64_t derive_rg(const select::Flow& flow, const select::SelectOptions& so,
-                       std::int64_t pinned, double fraction) {
+                       std::int64_t pinned) {
   if (pinned > 0) return pinned;
   const std::int64_t gmax = flow.max_feasible_gain(so);
-  return static_cast<std::int64_t>(static_cast<double>(gmax) * fraction);
+  return static_cast<std::int64_t>(static_cast<double>(gmax) * kRgFraction);
 }
 
 DiffResult run_differential(const workloads::Workload& wl, std::int64_t pinned_rg,
@@ -36,7 +36,7 @@ DiffResult run_differential(const workloads::Workload& wl, std::int64_t pinned_r
   DiffResult r;
   const select::Flow flow(wl.module, wl.library, enumerate_options(opt));
   const select::SelectOptions so = select_options(opt);
-  r.required_gain = derive_rg(flow, so, pinned_rg, opt.rg_fraction);
+  r.required_gain = derive_rg(flow, so, pinned_rg);
 
   const select::Selection sel = flow.select(r.required_gain, so);
   r.ilp_feasible = sel.feasible;
@@ -45,7 +45,6 @@ DiffResult run_differential(const workloads::Workload& wl, std::int64_t pinned_r
 
   OracleOptions oo;
   oo.problem2 = opt.problem2;
-  oo.max_visited = opt.max_visited;
   const OracleResult oracle =
       exhaustive_select(flow.imp_database(), flow.library(), flow.entry_cdfg(),
                         flow.paths(), r.required_gain, oo);
@@ -111,7 +110,7 @@ SandwichResult sandwich_check(const workloads::Workload& wl, const DiffOptions& 
   SandwichResult r;
   const select::Flow flow(wl.module, wl.library, enumerate_options(opt));
   const select::SelectOptions so = select_options(opt);
-  r.required_gain = derive_rg(flow, so, 0, opt.rg_fraction);
+  r.required_gain = derive_rg(flow, so, 0);
 
   const select::Selection sel = flow.select(r.required_gain, so);
   r.feasible = sel.feasible;

@@ -19,12 +19,12 @@ namespace partita::oracle {
 
 struct DiffOptions {
   bool problem2 = true;
-  /// Required gain as a fraction of the instance's max feasible gain, used
-  /// when the spec does not pin one (required_gain == 0). A mid fraction
-  /// keeps the constraint binding without forcing infeasibility.
-  double rg_fraction = 0.6;
-  std::uint64_t max_visited = 50'000'000;
 };
+
+/// Required gain as a fraction of the instance's max feasible gain, used
+/// when the spec does not pin one (required_gain == 0). A mid fraction
+/// keeps the constraint binding without forcing infeasibility.
+inline constexpr double kRgFraction = 0.6;
 
 struct DiffResult {
   /// Oracle and ILP agree (both infeasible, or equal areas + audited ILP
@@ -49,7 +49,7 @@ struct DiffResult {
 DiffResult differential_check(const workloads::Workload& wl, const DiffOptions& opt = {});
 
 /// Renders the spec and runs differential_check; the spec's required_gain
-/// (when non-zero) overrides the rg_fraction derivation.
+/// (when non-zero) overrides the kRgFraction derivation.
 DiffResult differential_check_spec(const workloads::InstanceSpec& spec,
                                    const DiffOptions& opt = {});
 

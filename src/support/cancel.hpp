@@ -5,7 +5,7 @@
 // ilp::ResourceBudget and consulted only at branch & bound *wave boundaries*,
 // so cancelling a running solve never interrupts a node LP: the request
 // terminates within one wave of the cancel becoming visible, which bounds
-// cancellation latency by one node LP of `lp.max_iterations` pivots.
+// cancellation latency by one node LP of `ilp::kMaxLpIterations` pivots.
 //
 // Tokens are cheap value types (one shared_ptr); a default-constructed token
 // can never be cancelled, so budget checks cost one branch when no caller

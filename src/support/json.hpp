@@ -2,7 +2,7 @@
 //
 // One JSON implementation serves every subsystem that speaks JSON text: the
 // oracle fixture format (partita-oracle-fixture-v1), the wire protocol
-// (partita-wire-v1) and the bench trajectory records (partita-bench-v1).
+// (partita-wire-v1) and the bench trajectory records (partita-bench-v2).
 // It is deliberately small: objects, arrays, strings (escapes \" \\ \/ \n
 // \t), numbers, true/false/null -- the subset those formats use. Numbers are
 // doubles; fmt_double prints them with %.17g so they round-trip exactly.

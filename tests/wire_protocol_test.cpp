@@ -122,7 +122,7 @@ TEST(Frame, BadVersionByteIsStickyPoison) {
 TEST(Frame, OversizedLengthRejectedFromHeaderAlone) {
   // The decoder must refuse before the body arrives -- a hostile length
   // prefix never causes a matching allocation.
-  FrameDecoder dec(/*max_frame_bytes=*/64);
+  FrameDecoder dec(/*max_frame=*/64);
   const unsigned char header[4] = {0x7f, 0xff, 0xff, 0xff};
   dec.feed(reinterpret_cast<const char*>(header), 4);
   std::string p;
@@ -167,7 +167,7 @@ TEST(Frame, FeedAfterErrorDropsBytes) {
 TEST(FrameFuzz, RandomBytesNeverCrash) {
   std::mt19937 rng(20260808);
   for (int round = 0; round < 200; ++round) {
-    FrameDecoder dec(/*max_frame_bytes=*/4096);
+    FrameDecoder dec(/*max_frame=*/4096);
     std::uniform_int_distribution<int> len_dist(1, 64);
     std::uniform_int_distribution<int> byte_dist(0, 255);
     for (int chunk = 0; chunk < 20; ++chunk) {

@@ -2,7 +2,7 @@
 //
 // Drives a partita-wire-v1 server with scripted scenarios, measures
 // per-request latency end to end (submit sent -> terminal state received
-// over the socket) and emits throughput + p50/p99 into the partita-bench-v1
+// over the socket) and emits throughput + p50/p99 into the partita-bench-v2
 // trajectory. Two targets:
 //
 //   --connect ENDPOINT    storm an already-running partita_serve (the CI
@@ -573,7 +573,7 @@ void print_summary(const RunResult& r) {
   }
 }
 
-/// Splices a "serve" section into the (possibly existing) partita-bench-v1
+/// Splices a "serve" section into the (possibly existing) partita-bench-v2
 /// record at `path`; creates a fresh record when absent.
 bool write_bench(const std::string& path, const std::string& scenario,
                  const std::string& arrival, const std::vector<RunResult>& runs) {
