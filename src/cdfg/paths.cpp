@@ -17,6 +17,24 @@ std::int64_t ExecPath::software_cycles(const Cdfg& g) const {
   return total;
 }
 
+CondTree conditional_tree(const Cdfg& g) {
+  CondTree t;
+  t.node_scope.reserve(g.node_count());
+  for (const AtomicNode& n : g.nodes()) {
+    // Walk the node's arm stack outermost-first; each frame's conditional
+    // sits in the scope the previous frame opened.
+    std::size_t scope = 0;
+    for (const BranchFrame& f : n.branch_ctx) {
+      std::size_t c = 0;
+      while (c < t.conds.size() && t.conds[c].stmt != f.if_stmt) ++c;
+      if (c == t.conds.size()) t.conds.push_back({f.if_stmt, scope});
+      scope = CondTree::arm_scope(c, f.then_arm);
+    }
+    t.node_scope.push_back(scope);
+  }
+  return t;
+}
+
 namespace {
 
 /// A node belongs to a path iff, for every conditional frame in its branch
@@ -27,15 +45,8 @@ class Enumerator {
   explicit Enumerator(const Cdfg& g) : g_(g) {}
 
   std::vector<ExecPath> run() {
-    // Collect the distinct conditionals, outermost-first by first occurrence.
     std::vector<ir::StmtId> ifs;
-    for (const AtomicNode& n : g_.nodes()) {
-      for (const BranchFrame& f : n.branch_ctx) {
-        if (std::find(ifs.begin(), ifs.end(), f.if_stmt) == ifs.end()) {
-          ifs.push_back(f.if_stmt);
-        }
-      }
-    }
+    for (const CondTree::Cond& c : conditional_tree(g_).conds) ifs.push_back(c.stmt);
 
     std::vector<ExecPath> out;
     std::vector<std::pair<ir::StmtId, bool>> decision;

@@ -33,6 +33,42 @@ struct ExecPath {
 /// (the lowest-probability arms are the ones dropped by construction order).
 inline constexpr std::size_t kMaxPaths = 4096;
 
+/// The conditionals of a function as a tree of scopes. Scope 0 is the
+/// straight-line code; each conditional c owns two arm scopes,
+/// arm_scope(c, true) and arm_scope(c, false). Every node sits in the scope
+/// of its innermost enclosing arm, and every conditional in the scope of the
+/// arm (or straight-line code) that encloses it. An execution path picks one
+/// arm of each conditional it reaches, so a sum over the nodes of the worst
+/// path is the sum over scope 0 plus, per conditional directly in it, the
+/// minimum over that conditional's arms of the same sum, recursively.
+struct CondTree {
+  struct Cond {
+    ir::StmtId stmt;
+    /// Scope holding the conditional; always an earlier conditional's arm
+    /// or scope 0, so parents precede their children in `conds`.
+    std::size_t parent_scope = 0;
+  };
+  /// Outermost-first by first occurrence in node order: the order in which
+  /// enumerate_paths resolves them.
+  std::vector<Cond> conds;
+  /// Scope of every node of the graph, indexed by NodeIndex.
+  std::vector<std::size_t> node_scope;
+
+  static std::size_t arm_scope(std::size_t c, bool then_arm) {
+    return 1 + 2 * c + (then_arm ? 0 : 1);
+  }
+  std::size_t scope_count() const { return 1 + 2 * conds.size(); }
+  /// True when enumerate_paths lists every execution path, i.e. every
+  /// resolution of the conditionals fits under kMaxPaths (at most 12 of
+  /// them). Beyond that the enumerated paths are a truncated subset.
+  bool complete() const {
+    return conds.size() < 64 && (std::size_t{1} << conds.size()) <= kMaxPaths;
+  }
+};
+
+/// Builds the conditional tree of the function underlying `g`.
+CondTree conditional_tree(const Cdfg& g);
+
 /// Enumerates execution paths of the function underlying `g`.
 /// Always returns at least one path (a straight-line function has exactly
 /// one, possibly empty).

@@ -939,7 +939,10 @@ IlpResult solve_ilp(const Model& model, const IlpOptions& opt) {
 
 IlpResult solve_ilp(const Model& model, const IlpOptions& opt, BatchContext* batch) {
   IlpResult res = Solver(model, opt, batch).run();
-  if (batch != nullptr) ++batch->items;
+  if (batch != nullptr) {
+    ++batch->items;
+    batch->var_count = model.var_count();
+  }
   return res;
 }
 

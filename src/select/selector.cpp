@@ -31,8 +31,32 @@ ImplSignature signature_of(const isel::Imp& imp) {
 
 }  // namespace
 
+bool Selector::uses_tree(const std::vector<std::int64_t>& required_gains) const {
+  return tree_.complete() &&
+         std::all_of(required_gains.begin(), required_gains.end(),
+                     [&](std::int64_t g) { return g == required_gains.front(); });
+}
+
+std::vector<std::vector<ilp::Term>> Selector::scope_terms() const {
+  const std::vector<isel::Imp>& imps = db_.imps();
+  std::vector<std::vector<ilp::Term>> terms(tree_.scope_count());
+  for (std::size_t j = 0; j < imps.size(); ++j) {
+    const isel::SCall* sc = db_.scall_of(imps[j].scall);
+    if (!sc || sc->node == cdfg::kInvalidNode) continue;
+    const double coeff = static_cast<double>(imps[j].gain_per_exec) *
+                         static_cast<double>(entry_cdfg_.node(sc->node).loop_frequency);
+    terms[tree_.node_scope[sc->node]].push_back({static_cast<ilp::VarIndex>(j), coeff});
+  }
+  return terms;
+}
+
 ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
                                  const SelectOptions& opt) const {
+  return build_model(required_gains, opt, uses_tree(required_gains));
+}
+
+ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
+                                 const SelectOptions& opt, bool tree) const {
   // invariant: the Selector itself expands RG to one entry per path; no user
   // input reaches this signature.
   PARTITA_ASSERT(required_gains.size() == paths_.size());
@@ -81,8 +105,54 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
     }
   }
 
+  // --- Eq. 2 as a worst-path tree (uniform T) -----------------------------
+  // "Every path >= T" is "the worst path >= T". The worst path's gain is the
+  // straight-line gain plus, per conditional c, the min over c's arms of the
+  // arm's gain (its terms plus its nested conditionals' y). y_c <= each arm's
+  // gain, so any feasible y_c is at most that min, and y_c = min is feasible:
+  // the rows project onto exactly the per-path rows' x-set, LP included. The
+  // y columns come after x and z, so they sort last in the lex tie-break.
+  if (tree && required_gains.front() > 0) {
+    const std::vector<std::vector<ilp::Term>> scope = scope_terms();
+    const std::size_t nc = tree_.conds.size();
+    std::vector<std::vector<std::size_t>> kids(tree_.scope_count());
+    for (std::size_t c = 0; c < nc; ++c) kids[tree_.conds[c].parent_scope].push_back(c);
+    // y_c's bound: the larger arm's coefficient sum, nested conditionals at
+    // their own bound (children follow their parents in tree_.conds).
+    std::vector<double> arm_sum(tree_.scope_count(), 0.0);
+    for (std::size_t sc = 0; sc < scope.size(); ++sc) {
+      for (const ilp::Term& t : scope[sc]) arm_sum[sc] += t.coeff;
+    }
+    std::vector<double> y_ub(nc);
+    for (std::size_t c = nc; c-- > 0;) {
+      y_ub[c] = std::max(arm_sum[cdfg::CondTree::arm_scope(c, true)],
+                         arm_sum[cdfg::CondTree::arm_scope(c, false)]);
+      arm_sum[tree_.conds[c].parent_scope] += y_ub[c];
+    }
+    std::vector<ilp::VarIndex> y(nc);
+    for (std::size_t c = 0; c < nc; ++c) {
+      y[c] = m.add_continuous("y_if" + std::to_string(tree_.conds[c].stmt.value()), 0.0,
+                              y_ub[c], 0.0);
+    }
+    std::vector<ilp::Term> req = scope[0];
+    for (std::size_t c : kids[0]) req.push_back({y[c], 1.0});
+    m.add_row("gain_path0", std::move(req), ilp::RowSense::kGreaterEqual,
+              static_cast<double>(required_gains.front()));
+    for (std::size_t c = 0; c < nc; ++c) {
+      for (const bool then_arm : {true, false}) {
+        const std::size_t arm = cdfg::CondTree::arm_scope(c, then_arm);
+        std::vector<ilp::Term> terms{{y[c], 1.0}};
+        for (const ilp::Term& t : scope[arm]) terms.push_back({t.var, -t.coeff});
+        for (std::size_t k : kids[arm]) terms.push_back({y[k], -1.0});
+        m.add_row("arm_if" + std::to_string(tree_.conds[c].stmt.value()) +
+                      (then_arm ? "_then" : "_else"),
+                  std::move(terms), ilp::RowSense::kLessEqual, 0.0);
+      }
+    }
+  }
+
   // --- Eq. 2: per-path required gain -------------------------------------
-  for (std::size_t p = 0; p < paths_.size(); ++p) {
+  for (std::size_t p = 0; !tree && p < paths_.size(); ++p) {
     if (required_gains[p] <= 0) continue;
     std::vector<ilp::Term> terms;
     for (std::size_t j = 0; j < imps.size(); ++j) {
@@ -294,19 +364,35 @@ std::vector<Selection> Selector::solve_ladder(
   for (const auto& item : items) PARTITA_ASSERT(item.size() == paths_.size());
 
   // One model for the whole ladder, built with a token gain of 1 so every
-  // path row materializes; items only retarget the gain-row RHS below. An
-  // rg <= 0 item gets a never-binding floor instead ((sum of negative
-  // coefficients) - 1, satisfied by every 0/1 point), so it behaves exactly
-  // like the serial build that omits the row.
-  ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt);
-  std::vector<ilp::RowIndex> gain_row(paths_.size());
-  std::vector<double> floor_rhs(paths_.size(), -1.0);
+  // gain row materializes; items only retarget the gain-row RHS below. The
+  // tree form needs every item uniform: its one requirement row gain_path0
+  // then takes each item's gain. An rg <= 0 item gets a never-binding floor
+  // instead ((sum of negative coefficients) - 1, satisfied by every 0/1
+  // point with y = 0), so it behaves exactly like the serial build that
+  // omits the rows.
+  const bool tree = std::all_of(items.begin(), items.end(),
+                                [&](const auto& item) { return uses_tree(item); });
+  ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt, tree);
+  struct GainRow {
+    ilp::RowIndex row;
+    std::size_t path;
+    double floor;
+  };
+  std::vector<GainRow> gain_rows;
   for (std::size_t r = 0; r < m.row_count(); ++r) {
     const ilp::Row& row = m.row(static_cast<ilp::RowIndex>(r));
     if (row.name.rfind("gain_path", 0) != 0) continue;
-    const std::size_t p = std::stoul(row.name.substr(sizeof("gain_path") - 1));
-    gain_row[p] = static_cast<ilp::RowIndex>(r);
-    for (const ilp::Term& t : row.terms) floor_rhs[p] += std::min(0.0, t.coeff);
+    GainRow g{static_cast<ilp::RowIndex>(r),
+              std::stoul(row.name.substr(sizeof("gain_path") - 1)), -1.0};
+    for (const ilp::Term& t : row.terms) g.floor += std::min(0.0, t.coeff);
+    gain_rows.push_back(g);
+  }
+  // A context carried over from the other Eq. 2 form holds a differently
+  // shaped model's artifacts (clique table, bases, pseudo-costs): start over.
+  if (ctx.items > 0 && ctx.var_count != m.var_count()) {
+    ilp::BatchContext fresh;
+    fresh.carry_search_state = ctx.carry_search_state;
+    ctx = std::move(fresh);
   }
 
   std::vector<ilp::IlpOptions> iopts(items.size(), opt.ilp);
@@ -328,9 +414,9 @@ std::vector<Selection> Selector::solve_ladder(
 
   std::vector<Selection> out(items.size());
   for (const std::size_t i : order) {
-    for (std::size_t p = 0; p < paths_.size(); ++p) {
-      m.set_rhs(gain_row[p],
-                items[i][p] > 0 ? static_cast<double>(items[i][p]) : floor_rhs[p]);
+    for (const GainRow& g : gain_rows) {
+      const std::int64_t rg = items[i][g.path];
+      m.set_rhs(g.row, rg > 0 ? static_cast<double>(rg) : g.floor);
     }
     // Any earlier solve through ctx -- a previous item or a cache seed --
     // counts as carried state.
@@ -369,7 +455,8 @@ std::uint64_t Selector::answer_map_digest() const {
 }
 
 std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
-  // Base model with a token requirement of 1 so every path row materializes.
+  // Base model with a token requirement of 1 so every gain row materializes:
+  // the worst-path tree whenever every path was enumerated.
   ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt);
 
   // Upper bound for G_min: everything selected at once (ignoring conflicts).
@@ -385,7 +472,8 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   }
   const ilp::VarIndex gmin = m.add_continuous("G_min", 0.0, ub, 1.0);
 
-  // Rebuild the gain rows as  sum(gains) - G_min >= 0.
+  // Rebuild the gain rows (the tree's one requirement row, or every path
+  // row) as  sum(gains) - G_min >= 0.
   ilp::Model m2;
   m2.set_sense(ilp::Sense::kMaximize);
   for (std::size_t v = 0; v < m.var_count(); ++v) {
@@ -426,6 +514,24 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   // truncating it would derive a gain one too low. G_min's own bound caps
   // it as in the model.
   std::int64_t g = static_cast<std::int64_t>(ub);
+  if (tree_.complete()) {
+    // The worst path by the tree's recursion: each scope's chosen gain, and
+    // each conditional adds its smaller arm to its parent scope (children
+    // follow their parents in tree_.conds).
+    const std::vector<std::vector<ilp::Term>> scope = scope_terms();
+    std::vector<std::int64_t> gain(scope.size(), 0);
+    for (std::size_t sc = 0; sc < scope.size(); ++sc) {
+      for (const ilp::Term& t : scope[sc]) {
+        if (r.x[t.var] > 0.5) gain[sc] += std::llround(t.coeff);
+      }
+    }
+    for (std::size_t c = tree_.conds.size(); c-- > 0;) {
+      gain[tree_.conds[c].parent_scope] +=
+          std::min(gain[cdfg::CondTree::arm_scope(c, true)],
+                   gain[cdfg::CondTree::arm_scope(c, false)]);
+    }
+    return std::min(g, gain[0]);
+  }
   for (const ilp::Row* row : gain_rows) {
     std::int64_t path_gain = 0;
     for (const ilp::Term& t : row->terms) {

@@ -7,7 +7,13 @@
 // Constraints:
 //   Eq. 1   sum_j x_ij <= 1                       per s-call
 //   Eq. 2   sum_{SC_i on P_k} sum_j g^k_ij x_ij >= T_k   per execution path,
-//           where g^k_ij = gain_per_exec(IMP_ij) * loop frequency of SC_i
+//           where g^k_ij = gain_per_exec(IMP_ij) * loop frequency of SC_i.
+//           Under a uniform T it is built as a worst-path tree: one row
+//           sum(straight-line terms) + sum y_c >= T, and per conditional c
+//           a continuous y_c with one row y_c <= (arm gain) per arm, so
+//           y_c is at most the min over c's arms. One row per path remains
+//           for per-path T_k and for truncated path enumeration
+//           (docs/ilp_solver.md, "Eq. 2 as a worst-path tree").
 //   FC      sum_{ij : s_ijk=1} x_ij <= M z_k      fixed charge, M = |IMPs|
 //   P1      x_iA = x_jB for matching IMPs of s-calls to the same function
 //           (Problem 1 only: same function => same implementation)
@@ -29,6 +35,7 @@
 #include <functional>
 #include <optional>
 
+#include "cdfg/paths.hpp"
 #include "ilp/branch_bound.hpp"
 #include "select/selection.hpp"
 
@@ -52,7 +59,8 @@ class Selector {
  public:
   Selector(const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
            const cdfg::Cdfg& entry_cdfg, const std::vector<cdfg::ExecPath>& paths)
-      : db_(db), lib_(lib), entry_cdfg_(entry_cdfg), paths_(paths) {}
+      : db_(db), lib_(lib), entry_cdfg_(entry_cdfg), paths_(paths),
+        tree_(cdfg::conditional_tree(entry_cdfg)) {}
 
   /// Solves with the same required gain T_k = required_gain on every path.
   Selection select(std::int64_t required_gain, const SelectOptions& opt = {}) const;
@@ -91,12 +99,13 @@ class Selector {
   /// Seeded single solve for the cross-request cache: a one-item ladder
   /// through the same core as select_batch_per_path, starting from the
   /// artifacts in `batch` (non-null; see ilp::BatchContext) and leaving this
-  /// solve's there. The token-gain model keeps its layout identical across
-  /// ALL same-structure solves, so artifacts from any previous
-  /// same-structure solve stay valid even when the gains differ. A seeded
-  /// search that truncates is redone from a fresh context (setting
-  /// `*redone_cold`, when given), so the answer is bit-identical to an
-  /// unseeded one.
+  /// solve's there. The token-gain model keeps one layout across all
+  /// same-structure solves of one Eq. 2 form (tree for uniform gains,
+  /// per-path rows otherwise), so artifacts from a previous same-structure
+  /// solve stay valid even when the gains differ; a context from the other
+  /// form is dropped, not imported. A seeded search that truncates is redone
+  /// from a fresh context (setting `*redone_cold`, when given), so the
+  /// answer is bit-identical to an unseeded one.
   Selection select_seeded(const std::vector<std::int64_t>& required_gains,
                           const SelectOptions& opt, ilp::BatchContext* batch,
                           bool* redone_cold = nullptr) const;
@@ -105,7 +114,9 @@ class Selector {
   /// expect of a per-path gains vector).
   std::size_t path_count() const { return paths_.size(); }
 
-  /// Exposes the built ILP (for tests and debugging dumps).
+  /// Exposes the built ILP (for tests and debugging dumps). Eq. 2 is the
+  /// worst-path tree when the gains are uniform and every path was
+  /// enumerated, one row per path otherwise.
   ilp::Model build_model(const std::vector<std::int64_t>& required_gains,
                          const SelectOptions& opt) const;
 
@@ -119,11 +130,23 @@ class Selector {
   std::uint64_t answer_map_digest() const;
 
   /// The largest uniform required gain that stays feasible: maximizes an
-  /// auxiliary G_min variable with  sum(path gains) >= G_min  on every path,
-  /// under the full constraint system. Returns 0 when no IMP exists.
+  /// auxiliary G_min variable with  (worst path's gain) >= G_min  under the
+  /// full constraint system. Returns 0 when no IMP exists.
   std::int64_t max_feasible_gain(const SelectOptions& opt = {}) const;
 
  private:
+  /// True when Eq. 2 for `required_gains` is built as the worst-path tree:
+  /// one gain for every path, and every path enumerated.
+  bool uses_tree(const std::vector<std::int64_t>& required_gains) const;
+
+  /// build_model with the Eq. 2 form chosen by the caller.
+  ilp::Model build_model(const std::vector<std::int64_t>& required_gains,
+                         const SelectOptions& opt, bool tree) const;
+
+  /// Eq. 2's gain terms g_ij x_ij per scope of the conditional tree, with
+  /// x_ij at column j.
+  std::vector<std::vector<ilp::Term>> scope_terms() const;
+
   /// The one ladder core behind select_batch_per_path and select_seeded:
   /// builds the token-gain model once, solves the items hardest-first
   /// through `ctx`, and redoes from a fresh context any truncated item that
@@ -143,6 +166,7 @@ class Selector {
   const iplib::IpLibrary& lib_;
   const cdfg::Cdfg& entry_cdfg_;
   const std::vector<cdfg::ExecPath>& paths_;
+  const cdfg::CondTree tree_;
 };
 
 }  // namespace partita::select

@@ -180,6 +180,36 @@ TEST(BatchSolve, TruncatedSeededSolveIsRedoneColdAndReported) {
   expect_same_selection(flow.select(gmax / 2, capped), sel, "redone seeded solve");
 }
 
+TEST(BatchSolve, SeededContextNeverCrossesEq2Forms) {
+  // Uniform gains build Eq. 2 as the worst-path tree (with y columns),
+  // per-path gains one row per path. A context left by one form holds
+  // another model's clique table, bases and pseudo-costs: the other form
+  // must start afresh, not import it, and answer as a cold solve.
+  const workloads::Workload w = workloads::gsm_encoder();
+  select::Flow flow(w.module, w.library);
+  const std::int64_t gmax = flow.max_feasible_gain();
+  const std::size_t paths = flow.paths().size();
+  ASSERT_GT(paths, 1u);
+  const std::vector<std::int64_t> uniform(paths, gmax / 2);
+  std::vector<std::int64_t> mixed(paths, gmax / 2);
+  mixed[0] = gmax;
+
+  ilp::BatchContext ctx;
+  ctx.carry_search_state = true;
+  (void)flow.selector().select_seeded(uniform, {}, &ctx);
+  ASSERT_GT(ctx.items, 0);
+  const select::Selection per_path = flow.selector().select_seeded(mixed, {}, &ctx);
+  EXPECT_EQ(per_path.solver.batch_hits, 0);
+  EXPECT_EQ(per_path.solver.seeded_artifacts, 0);
+  expect_same_selection(flow.selector().select_per_path(mixed, {}), per_path,
+                        "per-path solve after a tree seed");
+
+  const select::Selection tree = flow.selector().select_seeded(uniform, {}, &ctx);
+  EXPECT_EQ(tree.solver.batch_hits, 0);
+  EXPECT_EQ(tree.solver.seeded_artifacts, 0);
+  expect_same_selection(flow.select(gmax / 2), tree, "tree solve after a per-path seed");
+}
+
 TEST(BatchSolve, FeasibleItemsPassOracleAudit) {
   workloads::RandomWorkloadParams p;
   p.call_sites = 10;

@@ -2,9 +2,12 @@
 // solution decoding, the selection rule, and the baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
+#include "cdfg/paths.hpp"
+#include "ilp/fingerprint.hpp"
 #include "ilp/simplex.hpp"
 #include "oracle/exhaustive.hpp"
 #include "select/flow.hpp"
@@ -19,24 +22,36 @@ namespace {
 TEST(Formulation, HasEq1RowsPerSCall) {
   workloads::Workload w = workloads::gsm_decoder();
   Flow flow(w.module, w.library);
-  const ilp::Model m =
-      flow.selector().build_model(std::vector<std::int64_t>(flow.paths().size(), 1), {});
-  std::size_t eq1 = 0, gain_rows = 0, fc = 0;
-  for (const ilp::Row& row : m.rows()) {
-    if (row.name.rfind("one_imp_", 0) == 0) {
-      ++eq1;
-      EXPECT_EQ(row.sense, ilp::RowSense::kLessEqual);
-      EXPECT_DOUBLE_EQ(row.rhs, 1.0);
-    } else if (row.name.rfind("gain_path", 0) == 0) {
-      ++gain_rows;
-      EXPECT_EQ(row.sense, ilp::RowSense::kGreaterEqual);
-    } else if (row.name.rfind("fc_ip", 0) == 0) {
-      ++fc;
+  ASSERT_EQ(flow.paths().size(), 2u);  // one conditional
+  // Uniform gains build Eq. 2 as the worst-path tree: the requirement row
+  // gain_path0 plus one row per arm of the conditional. A per-path gains
+  // vector keeps one gain_path row per path.
+  for (const bool uniform : {true, false}) {
+    SCOPED_TRACE(uniform ? "uniform" : "per-path");
+    const ilp::Model m = flow.selector().build_model(
+        uniform ? std::vector<std::int64_t>{1, 1} : std::vector<std::int64_t>{1, 2}, {});
+    std::size_t eq1 = 0, gain_rows = 0, arm_rows = 0, fc = 0;
+    for (const ilp::Row& row : m.rows()) {
+      if (row.name.rfind("one_imp_", 0) == 0) {
+        ++eq1;
+        EXPECT_EQ(row.sense, ilp::RowSense::kLessEqual);
+        EXPECT_DOUBLE_EQ(row.rhs, 1.0);
+      } else if (row.name.rfind("gain_path", 0) == 0) {
+        ++gain_rows;
+        EXPECT_EQ(row.sense, ilp::RowSense::kGreaterEqual);
+      } else if (row.name.rfind("arm_if", 0) == 0) {
+        ++arm_rows;
+        EXPECT_EQ(row.sense, ilp::RowSense::kLessEqual);
+        EXPECT_DOUBLE_EQ(row.rhs, 0.0);
+      } else if (row.name.rfind("fc_ip", 0) == 0) {
+        ++fc;
+      }
     }
+    EXPECT_EQ(eq1, flow.scalls().size());
+    EXPECT_EQ(gain_rows, uniform ? 1u : flow.paths().size());
+    EXPECT_EQ(arm_rows, uniform ? 2u : 0u);
+    EXPECT_GT(fc, 0u);
   }
-  EXPECT_EQ(eq1, flow.scalls().size());
-  EXPECT_EQ(gain_rows, flow.paths().size());
-  EXPECT_GT(fc, 0u);
 }
 
 TEST(Formulation, SelectionSatisfiesEverything) {
@@ -213,6 +228,146 @@ TEST(Formulation, MaxFeasibleGainIsExact) {
   const std::int64_t g = flow.max_feasible_gain();
   EXPECT_TRUE(flow.select(g).feasible);
   EXPECT_FALSE(flow.select(g + 1).feasible) << "derived gain " << g << " is below the optimum";
+}
+
+// Eq. 2 in its per-path form, rebuilt from flow.paths(): the tree model's
+// y columns (which follow x and z) and arm rows dropped, and its requirement
+// row gain_path0 replaced in place by one gain_path<p> row per path.
+ilp::Model per_path_model(const Flow& flow, const ilp::Model& tree) {
+  const std::vector<isel::Imp>& imps = flow.imp_database().imps();
+  ilp::Model m;
+  m.set_sense(tree.sense());
+  for (const ilp::Variable& v : tree.vars()) {
+    if (v.name.rfind("y_if", 0) == 0) continue;
+    const ilp::VarIndex i = v.kind == ilp::VarKind::kBinary
+                                ? m.add_binary(v.name, v.objective)
+                                : m.add_continuous(v.name, v.lower, v.upper, v.objective);
+    m.var(i).lower = v.lower;
+    m.var(i).upper = v.upper;
+  }
+  for (const ilp::Row& row : tree.rows()) {
+    if (row.name.rfind("arm_if", 0) == 0) continue;
+    if (row.name != "gain_path0") {
+      m.add_row(row.name, row.terms, row.sense, row.rhs);
+      continue;
+    }
+    for (std::size_t p = 0; p < flow.paths().size(); ++p) {
+      std::vector<ilp::Term> terms;
+      for (std::size_t j = 0; j < imps.size(); ++j) {
+        const isel::SCall* sc = flow.imp_database().scall_of(imps[j].scall);
+        if (!sc || sc->node == cdfg::kInvalidNode || !flow.paths()[p].contains(sc->node)) {
+          continue;
+        }
+        terms.push_back({static_cast<ilp::VarIndex>(j),
+                         static_cast<double>(imps[j].gain_per_exec) *
+                             static_cast<double>(
+                                 flow.entry_cdfg().node(sc->node).loop_frequency)});
+      }
+      m.add_row("gain_path" + std::to_string(p), std::move(terms), row.sense, row.rhs);
+    }
+  }
+  return m;
+}
+
+void set_gain_rows(ilp::Model& m, std::int64_t rg) {
+  for (std::size_t r = 0; r < m.row_count(); ++r) {
+    if (m.row(static_cast<ilp::RowIndex>(r)).name.rfind("gain_path", 0) == 0) {
+      m.set_rhs(static_cast<ilp::RowIndex>(r), static_cast<double>(rg));
+    }
+  }
+}
+
+// Under a uniform requirement Eq. 2 is built as a worst-path tree (one
+// requirement row, one y column and two arm rows per conditional). It must
+// answer exactly as one row per execution path: the same chosen set and
+// area at every gain, and the same derived gain, on 2^k-path specs and on
+// random workloads with nested and in-loop conditionals.
+TEST(Formulation, WorstPathTreeMatchesEveryPath) {
+  std::vector<std::pair<std::string, workloads::Workload>> cases;
+  for (int k = 1; k <= 8; ++k) {
+    workloads::InstanceGenParams p;  // the spec_unique shape at 2^k paths
+    p.scalls = 20;
+    p.kernels = 8;
+    p.ips = 10;
+    p.branch_groups = k;
+    p.max_hierarchy_depth = 1;
+    cases.emplace_back("spec_" + std::to_string(1 << k) + "_paths",
+                       workloads::spec_workload(workloads::random_instance_spec(p, 2000 + k)));
+  }
+  int nested = 0, in_loop = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    workloads::RandomWorkloadParams p;
+    p.call_sites = 10 + static_cast<int>(seed % 3) * 4;
+    p.if_probability = 0.4;
+    workloads::Workload w = workloads::random_workload(p, seed);
+    const Flow flow(w.module, w.library);
+    const cdfg::CondTree t = cdfg::conditional_tree(flow.entry_cdfg());
+    if (t.conds.empty() || !t.complete()) continue;
+    nested += std::any_of(t.conds.begin(), t.conds.end(),
+                          [](const cdfg::CondTree::Cond& c) { return c.parent_scope != 0; });
+    in_loop += std::any_of(flow.entry_cdfg().nodes().begin(), flow.entry_cdfg().nodes().end(),
+                           [](const cdfg::AtomicNode& n) {
+                             return !n.loop_ctx.empty() && !n.branch_ctx.empty();
+                           });
+    cases.emplace_back("random_" + std::to_string(seed), std::move(w));
+  }
+  EXPECT_GE(cases.size(), 16u);
+  EXPECT_GT(nested, 0);
+  EXPECT_GT(in_loop, 0);
+
+  for (const auto& [name, w] : cases) {
+    SCOPED_TRACE(name);
+    Flow flow(w.module, w.library);
+    const std::size_t conds = cdfg::conditional_tree(flow.entry_cdfg()).conds.size();
+    const std::int64_t gmax = flow.max_feasible_gain();
+    ASSERT_GT(gmax, 0);
+    for (int k = 1; k <= 4; ++k) {
+      SCOPED_TRACE("rg " + std::to_string(k) + "/4 of " + std::to_string(gmax));
+      const ilp::Model tree = flow.selector().build_model(
+          std::vector<std::int64_t>(flow.paths().size(), gmax * k / 4), {});
+      std::size_t arm_rows = 0;
+      for (const ilp::Row& row : tree.rows()) arm_rows += row.name.rfind("arm_if", 0) == 0;
+      ASSERT_EQ(arm_rows, 2 * conds);
+      const ilp::Model explicit_paths = per_path_model(flow, tree);
+      const ilp::IlpResult a = ilp::solve_ilp(tree);
+      const ilp::IlpResult b = ilp::solve_ilp(explicit_paths);
+      ASSERT_EQ(a.has_solution, b.has_solution);
+      if (!a.has_solution) continue;
+      EXPECT_EQ(a.objective, b.objective);
+      const std::size_t binaries = explicit_paths.var_count();
+      EXPECT_EQ(std::vector<double>(a.x.begin(), a.x.begin() + binaries), b.x);
+    }
+    // The derived gain is the largest uniform gain every path meets.
+    ilp::Model at = per_path_model(
+        flow, flow.selector().build_model(std::vector<std::int64_t>(flow.paths().size(), 1), {}));
+    set_gain_rows(at, gmax);
+    EXPECT_TRUE(ilp::solve_ilp(at).has_solution);
+    set_gain_rows(at, gmax + 1);
+    EXPECT_FALSE(ilp::solve_ilp(at).has_solution) << "derived gain " << gmax;
+  }
+
+  // Without a conditional the tree is the single path row itself.
+  for (const char* name : {"jpeg_encoder", "fig9"}) {
+    SCOPED_TRACE(name);
+    const workloads::Workload w = *workloads::builtin(name);
+    Flow flow(w.module, w.library);
+    ASSERT_EQ(flow.paths().size(), 1u);
+    const ilp::Model tree = flow.selector().build_model({flow.max_feasible_gain() / 2}, {});
+    const ilp::Model explicit_paths = per_path_model(flow, tree);
+    EXPECT_EQ(ilp::fingerprint_model(tree), ilp::fingerprint_model(explicit_paths));
+    ASSERT_EQ(tree.row_count(), explicit_paths.row_count());
+    for (std::size_t r = 0; r < tree.row_count(); ++r) {
+      const ilp::Row& x = tree.row(static_cast<ilp::RowIndex>(r));
+      const ilp::Row& y = explicit_paths.row(static_cast<ilp::RowIndex>(r));
+      EXPECT_EQ(x.name, y.name);
+      EXPECT_EQ(x.rhs, y.rhs);
+      ASSERT_EQ(x.terms.size(), y.terms.size()) << x.name;
+      for (std::size_t i = 0; i < x.terms.size(); ++i) {
+        EXPECT_EQ(x.terms[i].var, y.terms[i].var) << x.name;
+        EXPECT_EQ(x.terms[i].coeff, y.terms[i].coeff) << x.name;
+      }
+    }
+  }
 }
 
 TEST(Formulation, AreaMonotoneInRequiredGain) {
