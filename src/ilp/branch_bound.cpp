@@ -72,7 +72,7 @@ struct HeapCmp {
 
 class Solver {
  public:
-  Solver(const Model& model, const IlpOptions& opt, BatchContext* batch)
+  Solver(const Model& model, const IlpOptions& opt, BatchContext& batch)
       : model_(model),
         opt_(opt),
         batch_(batch),
@@ -92,14 +92,13 @@ class Solver {
     // Cross-request carry: adopt the neighbor's pseudo-cost tables as the
     // branching prior. Pure search-order heuristics -- the canonical optimum
     // of a completed search is unchanged (see BatchContext).
-    if (batch_ != nullptr && batch_->carry_search_state &&
-        batch_->has_search_state && batch_->pc_sum[0].size() == n &&
-        batch_->pc_sum[1].size() == n && batch_->pc_cnt[0].size() == n &&
-        batch_->pc_cnt[1].size() == n) {
-      pc_sum_[0] = batch_->pc_sum[0];
-      pc_sum_[1] = batch_->pc_sum[1];
-      pc_cnt_[0] = batch_->pc_cnt[0];
-      pc_cnt_[1] = batch_->pc_cnt[1];
+    if (batch_.carry_search_state && batch_.has_search_state &&
+        batch_.pc_sum[0].size() == n && batch_.pc_sum[1].size() == n &&
+        batch_.pc_cnt[0].size() == n && batch_.pc_cnt[1].size() == n) {
+      pc_sum_[0] = batch_.pc_sum[0];
+      pc_sum_[1] = batch_.pc_sum[1];
+      pc_cnt_[0] = batch_.pc_cnt[0];
+      pc_cnt_[1] = batch_.pc_cnt[1];
       ++result_.stats.seeded_artifacts;
     }
   }
@@ -114,11 +113,11 @@ class Solver {
       // Batch amortization: the clique table only depends on row structure
       // (not on the retargeted gain RHS values), so later batch items reuse
       // the first item's table instead of re-scanning every row.
-      const bool reuse_cliques = batch_ != nullptr && batch_->has_cliques;
+      const bool reuse_cliques = batch_.has_cliques;
       pre_ = presolve(model_, root_lo_, root_hi_, /*extract_cliques=*/!reuse_cliques);
       if (reuse_cliques) {
-        pre_.cliques = batch_->cliques;
-        pre_.var_cliques = batch_->var_cliques;
+        pre_.cliques = batch_.cliques;
+        pre_.var_cliques = batch_.var_cliques;
         ++result_.stats.batch_hits;
       }
       result_.stats.presolve_seconds = seconds_since(tp);
@@ -130,10 +129,10 @@ class Solver {
       }
       root_lo_ = pre_.lower;
       root_hi_ = pre_.upper;
-      if (batch_ != nullptr && !batch_->has_cliques) {
-        batch_->cliques = pre_.cliques;
-        batch_->var_cliques = pre_.var_cliques;
-        batch_->has_cliques = true;
+      if (!reuse_cliques) {
+        batch_.cliques = pre_.cliques;
+        batch_.var_cliques = pre_.var_cliques;
+        batch_.has_cliques = true;
       }
     } else {
       pre_.var_cliques.assign(model_.var_count(), {});
@@ -150,9 +149,9 @@ class Solver {
     // The neighbor's best solution becomes the starting incumbent *iff* it is
     // feasible for this model -- offer_incumbent re-audits it, so a seed
     // invalidated by an RHS retarget is dropped, never served.
-    if (batch_ != nullptr && batch_->carry_search_state && batch_->has_incumbent &&
-        batch_->incumbent.size() == model_.var_count()) {
-      offer_incumbent(batch_->incumbent);
+    if (batch_.carry_search_state && batch_.has_incumbent &&
+        batch_.incumbent.size() == model_.var_count()) {
+      offer_incumbent(batch_.incumbent);
       if (has_incumbent_) ++result_.stats.seeded_artifacts;
     }
 
@@ -218,9 +217,9 @@ class Solver {
     result_.stats.pricing_refreshes += lp.pricing_refreshes;
   }
 
-  /// Solves the root relaxation explicitly when cuts or a batch context ask
-  /// for it: warm-starts from the batch's previous root basis, separates
-  /// root cuts into an extended copy of the model (the *search* model: same
+  /// Solves the root relaxation: warm-starts from the context's previous
+  /// root basis, leaves this one there, separates root cuts (when enabled)
+  /// into an extended copy of the model (the *search* model: same
   /// variables, extra <= rows), and leaves the final root basis for node 0.
   /// Each round after the first warm-starts from the previous round's
   /// optimal basis with the new cut rows' logicals basic: that basis stays
@@ -230,12 +229,10 @@ class Solver {
   /// extended-LP infeasibility also qualifies, because cuts retain every
   /// integer-feasible point.
   bool root_relaxation() {
-    if (!opt_.cuts && batch_ == nullptr) return true;  // legacy path: node 0 solves cold
     SimplexSolver root(model_);
     LpResult lp;
-    if (batch_ != nullptr &&
-        batch_->root_basis.status.size() == model_.var_count() + model_.row_count()) {
-      lp = root.solve_warm(root_lo_, root_hi_, batch_->root_basis, opt_.lp);
+    if (batch_.root_basis.status.size() == model_.var_count() + model_.row_count()) {
+      lp = root.solve_warm(root_lo_, root_hi_, batch_.root_basis, opt_.lp);
       if (lp.warm_started) ++result_.stats.batch_hits;
     } else {
       lp = root.solve(root_lo_, root_hi_, opt_.lp);
@@ -243,7 +240,7 @@ class Solver {
     accumulate_root_lp(lp);
     if (lp.status == LpStatus::kInfeasible) return false;
     if (lp.status != LpStatus::kOptimal) return true;  // no usable fractional point
-    if (batch_ != nullptr) batch_->root_basis = root.last_basis();
+    batch_.root_basis = root.last_basis();
     root_basis_ = root.last_basis();
 
     if (!opt_.cuts) return true;
@@ -283,18 +280,14 @@ class Solver {
     return true;
   }
 
-  /// The clique table's extensions, lifted once per table: a batch context
+  /// The clique table's extensions, lifted once per table: the context
   /// lifts on its first separating item and hands the list on.
   const std::vector<LiftedClique>& lifted_cliques() {
-    if (batch_ == nullptr || !batch_->has_cliques || !opt_.presolve) {
-      lifted_ = lift_cliques(pre_.cliques, model_.var_count());
-      return lifted_;
+    if (!batch_.has_lifted_cliques) {
+      batch_.lifted_cliques = lift_cliques(pre_.cliques, model_.var_count());
+      batch_.has_lifted_cliques = true;
     }
-    if (!batch_->has_lifted_cliques) {
-      batch_->lifted_cliques = lift_cliques(pre_.cliques, model_.var_count());
-      batch_->has_lifted_cliques = true;
-    }
-    return batch_->lifted_cliques;
+    return batch_.lifted_cliques;
   }
 
   /// The node being solved. Between waves `node_id` holds a parked plunge
@@ -849,15 +842,15 @@ class Solver {
     // Export the search state for the next same-structure solve. Done before
     // the result is assembled so even infeasible/truncated runs leave their
     // (still valid) branching statistics behind.
-    if (batch_ != nullptr && batch_->carry_search_state) {
+    if (batch_.carry_search_state) {
       for (int d = 0; d < 2; ++d) {
-        batch_->pc_sum[d] = pc_sum_[d];
-        batch_->pc_cnt[d] = pc_cnt_[d];
+        batch_.pc_sum[d] = pc_sum_[d];
+        batch_.pc_cnt[d] = pc_cnt_[d];
       }
-      batch_->has_search_state = true;
+      batch_.has_search_state = true;
       if (has_incumbent_) {
-        batch_->incumbent = incumbent_x_;
-        batch_->has_incumbent = true;
+        batch_.incumbent = incumbent_x_;
+        batch_.has_incumbent = true;
       }
     }
     result_.stats.termination = reason;
@@ -866,8 +859,6 @@ class Solver {
         result_.stats.total_seconds - result_.stats.presolve_seconds;
     result_.stats.peak_arena_bytes =
         std::max(result_.stats.peak_arena_bytes, arena_bytes());
-    result_.nodes_explored = result_.stats.nodes;
-    result_.lp_iterations = result_.stats.lp_iterations;
 
     const bool truncated = reason != TerminationReason::kCompleted;
     const IlpStatus truncated_status = reason == TerminationReason::kNodeLimit
@@ -896,7 +887,7 @@ class Solver {
 
   const Model& model_;
   const IlpOptions& opt_;
-  BatchContext* batch_ = nullptr;
+  BatchContext& batch_;
   // Search model: `model_` itself, or `ext_model_` (model_ + root cut rows)
   // once a separation round applied cuts. Incumbent checks and branching
   // always use `model_` -- the variable set is identical and every cut is
@@ -904,8 +895,7 @@ class Solver {
   const Model* search_model_ = nullptr;
   Model ext_model_;
   Basis root_basis_;
-  std::vector<LiftedClique> lifted_;  // this solve's lift when no batch holds one
-  support::Clock& clock_;               // deadline clock (injectable)
+  support::Clock& clock_;  // deadline clock (injectable)
   std::int64_t budget_start_micros_ = 0;
   double sign_ = 1.0;
   std::vector<double> root_lo_, root_hi_;
@@ -933,16 +923,12 @@ class Solver {
 
 }  // namespace
 
-IlpResult solve_ilp(const Model& model, const IlpOptions& opt) {
-  return Solver(model, opt, nullptr).run();
-}
-
 IlpResult solve_ilp(const Model& model, const IlpOptions& opt, BatchContext* batch) {
-  IlpResult res = Solver(model, opt, batch).run();
-  if (batch != nullptr) {
-    ++batch->items;
-    batch->var_count = model.var_count();
-  }
+  BatchContext local;
+  BatchContext& ctx = batch != nullptr ? *batch : local;
+  IlpResult res = Solver(model, opt, ctx).run();
+  ++ctx.items;
+  ctx.var_count = model.var_count();
   return res;
 }
 

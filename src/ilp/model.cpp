@@ -57,6 +57,13 @@ RowIndex Model::add_row(std::string name, std::vector<Term> terms, RowSense sens
   return static_cast<RowIndex>(rows_.size() - 1);
 }
 
+void Model::append_term(RowIndex r, Term t) {
+  // invariant: callers append a column they have just added.
+  PARTITA_ASSERT(t.var < vars_.size() &&
+                 (rows_[r].terms.empty() || rows_[r].terms.back().var < t.var));
+  rows_[r].terms.push_back(t);
+}
+
 double Model::objective_value(const std::vector<double>& x) const {
   PARTITA_ASSERT(x.size() == vars_.size());
   double v = 0;

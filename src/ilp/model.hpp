@@ -61,6 +61,10 @@ class Model {
   /// solves without rebuilding the model.
   void set_rhs(RowIndex r, double rhs) { rows_[r].rhs = rhs; }
 
+  /// Appends `t` to row r in place. t.var must be a column after every
+  /// column already in the row, so the row stays sorted and merged.
+  void append_term(RowIndex r, Term t);
+
   std::size_t var_count() const { return vars_.size(); }
   std::size_t row_count() const { return rows_.size(); }
   const Variable& var(VarIndex v) const { return vars_[v]; }

@@ -59,10 +59,7 @@ struct Selection {
   /// gain (column G is reported against this).
   std::int64_t min_path_gain = 0;
 
-  /// Solver statistics (ilp_nodes/lp_iterations mirror solver.nodes and
-  /// solver.lp_iterations for existing callers).
-  int ilp_nodes = 0;
-  int lp_iterations = 0;
+  /// Solver statistics of the solve that answered.
   ilp::SolverStats solver;
 
   /// True when the branch & bound hit its node limit or resource budget

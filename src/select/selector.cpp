@@ -29,6 +29,38 @@ ImplSignature signature_of(const isel::Imp& imp) {
   return {imp.ip.value, static_cast<int>(imp.iface_type)};
 }
 
+/// One of Eq. 2's requirement rows "gain_path<p>" (the tree's one row, or
+/// one per path) and its never-binding floor: (sum of the row's negative
+/// coefficients) - 1, met by every 0/1 point with y = 0.
+struct GainRow {
+  ilp::RowIndex row;
+  std::size_t path;
+  double floor;
+};
+
+std::vector<GainRow> gain_rows(const ilp::Model& m) {
+  std::vector<GainRow> out;
+  for (std::size_t r = 0; r < m.row_count(); ++r) {
+    const ilp::Row& row = m.row(static_cast<ilp::RowIndex>(r));
+    if (row.name.rfind("gain_path", 0) != 0) continue;
+    GainRow g{static_cast<ilp::RowIndex>(r),
+              std::stoul(row.name.substr(sizeof("gain_path") - 1)), -1.0};
+    for (const ilp::Term& t : row.terms) g.floor += std::min(0.0, t.coeff);
+    out.push_back(g);
+  }
+  return out;
+}
+
+/// Points each requirement row at its path's gain. A non-positive gain gets
+/// the row's floor, so the row binds nothing, as if it were absent.
+void retarget(ilp::Model& m, const std::vector<GainRow>& rows,
+              const std::vector<std::int64_t>& gains) {
+  for (const GainRow& g : rows) {
+    const std::int64_t rg = gains[g.path];
+    m.set_rhs(g.row, rg > 0 ? static_cast<double>(rg) : g.floor);
+  }
+}
+
 }  // namespace
 
 bool Selector::uses_tree(const std::vector<std::int64_t>& required_gains) const {
@@ -52,14 +84,15 @@ std::vector<std::vector<ilp::Term>> Selector::scope_terms() const {
 
 ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
                                  const SelectOptions& opt) const {
-  return build_model(required_gains, opt, uses_tree(required_gains));
-}
-
-ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
-                                 const SelectOptions& opt, bool tree) const {
   // invariant: the Selector itself expands RG to one entry per path; no user
   // input reaches this signature.
   PARTITA_ASSERT(required_gains.size() == paths_.size());
+  ilp::Model m = build_form(opt, uses_tree(required_gains));
+  retarget(m, gain_rows(m), required_gains);
+  return m;
+}
+
+ilp::Model Selector::build_form(const SelectOptions& opt, bool tree) const {
   const std::vector<isel::Imp>& imps = db_.imps();
 
   ilp::Model m;
@@ -112,7 +145,8 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
   // gain, so any feasible y_c is at most that min, and y_c = min is feasible:
   // the rows project onto exactly the per-path rows' x-set, LP included. The
   // y columns come after x and z, so they sort last in the lex tie-break.
-  if (tree && required_gains.front() > 0) {
+  // Every Eq. 2 row is built with RHS 0; the caller retargets it.
+  if (tree) {
     const std::vector<std::vector<ilp::Term>> scope = scope_terms();
     const std::size_t nc = tree_.conds.size();
     std::vector<std::vector<std::size_t>> kids(tree_.scope_count());
@@ -136,8 +170,7 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
     }
     std::vector<ilp::Term> req = scope[0];
     for (std::size_t c : kids[0]) req.push_back({y[c], 1.0});
-    m.add_row("gain_path0", std::move(req), ilp::RowSense::kGreaterEqual,
-              static_cast<double>(required_gains.front()));
+    m.add_row("gain_path0", std::move(req), ilp::RowSense::kGreaterEqual, 0.0);
     for (std::size_t c = 0; c < nc; ++c) {
       for (const bool then_arm : {true, false}) {
         const std::size_t arm = cdfg::CondTree::arm_scope(c, then_arm);
@@ -153,7 +186,6 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
 
   // --- Eq. 2: per-path required gain -------------------------------------
   for (std::size_t p = 0; !tree && p < paths_.size(); ++p) {
-    if (required_gains[p] <= 0) continue;
     std::vector<ilp::Term> terms;
     for (std::size_t j = 0; j < imps.size(); ++j) {
       const isel::SCall* sc = db_.scall_of(imps[j].scall);
@@ -163,7 +195,7 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
       terms.push_back({x[j], coeff});
     }
     m.add_row("gain_path" + std::to_string(p), std::move(terms),
-              ilp::RowSense::kGreaterEqual, static_cast<double>(required_gains[p]));
+              ilp::RowSense::kGreaterEqual, 0.0);
   }
 
   // --- fixed charge: IP area counted once --------------------------------
@@ -245,20 +277,12 @@ ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains
   return m;
 }
 
-Selection Selector::select_per_path(const std::vector<std::int64_t>& required_gains,
-                                    const SelectOptions& opt) const {
-  const ilp::Model m = build_model(required_gains, opt);
-
-  // Degradation ladder, rung 1 + 2: the exact ILP under its resource
-  // budget. A completed search answers rung 1 (proven optimum) or proves
-  // infeasibility; a truncated one leaves the best incumbent for rung 2.
-  const ilp::IlpResult r = ilp::solve_ilp(m, opt.ilp);
-  return finish_selection(r, required_gains, opt);
-}
-
 Selection Selector::finish_selection(const ilp::IlpResult& r,
                                      const std::vector<std::int64_t>& required_gains,
                                      const SelectOptions& opt) const {
+  // Degradation ladder, rung 1 + 2: the exact ILP under its resource
+  // budget. A completed search answers rung 1 (proven optimum) or proves
+  // infeasibility; a truncated one leaves the best incumbent for rung 2.
   const bool truncated = ilp::is_truncated(r.status);
 
   Selection sel;
@@ -291,8 +315,6 @@ Selection Selector::finish_selection(const ilp::IlpResult& r,
   }
 
   sel.solver = r.stats;
-  sel.ilp_nodes = r.stats.nodes;
-  sel.lp_iterations = r.stats.lp_iterations;
   sel.truncated = truncated;
   if (truncated && sel.feasible) {
     sel.optimality_gap = std::abs(sel.total_area() - r.best_bound) /
@@ -326,8 +348,12 @@ Selection Selector::finish_selection(const ilp::IlpResult& r,
 }
 
 Selection Selector::select(std::int64_t required_gain, const SelectOptions& opt) const {
-  return select_per_path(
-      std::vector<std::int64_t>(paths_.size(), required_gain), opt);
+  return std::move(select_batch({required_gain}, opt).front());
+}
+
+Selection Selector::select_per_path(const std::vector<std::int64_t>& required_gains,
+                                    const SelectOptions& opt) const {
+  return std::move(select_batch_per_path({required_gains}, opt).front());
 }
 
 std::vector<Selection> Selector::select_batch(
@@ -363,30 +389,13 @@ std::vector<Selection> Selector::solve_ladder(
   if (items.empty()) return {};
   for (const auto& item : items) PARTITA_ASSERT(item.size() == paths_.size());
 
-  // One model for the whole ladder, built with a token gain of 1 so every
-  // gain row materializes; items only retarget the gain-row RHS below. The
-  // tree form needs every item uniform: its one requirement row gain_path0
-  // then takes each item's gain. An rg <= 0 item gets a never-binding floor
-  // instead ((sum of negative coefficients) - 1, satisfied by every 0/1
-  // point with y = 0), so it behaves exactly like the serial build that
-  // omits the rows.
+  // One model for the whole ladder; items only retarget the gain-row RHS
+  // below. The tree form needs every item uniform: its one requirement row
+  // gain_path0 then takes each item's gain.
   const bool tree = std::all_of(items.begin(), items.end(),
                                 [&](const auto& item) { return uses_tree(item); });
-  ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt, tree);
-  struct GainRow {
-    ilp::RowIndex row;
-    std::size_t path;
-    double floor;
-  };
-  std::vector<GainRow> gain_rows;
-  for (std::size_t r = 0; r < m.row_count(); ++r) {
-    const ilp::Row& row = m.row(static_cast<ilp::RowIndex>(r));
-    if (row.name.rfind("gain_path", 0) != 0) continue;
-    GainRow g{static_cast<ilp::RowIndex>(r),
-              std::stoul(row.name.substr(sizeof("gain_path") - 1)), -1.0};
-    for (const ilp::Term& t : row.terms) g.floor += std::min(0.0, t.coeff);
-    gain_rows.push_back(g);
-  }
+  ilp::Model m = build_form(opt, tree);
+  const std::vector<GainRow> rows = gain_rows(m);
   // A context carried over from the other Eq. 2 form holds a differently
   // shaped model's artifacts (clique table, bases, pseudo-costs): start over.
   if (ctx.items > 0 && ctx.var_count != m.var_count()) {
@@ -414,10 +423,7 @@ std::vector<Selection> Selector::solve_ladder(
 
   std::vector<Selection> out(items.size());
   for (const std::size_t i : order) {
-    for (const GainRow& g : gain_rows) {
-      const std::int64_t rg = items[i][g.path];
-      m.set_rhs(g.row, rg > 0 ? static_cast<double>(rg) : g.floor);
-    }
+    retarget(m, rows, items[i]);
     // Any earlier solve through ctx -- a previous item or a cache seed --
     // counts as carried state.
     const bool carried = ctx.items > 0;
@@ -455,9 +461,9 @@ std::uint64_t Selector::answer_map_digest() const {
 }
 
 std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
-  // Base model with a token requirement of 1 so every gain row materializes:
-  // the worst-path tree whenever every path was enumerated.
-  ilp::Model m = build_model(std::vector<std::int64_t>(paths_.size(), 1), opt);
+  // Eq. 2 in the form a uniform requirement builds: the worst-path tree
+  // whenever every path was enumerated.
+  ilp::Model m = build_form(opt, tree_.complete());
 
   // Upper bound for G_min: everything selected at once (ignoring conflicts).
   double ub = 1.0;
@@ -468,46 +474,33 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
 
   m.set_sense(ilp::Sense::kMaximize);
   for (std::size_t v = 0; v < m.var_count(); ++v) {
-    m.var(static_cast<ilp::VarIndex>(v)).objective = 0.0;  // area is irrelevant here
+    ilp::Variable& var = m.var(static_cast<ilp::VarIndex>(v));
+    var.objective = 0.0;  // area is irrelevant here
+    // Without a power budget an IP column z_k sits only in its own
+    // fixed-charge row, with a negative coefficient, and area is not in
+    // this objective: z_k = 1 keeps every point feasible and G unchanged.
+    // Fixed there, it is not an objective-free fractional column to branch
+    // on.
+    if (!opt.max_power && var.kind == ilp::VarKind::kBinary &&
+        var.name.rfind("z_", 0) == 0) {
+      var.lower = var.upper;
+    }
   }
   const ilp::VarIndex gmin = m.add_continuous("G_min", 0.0, ub, 1.0);
 
-  // Rebuild the gain rows (the tree's one requirement row, or every path
-  // row) as  sum(gains) - G_min >= 0.
-  ilp::Model m2;
-  m2.set_sense(ilp::Sense::kMaximize);
-  for (std::size_t v = 0; v < m.var_count(); ++v) {
-    const ilp::Variable& var = m.var(static_cast<ilp::VarIndex>(v));
-    if (var.kind == ilp::VarKind::kBinary) {
-      const ilp::VarIndex nv = m2.add_binary(var.name, var.objective);
-      m2.var(nv).upper = var.upper;  // preserve filter-forced zeros
-      // Without a power budget an IP column z_k sits only in its own
-      // fixed-charge row, with a negative coefficient, and area is not in
-      // this objective: z_k = 1 keeps every point feasible and G unchanged.
-      // Fixed there, it is not an objective-free fractional column to
-      // branch on.
-      if (!opt.max_power && var.name.rfind("z_", 0) == 0) m2.var(nv).lower = var.upper;
-    } else {
-      m2.add_continuous(var.name, var.lower, var.upper, var.objective);
-    }
-  }
-  std::vector<const ilp::Row*> gain_rows;
-  for (const ilp::Row& row : m.rows()) {
-    if (row.name.rfind("gain_path", 0) == 0) {
-      gain_rows.push_back(&row);
-      std::vector<ilp::Term> terms = row.terms;
-      terms.push_back({gmin, -1.0});
-      m2.add_row(row.name, std::move(terms), ilp::RowSense::kGreaterEqual, 0.0);
-    } else {
-      m2.add_row(row.name, row.terms, row.sense, row.rhs);
-    }
+  // Every requirement row (the tree's one, or one per path) becomes
+  // sum(gains) - G_min >= 0.
+  const std::vector<GainRow> rows = gain_rows(m);
+  for (const GainRow& g : rows) {
+    m.append_term(g.row, {gmin, -1.0});
+    m.set_rhs(g.row, 0.0);
   }
 
   // Only the objective value is consumed here; skip the canonical tie-break
   // (the all-zero binary objective makes the equal-objective plateau huge).
   ilp::IlpOptions bound_opt = opt.ilp;
   bound_opt.canonical_ties = false;
-  const ilp::IlpResult r = ilp::solve_ilp(m2, bound_opt);
+  const ilp::IlpResult r = ilp::solve_ilp(m, bound_opt);
   if (!r.has_solution) return 0;
   // G_min exactly, in integers, from the selection the solve found: the
   // floating objective can sit just below the integer optimum, and
@@ -532,10 +525,10 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
     }
     return std::min(g, gain[0]);
   }
-  for (const ilp::Row* row : gain_rows) {
+  for (const GainRow& row : rows) {
     std::int64_t path_gain = 0;
-    for (const ilp::Term& t : row->terms) {
-      if (r.x[t.var] > 0.5) path_gain += std::llround(t.coeff);
+    for (const ilp::Term& t : m.row(row.row).terms) {
+      if (t.var != gmin && r.x[t.var] > 0.5) path_gain += std::llround(t.coeff);
     }
     g = std::min(g, path_gain);
   }

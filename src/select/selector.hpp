@@ -13,8 +13,11 @@
 //           a continuous y_c with one row y_c <= (arm gain) per arm, so
 //           y_c is at most the min over c's arms. One row per path remains
 //           for per-path T_k and for truncated path enumeration
-//           (docs/ilp_solver.md, "Eq. 2 as a worst-path tree").
-//   FC      sum_{ij : s_ijk=1} x_ij <= M z_k      fixed charge, M = |IMPs|
+//           (docs/ilp_solver.md, "Eq. 2 as a worst-path tree"). Every
+//           Eq. 2 row is built whatever the gains; a T_k <= 0 gets a
+//           never-binding floor as its RHS.
+//   FC      sum_{ij : s_ijk=1} x_ij <= M_k z_k    fixed charge, M_k = number
+//           of distinct s-calls with an IMP on IP k
 //   P1      x_iA = x_jB for matching IMPs of s-calls to the same function
 //           (Problem 1 only: same function => same implementation)
 //   SC-PC   x_A + x_B <= 1 when IMP-A's parallel code contains SC_m's
@@ -62,10 +65,12 @@ class Selector {
       : db_(db), lib_(lib), entry_cdfg_(entry_cdfg), paths_(paths),
         tree_(cdfg::conditional_tree(entry_cdfg)) {}
 
-  /// Solves with the same required gain T_k = required_gain on every path.
+  /// Solves with the same required gain T_k = required_gain on every path:
+  /// a one-item select_batch.
   Selection select(std::int64_t required_gain, const SelectOptions& opt = {}) const;
 
-  /// Solves with per-path required gains (size must match the path list).
+  /// Solves with per-path required gains (size must match the path list):
+  /// a one-item select_batch_per_path.
   Selection select_per_path(const std::vector<std::int64_t>& required_gains,
                             const SelectOptions& opt = {}) const;
 
@@ -99,7 +104,7 @@ class Selector {
   /// Seeded single solve for the cross-request cache: a one-item ladder
   /// through the same core as select_batch_per_path, starting from the
   /// artifacts in `batch` (non-null; see ilp::BatchContext) and leaving this
-  /// solve's there. The token-gain model keeps one layout across all
+  /// solve's there. The ladder model keeps one layout across all
   /// same-structure solves of one Eq. 2 form (tree for uniform gains,
   /// per-path rows otherwise), so artifacts from a previous same-structure
   /// solve stay valid even when the gains differ; a context from the other
@@ -116,7 +121,8 @@ class Selector {
 
   /// Exposes the built ILP (for tests and debugging dumps). Eq. 2 is the
   /// worst-path tree when the gains are uniform and every path was
-  /// enumerated, one row per path otherwise.
+  /// enumerated, one row per path otherwise; a non-positive gain keeps its
+  /// row, with a never-binding floor as the RHS.
   ilp::Model build_model(const std::vector<std::int64_t>& required_gains,
                          const SelectOptions& opt) const;
 
@@ -139,25 +145,26 @@ class Selector {
   /// one gain for every path, and every path enumerated.
   bool uses_tree(const std::vector<std::int64_t>& required_gains) const;
 
-  /// build_model with the Eq. 2 form chosen by the caller.
-  ilp::Model build_model(const std::vector<std::int64_t>& required_gains,
-                         const SelectOptions& opt, bool tree) const;
+  /// build_model with the Eq. 2 form chosen by the caller and every Eq. 2
+  /// row at RHS 0, for the caller to retarget.
+  ilp::Model build_form(const SelectOptions& opt, bool tree) const;
 
   /// Eq. 2's gain terms g_ij x_ij per scope of the conditional tree, with
   /// x_ij at column j.
   std::vector<std::vector<ilp::Term>> scope_terms() const;
 
-  /// The one ladder core behind select_batch_per_path and select_seeded:
-  /// builds the token-gain model once, solves the items hardest-first
-  /// through `ctx`, and redoes from a fresh context any truncated item that
-  /// started from carried state (setting `*redone`, when given).
+  /// The one ladder core behind every selection (select, select_per_path,
+  /// select_batch, select_batch_per_path, select_seeded): builds the model
+  /// once, solves the items hardest-first through `ctx`, and redoes from a
+  /// fresh context any truncated item that started from carried state
+  /// (setting `*redone`, when given).
   std::vector<Selection> solve_ladder(const std::vector<std::vector<std::int64_t>>& items,
                                       const SelectOptions& opt,
                                       const BatchItemHook& per_item,
                                       ilp::BatchContext& ctx, bool* redone) const;
 
-  /// Decodes one IlpResult into a Selection: degradation ladder, greedy
-  /// fallback, rung labeling. Shared by the serial and batch solve paths.
+  /// Decodes one ladder item's IlpResult into a Selection: degradation
+  /// ladder, greedy fallback, rung labeling.
   Selection finish_selection(const ilp::IlpResult& r,
                              const std::vector<std::int64_t>& required_gains,
                              const SelectOptions& opt) const;

@@ -179,34 +179,7 @@ std::string SolutionCache::Key::str() const {
 }
 
 SolutionCache::SolutionCache(Config cfg) : cfg_(cfg) {
-  const int n = std::max(1, cfg_.shards);
-  cfg_.shards = n;
   if (cfg_.capacity == 0) cfg_.capacity = 1;
-  per_shard_capacity_ =
-      std::max<std::size_t>(1, (cfg_.capacity + n - 1) / static_cast<std::size_t>(n));
-  per_shard_bytes_ =
-      cfg_.max_bytes == 0 ? 0 : std::max<std::size_t>(1, cfg_.max_bytes / n);
-  shards_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-SolutionCache::Shard& SolutionCache::shard_for(const Key& key) {
-  // Shard by GROUP, not full key: all gains-variants of one structure land
-  // in one shard so the neighbor scan stays shard-local.
-  return shard_for_group(key.group());
-}
-
-SolutionCache::Shard& SolutionCache::shard_for_group(const std::string& g) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  for (const char c : g) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return *shards_[h % shards_.size()];
-}
-
-SolutionCache::Shard& SolutionCache::shard_for_envelope(const ilp::Fingerprint& envelope) {
-  return *shards_[envelope.lo % shards_.size()];
 }
 
 std::size_t SolutionCache::entry_bytes(const Entry& e) {
@@ -229,41 +202,37 @@ std::size_t SolutionCache::entry_bytes(const Entry& e) {
 }
 
 std::optional<select::Selection> SolutionCache::lookup(const Key& key, bool via_memo) {
-  Shard& s = shard_for(key);
   const std::string k = key.str();
-  const std::uint64_t gen = generation_.load();
-  std::lock_guard<std::mutex> g(s.mu);
-  ++s.stats.lookups;
-  const auto it = s.index.find(k);
-  if (it == s.index.end()) {
-    ++s.stats.misses;
+  std::lock_guard<std::mutex> g(mu_);
+  ++stats_.lookups;
+  const auto it = index_.find(k);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return std::nullopt;
   }
-  if (it->second->generation != gen) {
+  if (it->second->generation != generation_) {
     // Outdated by invalidate_all(): drop lazily, count both stale and miss
     // so hits + misses == lookups stays an invariant.
-    unlink_locked(s, it->second);
-    ++s.stats.stale;
-    ++s.stats.misses;
+    unlink_locked(it->second);
+    ++stats_.stale;
+    ++stats_.misses;
     return std::nullopt;
   }
-  ++s.stats.hits;
-  if (via_memo) ++s.stats.memo_hits;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
+  ++stats_.hits;
+  if (via_memo) ++stats_.memo_hits;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->selection;
 }
 
 CacheSeed SolutionCache::nearest(const Key& key,
                                  const std::vector<std::int64_t>& resolved_gains) {
-  Shard& s = shard_for(key);
   const std::string group = key.group();
-  const std::uint64_t gen = generation_.load();
   CacheSeed seed;
-  std::lock_guard<std::mutex> g(s.mu);
+  std::lock_guard<std::mutex> g(mu_);
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
   const Entry* best_entry = nullptr;
-  for (const Entry& e : s.lru) {
-    if (e.generation != gen || e.group != group) continue;
+  for (const Entry& e : lru_) {
+    if (e.generation != generation_ || e.group != group) continue;
     const std::int64_t d = l1_distance(resolved_gains, e.resolved_gains);
     if (d < best) {
       best = d;
@@ -275,43 +244,40 @@ CacheSeed SolutionCache::nearest(const Key& key,
   seed.artifacts = best_entry->artifacts;
   seed.artifacts.carry_search_state = true;
   seed.distance = best;
-  ++s.stats.neighbor_hits;
+  ++stats_.neighbor_hits;
   return seed;
 }
 
 std::optional<ilp::Fingerprint> SolutionCache::memo_structure(
     const ilp::Fingerprint& envelope) {
-  Shard& s = shard_for_envelope(envelope);
-  std::lock_guard<std::mutex> g(s.mu);
-  const auto it = s.memo_index.find(envelope);
-  if (it == s.memo_index.end()) return std::nullopt;
-  s.memo.splice(s.memo.begin(), s.memo, it->second);  // refresh recency
+  std::lock_guard<std::mutex> g(mu_);
+  const auto it = memo_index_.find(envelope);
+  if (it == memo_index_.end()) return std::nullopt;
+  memo_.splice(memo_.begin(), memo_, it->second);  // refresh recency
   return it->second->second;
 }
 
 void SolutionCache::remember_structure(const ilp::Fingerprint& envelope,
                                        const ilp::Fingerprint& structure) {
-  Shard& s = shard_for_envelope(envelope);
-  std::lock_guard<std::mutex> g(s.mu);
+  std::lock_guard<std::mutex> g(mu_);
   // A racing request with the same envelope may have stored it already;
   // the structure is a function of the envelope, so that entry stands.
-  if (s.memo_index.count(envelope) != 0) return;
-  s.memo.emplace_front(envelope, structure);
-  s.memo_index[envelope] = s.memo.begin();
-  while (s.memo.size() > per_shard_capacity_) {
-    s.memo_index.erase(s.memo.back().first);
-    s.memo.pop_back();
+  if (memo_index_.count(envelope) != 0) return;
+  memo_.emplace_front(envelope, structure);
+  memo_index_[envelope] = memo_.begin();
+  while (memo_.size() > cfg_.capacity) {
+    memo_index_.erase(memo_.back().first);
+    memo_.pop_back();
   }
 }
 
 std::optional<std::int64_t> SolutionCache::derived_gain(const Key& key) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> g(s.mu);
-  const auto it = s.groups.find(key.group());
-  if (it == s.groups.end() || !it->second.derived_gain.has_value()) {
+  std::lock_guard<std::mutex> g(mu_);
+  const auto it = groups_.find(key.group());
+  if (it == groups_.end() || !it->second.derived_gain.has_value()) {
     return std::nullopt;
   }
-  ++s.stats.gain_memo_hits;
+  ++stats_.gain_memo_hits;
   return it->second.derived_gain;
 }
 
@@ -319,7 +285,6 @@ void SolutionCache::insert(const Key& key, const select::Selection& sel,
                            ilp::BatchContext artifacts,
                            const std::vector<std::int64_t>& resolved_gains,
                            std::optional<std::int64_t> derived) {
-  Shard& s = shard_for(key);
   Entry e;
   e.key = key.str();
   e.group = key.group();
@@ -327,80 +292,75 @@ void SolutionCache::insert(const Key& key, const select::Selection& sel,
   e.selection = sel;
   e.artifacts = std::move(artifacts);
   e.artifacts.carry_search_state = true;
-  e.generation = generation_.load();
   e.bytes = entry_bytes(e);
 
-  std::lock_guard<std::mutex> g(s.mu);
-  if (derived.has_value()) s.groups[e.group].derived_gain = *derived;
-  link_locked(s, std::move(e));
-  ++s.stats.insertions;
-  evict_locked(s);
+  std::lock_guard<std::mutex> g(mu_);
+  e.generation = generation_;
+  if (derived.has_value()) groups_[e.group].derived_gain = *derived;
+  link_locked(std::move(e));
+  ++stats_.insertions;
+  evict_locked();
 }
 
-void SolutionCache::link_locked(Shard& s, Entry e) {
+void SolutionCache::link_locked(Entry e) {
   // Count the newcomer first, so refreshing a group's only entry (same key
   // re-inserted after a stale drop or a racing double-miss) keeps its group.
-  ++s.groups[e.group].entries;
-  const auto it = s.index.find(e.key);
-  if (it != s.index.end()) unlink_locked(s, it->second);
-  s.bytes += e.bytes;
-  s.lru.push_front(std::move(e));
-  s.index[s.lru.front().key] = s.lru.begin();
+  ++groups_[e.group].entries;
+  const auto it = index_.find(e.key);
+  if (it != index_.end()) unlink_locked(it->second);
+  bytes_ += e.bytes;
+  lru_.push_front(std::move(e));
+  index_[lru_.front().key] = lru_.begin();
 }
 
-void SolutionCache::unlink_locked(Shard& s, std::list<Entry>::iterator it) {
-  s.bytes -= it->bytes;
-  const auto g = s.groups.find(it->group);
-  if (g != s.groups.end() && --g->second.entries == 0) s.groups.erase(g);
-  s.index.erase(it->key);
-  s.lru.erase(it);
+void SolutionCache::unlink_locked(std::list<Entry>::iterator it) {
+  bytes_ -= it->bytes;
+  const auto g = groups_.find(it->group);
+  if (g != groups_.end() && --g->second.entries == 0) groups_.erase(g);
+  index_.erase(it->key);
+  lru_.erase(it);
 }
 
-void SolutionCache::evict_locked(Shard& s) {
-  while (s.lru.size() > per_shard_capacity_ ||
-         (per_shard_bytes_ != 0 && s.bytes > per_shard_bytes_ && s.lru.size() > 1)) {
-    unlink_locked(s, std::prev(s.lru.end()));
-    ++s.stats.evictions;
+void SolutionCache::evict_locked() {
+  while (lru_.size() > cfg_.capacity ||
+         (cfg_.max_bytes != 0 && bytes_ > cfg_.max_bytes && lru_.size() > 1)) {
+    unlink_locked(std::prev(lru_.end()));
+    ++stats_.evictions;
   }
 }
 
 void SolutionCache::invalidate_all() {
-  generation_.fetch_add(1);
-  for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> g(sp->mu);
-    ++sp->stats.invalidations;
-    for (auto& [name, group] : sp->groups) group.derived_gain.reset();
-    sp->memo.clear();
-    sp->memo_index.clear();
-  }
+  std::lock_guard<std::mutex> g(mu_);
+  ++generation_;
+  ++stats_.invalidations;
+  for (auto& [name, group] : groups_) group.derived_gain.reset();
+  memo_.clear();
+  memo_index_.clear();
 }
 
 std::string SolutionCache::export_snapshot() const {
-  const std::uint64_t gen = generation_.load();
   std::ostringstream entries;
   std::ostringstream memos;
   std::size_t count = 0;
   bool first_memo = true;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> g(sp->mu);
-    for (const Entry& e : sp->lru) {
-      if (e.generation != gen) continue;  // invalidated: never resurfaces
-      entries << (count ? ", " : "") << "{\"key\": " << json::quote(e.key)
-              << ", \"group\": " << json::quote(e.group) << ", \"gains\": [";
-      for (std::size_t i = 0; i < e.resolved_gains.size(); ++i) {
-        entries << (i ? ", " : "") << e.resolved_gains[i];
-      }
-      entries << "], \"sel\": ";
-      selection_json(entries, e.selection);
-      entries << "}";
-      ++count;
+  std::lock_guard<std::mutex> g(mu_);
+  for (const Entry& e : lru_) {
+    if (e.generation != generation_) continue;  // invalidated: never resurfaces
+    entries << (count ? ", " : "") << "{\"key\": " << json::quote(e.key)
+            << ", \"group\": " << json::quote(e.group) << ", \"gains\": [";
+    for (std::size_t i = 0; i < e.resolved_gains.size(); ++i) {
+      entries << (i ? ", " : "") << e.resolved_gains[i];
     }
-    for (const auto& [name, group] : sp->groups) {
-      if (!group.derived_gain.has_value()) continue;
-      memos << (first_memo ? "" : ", ") << "[" << json::quote(name) << ", "
-            << *group.derived_gain << "]";
-      first_memo = false;
-    }
+    entries << "], \"sel\": ";
+    selection_json(entries, e.selection);
+    entries << "}";
+    ++count;
+  }
+  for (const auto& [name, group] : groups_) {
+    if (!group.derived_gain.has_value()) continue;
+    memos << (first_memo ? "" : ", ") << "[" << json::quote(name) << ", "
+          << *group.derived_gain << "]";
+    first_memo = false;
   }
   if (count == 0 && first_memo) return "";
   std::ostringstream os;
@@ -414,7 +374,6 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
   if (!doc || !doc->is_object()) return 0;
   const json::Object& o = doc->object();
   if (json::string_or(o, "v", "") != kSnapshotFormat) return 0;
-  const std::uint64_t gen = generation_.load();
   std::size_t imported = 0;
   if (const json::Array* entries = json::array_or_null(o, "entries")) {
     for (const json::Value& v : *entries) {
@@ -437,13 +396,12 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
       const json::Object* sel = json::object_or_null(eo, "sel");
       if (!ok || !sel || !selection_from_json(*sel, &e.selection)) continue;
       e.artifacts.carry_search_state = true;
-      e.generation = gen;
       e.bytes = entry_bytes(e);
-      Shard& s = shard_for_group(e.group);
-      std::lock_guard<std::mutex> g(s.mu);
-      link_locked(s, std::move(e));
-      ++s.stats.insertions;
-      evict_locked(s);
+      std::lock_guard<std::mutex> g(mu_);
+      e.generation = generation_;
+      link_locked(std::move(e));
+      ++stats_.insertions;
+      evict_locked();
       ++imported;
     }
   }
@@ -455,10 +413,9 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
       }
       // A memo joins only a group that has entries: it goes with them.
       const std::string& name = v.array()[0].string();
-      Shard& s = shard_for_group(name);
-      std::lock_guard<std::mutex> g(s.mu);
-      const auto it = s.groups.find(name);
-      if (it != s.groups.end()) {
+      std::lock_guard<std::mutex> g(mu_);
+      const auto it = groups_.find(name);
+      if (it != groups_.end()) {
         it->second.derived_gain = static_cast<std::int64_t>(v.array()[1].number());
       }
     }
@@ -467,28 +424,15 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
 }
 
 CacheStats SolutionCache::stats() const {
-  CacheStats total;
-  for (const auto& sp : shards_) {
-    std::lock_guard<std::mutex> g(sp->mu);
-    const CacheStats& cs = sp->stats;
-    total.lookups += cs.lookups;
-    total.hits += cs.hits;
-    total.misses += cs.misses;
-    total.neighbor_hits += cs.neighbor_hits;
-    total.gain_memo_hits += cs.gain_memo_hits;
-    total.insertions += cs.insertions;
-    total.evictions += cs.evictions;
-    total.stale += cs.stale;
-    total.invalidations += cs.invalidations;
-    total.memo_hits += cs.memo_hits;
-    total.entries += sp->lru.size();
-    total.bytes += sp->bytes;
-    total.memo_entries += sp->memo.size();
-    for (const auto& [name, group] : sp->groups) {
-      if (group.derived_gain.has_value()) ++total.gain_memo_entries;
-    }
+  std::lock_guard<std::mutex> g(mu_);
+  CacheStats st = stats_;
+  st.entries = lru_.size();
+  st.bytes = bytes_;
+  st.memo_entries = memo_.size();
+  for (const auto& [name, group] : groups_) {
+    if (group.derived_gain.has_value()) ++st.gain_memo_entries;
   }
-  return total;
+  return st;
 }
 
 }  // namespace partita::service

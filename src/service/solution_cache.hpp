@@ -1,4 +1,4 @@
-// Bounded, sharded, read-through cache of completed Selections plus the
+// Bounded, read-through cache of completed Selections plus the
 // solver artifacts needed to warm-start *near* misses.
 //
 // Key structure. An exact key is (tenant, structure fingerprint, options
@@ -20,7 +20,7 @@
 //     function of (structure, options), so "-1" is a consistent literal.
 //
 // Neighbor seeding. Entries with equal (tenant, structure, options) but
-// different gains form a GROUP (sharded together). nearest() returns a copy
+// different gains form a GROUP. nearest() returns a copy
 // of the closest group member's solver artifacts (clique table, root basis,
 // pseudo-cost tables, incumbent -- an ilp::BatchContext with
 // carry_search_state set) by L1 distance over resolved gains; the caller
@@ -45,24 +45,22 @@
 // rebuilding anything. The memo is written only after a full key
 // computation and read only to form the lookup key.
 //
-// Eviction: per-shard LRU, bounded by both entry count and an approximate
-// byte budget (each divided evenly across shards). invalidate_all() bumps a
-// generation; stale entries are dropped lazily at lookup (counted `stale`)
-// rather than eagerly swept. Both memos stay bounded by the per-shard
-// capacity: a group's derived-gain memo goes with the group's last entry,
-// and the envelope memo is its own LRU of at most that many digests.
-// invalidate_all() clears both.
+// Eviction: one LRU under one lock, bounded by both entry count and an
+// approximate byte budget. invalidate_all() bumps a generation; stale
+// entries are dropped lazily at lookup (counted `stale`) rather than
+// eagerly swept. Both memos stay bounded by the capacity: a group's
+// derived-gain memo goes with the group's last entry, and the envelope memo
+// is its own LRU of at most that many digests. invalidate_all() clears
+// both.
 //
 // Counter invariants (asserted by cache_test): hits + misses == lookups
 // (a stale drop counts as a miss AND a stale), neighbor_hits <= misses,
 // memo_hits <= hits, evictions and insertions are monotone.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -127,11 +125,10 @@ ilp::Fingerprint envelope_digest(const ir::Module& module,
 class SolutionCache {
  public:
   struct Config {
-    /// Max entries across all shards (0 behaves as 1).
+    /// Max entries (0 behaves as 1).
     std::size_t capacity = 256;
-    /// Approximate byte budget across all shards; 0 disables the byte bound.
+    /// Approximate byte budget; 0 disables the byte bound.
     std::size_t max_bytes = std::size_t{64} << 20;
-    int shards = 4;
   };
 
   struct Key {
@@ -223,33 +220,23 @@ class SolutionCache {
   /// Envelope memo: LRU of envelope digest -> structure fingerprint.
   using MemoList = std::list<std::pair<ilp::Fingerprint, ilp::Fingerprint>>;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::map<std::string, std::list<Entry>::iterator> index;
-    std::map<std::string, Group> groups;
-    MemoList memo;  // front = most recently used
-    std::map<ilp::Fingerprint, MemoList::iterator> memo_index;
-    CacheStats stats;
-    std::size_t bytes = 0;
-  };
-
-  Shard& shard_for(const Key& key);
-  Shard& shard_for_group(const std::string& group);
-  Shard& shard_for_envelope(const ilp::Fingerprint& envelope);
-  /// Puts `e` at the LRU front (replacing an entry with its key), then
-  /// evicts down to the bounds.
-  void link_locked(Shard& s, Entry e);
+  /// Puts `e` at the LRU front, replacing an entry with its key.
+  void link_locked(Entry e);
   /// Drops one entry, and its group when it was the group's last entry.
-  void unlink_locked(Shard& s, std::list<Entry>::iterator it);
-  void evict_locked(Shard& s);
+  void unlink_locked(std::list<Entry>::iterator it);
+  void evict_locked();
   static std::size_t entry_bytes(const Entry& e);
 
   Config cfg_;
-  std::size_t per_shard_capacity_;
-  std::size_t per_shard_bytes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> generation_{0};
+  mutable std::mutex mu_;  // guards every field below
+  std::list<Entry> lru_;   // front = most recently used
+  std::map<std::string, std::list<Entry>::iterator> index_;
+  std::map<std::string, Group> groups_;
+  MemoList memo_;  // front = most recently used
+  std::map<ilp::Fingerprint, MemoList::iterator> memo_index_;
+  CacheStats stats_;
+  std::size_t bytes_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace partita::service

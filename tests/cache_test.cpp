@@ -154,7 +154,6 @@ select::Selection dummy_selection(int tag) {
 TEST(SolutionCache, LruEvictionOrderAndRecencyRefresh) {
   service::SolutionCache::Config cc;
   cc.capacity = 3;
-  cc.shards = 1;  // single shard: global LRU order is observable
   cc.max_bytes = 0;
   service::SolutionCache cache(cc);
 
@@ -179,7 +178,6 @@ TEST(SolutionCache, LruEvictionOrderAndRecencyRefresh) {
 TEST(SolutionCache, ByteBudgetBoundsResidency) {
   service::SolutionCache::Config cc;
   cc.capacity = 1000;
-  cc.shards = 1;
   cc.max_bytes = 4096;  // far below 100 entries' footprint
   service::SolutionCache cache(cc);
 
@@ -196,7 +194,6 @@ TEST(SolutionCache, ByteBudgetBoundsResidency) {
 TEST(SolutionCache, CounterConsistencyUnderMixedTraffic) {
   service::SolutionCache::Config cc;
   cc.capacity = 8;
-  cc.shards = 2;
   service::SolutionCache cache(cc);
 
   std::uint64_t prev_evictions = 0;
@@ -301,7 +298,6 @@ TEST(SolutionCache, MemosStayBoundedByCapacity) {
 // imports: a v1 document brings back neither entries nor gain memos.
 TEST(SolutionCache, SnapshotImportsOnlyItsOwnFormat) {
   service::SolutionCache::Config cc;
-  cc.shards = 1;
   service::SolutionCache cache(cc);
   const auto k = key_for("t", 9, -1);
   cache.insert(k, dummy_selection(4), {}, {17}, std::int64_t{17});

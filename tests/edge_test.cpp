@@ -131,7 +131,7 @@ TEST(Edge, ContinuousOnlyIlp) {
   const ilp::IlpResult r = ilp::solve_ilp(m);
   ASSERT_EQ(r.status, ilp::IlpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 8.0, 1e-6);
-  EXPECT_LE(r.nodes_explored, 2);
+  EXPECT_LE(r.stats.nodes, 2);
 }
 
 TEST(Edge, ZeroCoefficientRowsHarmless) {

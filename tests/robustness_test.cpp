@@ -148,7 +148,7 @@ TEST(SolverStress, WideKnapsackCloses) {
   const ilp::IlpResult r = ilp::solve_ilp(m);
   ASSERT_EQ(r.status, ilp::IlpStatus::kOptimal);
   EXPECT_TRUE(m.is_feasible(r.x));
-  EXPECT_LT(r.nodes_explored, 50000);
+  EXPECT_LT(r.stats.nodes, 50000);
 }
 
 // --- resource budgets & degradation ladder --------------------------------------

@@ -228,6 +228,21 @@ TEST(Formulation, MaxFeasibleGainIsExact) {
   const std::int64_t g = flow.max_feasible_gain();
   EXPECT_TRUE(flow.select(g).feasible);
   EXPECT_FALSE(flow.select(g + 1).feasible) << "derived gain " << g << " is below the optimum";
+
+  // More than 12 conditionals, so no worst-path tree: Eq. 2 is one row per
+  // enumerated path and the probe adds G_min to each of them. Call-site
+  // count 26 is the smallest random_workload shape (default parameters
+  // otherwise) found to truncate path enumeration at kMaxPaths.
+  workloads::RandomWorkloadParams wide;
+  wide.call_sites = 26;
+  const workloads::Workload many = workloads::random_workload(wide, 100);
+  Flow per_path(many.module, many.library);
+  ASSERT_GT(cdfg::conditional_tree(per_path.entry_cdfg()).conds.size(), 12u);
+  ASSERT_EQ(per_path.paths().size(), cdfg::kMaxPaths);
+  const std::int64_t gp = per_path.max_feasible_gain();
+  EXPECT_TRUE(per_path.select(gp).feasible);
+  EXPECT_FALSE(per_path.select(gp + 1).feasible)
+      << "derived gain " << gp << " is below the optimum";
 }
 
 // Eq. 2 in its per-path form, rebuilt from flow.paths(): the tree model's
