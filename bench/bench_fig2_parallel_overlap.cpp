@@ -62,8 +62,7 @@ ip FIR_IP {
 void BM_Fig2_SimulatedRun(benchmark::State& state) {
   workloads::Workload w = make_case(state.range(0));
   select::Flow flow(w.module, w.library);
-  sim::CoSimulator cosim(w.module, w.library, flow.imp_database(), flow.entry_cdfg(),
-                         flow.paths());
+  sim::CoSimulator cosim(w.module, flow.imp_database(), flow.entry_cdfg());
   const select::Selection sel = flow.select(flow.max_feasible_gain());
   support::Rng rng(1);
   for (auto _ : state) {
@@ -89,8 +88,7 @@ int main(int argc, char** argv) {
   for (std::int64_t tc : {0, 1000, 2000, 4000, 6000, 8000, 12000}) {
     workloads::Workload w = make_case(tc);
     select::Flow flow(w.module, w.library);
-    sim::CoSimulator cosim(w.module, w.library, flow.imp_database(), flow.entry_cdfg(),
-                           flow.paths());
+    sim::CoSimulator cosim(w.module, flow.imp_database(), flow.entry_cdfg());
 
     // Pick the best buffered IMP (the selector will, at max gain).
     const select::Selection sel = flow.select(flow.max_feasible_gain());

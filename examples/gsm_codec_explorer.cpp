@@ -21,8 +21,7 @@ using namespace partita;
 
 static void explore(const workloads::Workload& w, int steps) {
   select::Flow flow(w.module, w.library);
-  sim::CoSimulator cosim(w.module, w.library, flow.imp_database(), flow.entry_cdfg(),
-                         flow.paths());
+  sim::CoSimulator cosim(w.module, flow.imp_database(), flow.entry_cdfg());
   const std::int64_t gmax = flow.max_feasible_gain();
 
   std::printf("== %s ==\n", w.name.c_str());

@@ -78,8 +78,7 @@ int main() {
               sel.ip_area, sel.interface_area);
 
   // Cross-check with the cycle-level co-simulator.
-  sim::CoSimulator cosim(*module, *library, flow.imp_database(), flow.entry_cdfg(),
-                         flow.paths());
+  sim::CoSimulator cosim(*module, flow.imp_database(), flow.entry_cdfg());
   support::Rng rng(1);
   const auto sw = cosim.run(nullptr, rng);
   const auto hw = cosim.run(&sel, rng);

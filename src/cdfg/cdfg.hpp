@@ -38,8 +38,7 @@ struct AtomicNode {
   /// count; for calls it is 0 until annotate_call_cycles() fills in the
   /// callee's T_SW (the CDFG itself does not know cross-function times).
   std::int64_t cycles = 0;
-  /// Innermost-to-outermost... actually outermost-first stack of enclosing
-  /// loop statements.
+  /// Outermost-first stack of enclosing loop statements.
   std::vector<ir::StmtId> loop_ctx;
   /// Outermost-first stack of enclosing conditional arms.
   std::vector<BranchFrame> branch_ctx;

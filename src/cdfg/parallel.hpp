@@ -14,14 +14,21 @@
 //    path is computed and the shortest one is used, guaranteeing the minimum
 //    gain on every path.
 //
-// Our construction, per path containing the call: walk the nodes after the
-// call in program order; a node joins the segment when (a) it is independent
-// of the call, (b) it shares the call's loop context (so one execution of the
-// node overlaps one execution of the IP), and (c) every transitive
-// predecessor of the node that lies between the call and the node has itself
-// joined -- otherwise the node cannot be moved next to the call without
-// violating a dependence. Rule (c) is exactly "can be listed in a sequence"
-// made operational.
+// Our construction of one path's PC: walk the nodes after the call in
+// program order; a node joins the segment when (a) it is independent of the
+// call, (b) it shares the call's loop context (so one execution of the node
+// overlaps one execution of the IP), and (c) every transitive predecessor of
+// the node that lies between the call and the node has itself joined --
+// otherwise the node cannot be moved next to the call without violating a
+// dependence. Rule (c) is exactly "can be listed in a sequence" made
+// operational.
+//
+// The minimum over paths needs no path list: one depth-first walk decides a
+// conditional's arm when it first reaches one of its nodes (then-arm first,
+// so paths come in enumerate_paths order) and backtracks, scanning a prefix
+// shared by many paths once. Cycles are non-negative, so a branch whose
+// running PC reaches the best so far is pruned; ties keep the first minimum.
+// The walk gives up after kPcVisitBudget node visits.
 //
 // Problem 1 forbids other s-calls inside a PC; Problem 2 allows the software
 // implementation of another s-call to join, recording which call sites were
@@ -30,10 +37,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "cdfg/cdfg.hpp"
-#include "cdfg/paths.hpp"
 
 namespace partita::cdfg {
 
@@ -52,8 +59,12 @@ struct PcOptions {
   std::size_t max_consumed = static_cast<std::size_t>(-1);
 };
 
-/// A parallel-code segment for one s-call on one path (or the min over
-/// paths).
+/// Node visits after which parallel_code gives up on one query: ~4.7x the
+/// most one query took on random workloads (26-48 call sites, seeds 1-40)
+/// with up to 18 conditionals.
+inline constexpr std::uint64_t kPcVisitBudget = std::uint64_t{1} << 20;
+
+/// A parallel-code segment: the PC of one s-call on its worst path.
 struct ParallelCode {
   /// Nodes forming the segment, in program order.
   std::vector<NodeIndex> nodes;
@@ -64,16 +75,10 @@ struct ParallelCode {
   std::vector<ir::CallSiteId> consumed_scalls;
 };
 
-/// PC of `call_node` restricted to one execution path.
-/// `call_node` must be on the path.
-ParallelCode parallel_code_on_path(const Cdfg& g, NodeIndex call_node,
-                                   const ExecPath& path, const PcOptions& opt = {});
-
-/// Definition 5's final PC: computed per path containing the call, returning
-/// the one with the smallest cycle count (minimum guaranteed overlap).
-/// Returns an empty ParallelCode when the call sits on no enumerated path or
-/// some path offers no independent code.
-ParallelCode parallel_code(const Cdfg& g, NodeIndex call_node,
-                           const std::vector<ExecPath>& paths, const PcOptions& opt = {});
+/// Definition 5's PC of `call_node`: that of the first path through the call,
+/// in enumerate_paths order and over every path, with the fewest PC cycles.
+/// std::nullopt when the walk overran kPcVisitBudget.
+std::optional<ParallelCode> parallel_code(const Cdfg& g, NodeIndex call_node,
+                                          const PcOptions& opt = {});
 
 }  // namespace partita::cdfg

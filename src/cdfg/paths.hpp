@@ -1,10 +1,11 @@
-// Execution-path enumeration.
+// Execution paths and the conditional tree.
 //
-// The per-path performance constraints of the ILP formulation (Eq. 2) need
-// the set of execution paths P_k through a function: every resolution of the
-// two-armed conditionals yields one path. Loop bodies belong to every path
-// (their nodes carry a loop_frequency multiplier); conditionals *inside*
-// loops are resolved once per path, which approximates the dominant-iteration
+// Every resolution of a function's two-armed conditionals yields one
+// execution path P_k. The conditional tree describes them all at once; the
+// explicit list serves per-path requirements (Eq. 2 with differing T_k), the
+// greedy baseline and the oracle. Loop bodies belong to every path (their
+// nodes carry a loop_frequency multiplier); conditionals *inside* loops are
+// resolved once per path, which approximates the dominant-iteration
 // behaviour the paper's profile-driven flow relies on.
 #pragma once
 
@@ -29,8 +30,11 @@ struct ExecPath {
   std::int64_t software_cycles(const Cdfg& g) const;
 };
 
-/// Hard cap on enumerated paths; enumeration stops adding forks beyond it
-/// (the lowest-probability arms are the ones dropped by construction order).
+/// Hard cap on enumerated paths. Enumeration walks the decision vectors
+/// then-arm first and stops after kMaxPaths of them, before merging the ones
+/// that materialize the same nodes: past 12 conditionals the last vectors in
+/// that order are dropped, whatever their probability. Only per-path
+/// requirements, greedy and the oracle read the list.
 inline constexpr std::size_t kMaxPaths = 4096;
 
 /// The conditionals of a function as a tree of scopes. Scope 0 is the
@@ -58,12 +62,6 @@ struct CondTree {
     return 1 + 2 * c + (then_arm ? 0 : 1);
   }
   std::size_t scope_count() const { return 1 + 2 * conds.size(); }
-  /// True when enumerate_paths lists every execution path, i.e. every
-  /// resolution of the conditionals fits under kMaxPaths (at most 12 of
-  /// them). Beyond that the enumerated paths are a truncated subset.
-  bool complete() const {
-    return conds.size() < 64 && (std::size_t{1} << conds.size()) <= kMaxPaths;
-  }
 };
 
 /// Builds the conditional tree of the function underlying `g`.

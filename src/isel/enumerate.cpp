@@ -10,13 +10,12 @@ namespace partita::isel {
 
 ImpDatabase::ImpDatabase(const ir::Module& module, const profile::ModuleProfile& prof,
                          const iplib::IpLibrary& lib, const cdfg::Cdfg& entry_cdfg,
-                         const std::vector<cdfg::ExecPath>& paths,
+                         const std::vector<cdfg::ExecPath>& /*paths*/,
                          const std::vector<SCall>& scalls, const EnumerateOptions& opts)
     : module_(module),
       prof_(prof),
       lib_(lib),
       entry_cdfg_(entry_cdfg),
-      paths_(paths),
       opts_(opts),
       scalls_(scalls) {
   for (const SCall& sc : scalls_) build_for_scall(sc);
@@ -185,29 +184,42 @@ void ImpDatabase::add_imp(Imp imp) {
 void ImpDatabase::build_for_scall(const SCall& sc) {
   const std::int64_t t_sw = sc.t_sw;
 
-  // Parallel-code material from the caller's CDFG (top-level context).
-  cdfg::ParallelCode pc_plain;
-  std::vector<cdfg::ParallelCode> pc_sw_variants;  // consuming 1..n s-calls
+  // Parallel-code variants from the caller's CDFG (top-level context): the
+  // Problem 1 PC, then under Problem 2 one PC per consumption prefix.
+  std::vector<std::pair<PcUse, cdfg::ParallelCode>> pcs;
   if (sc.node != cdfg::kInvalidNode) {
+    bool overran = false;
+    const auto query = [&](const cdfg::PcOptions& o) {
+      std::optional<cdfg::ParallelCode> pc;
+      if (!overran) pc = cdfg::parallel_code(entry_cdfg_, sc.node, o);
+      overran = overran || !pc;
+      return pc.value_or(cdfg::ParallelCode{});
+    };
     const auto is_scall = [this](ir::CallSiteId c) { return scall_of(c) != nullptr; };
     cdfg::PcOptions plain_opt;
     plain_opt.is_scall = is_scall;
-    pc_plain = cdfg::parallel_code(entry_cdfg_, sc.node, paths_, plain_opt);
+    const cdfg::ParallelCode plain = query(plain_opt);
+    if (plain.cycles > 0) pcs.emplace_back(PcUse::kPlain, plain);
     if (opts_.problem2) {
       cdfg::PcOptions sw_opt;
       sw_opt.allow_scall_software = true;
       sw_opt.is_scall = is_scall;
-      const cdfg::ParallelCode full =
-          cdfg::parallel_code(entry_cdfg_, sc.node, paths_, sw_opt);
+      const std::size_t consumable = query(sw_opt).consumed_scalls.size();
       // One variant per consumption prefix: consuming fewer s-calls yields
       // less overlap but leaves the rest free for their own IPs.
-      for (std::size_t k = 1; k <= full.consumed_scalls.size(); ++k) {
+      for (std::size_t k = 1; k <= consumable; ++k) {
         sw_opt.max_consumed = k;
-        cdfg::ParallelCode pc = cdfg::parallel_code(entry_cdfg_, sc.node, paths_, sw_opt);
-        if (pc.cycles > pc_plain.cycles && !pc.consumed_scalls.empty()) {
-          pc_sw_variants.push_back(std::move(pc));
+        cdfg::ParallelCode pc = query(sw_opt);
+        if (pc.cycles > plain.cycles && !pc.consumed_scalls.empty()) {
+          pcs.emplace_back(PcUse::kWithScallSw, std::move(pc));
         }
       }
+    }
+    // A PC cut short by the visit budget is unknown; offering none only
+    // understates this s-call's gains.
+    if (overran) {
+      pcs.clear();
+      ++pc_overruns_;
     }
   }
 
@@ -231,6 +243,7 @@ void ImpDatabase::build_for_scall(const SCall& sc) {
       } else {
         PARTITA_ASSERT(pc != nullptr && !fi.flattened);
         imp.parallel_cycles = pc->cycles;
+        imp.pc_nodes = pc->nodes;
         imp.pc_consumed_scalls = pc->consumed_scalls;
         imp.timing = iface::interface_timing(fi.type, ip, *fi.ip_function, pc->cycles,
                                              opts_.kernel);
@@ -247,10 +260,7 @@ void ImpDatabase::build_for_scall(const SCall& sc) {
 
     // PC variants only make sense on buffered interfaces of direct IMPs.
     if (!fi.flattened && iface::supports_parallel_execution(fi.type)) {
-      if (pc_plain.cycles > 0) emit(PcUse::kPlain, &pc_plain);
-      for (const cdfg::ParallelCode& pc : pc_sw_variants) {
-        emit(PcUse::kWithScallSw, &pc);
-      }
+      for (const auto& [use, pc] : pcs) emit(use, &pc);
     }
   }
 }

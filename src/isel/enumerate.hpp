@@ -41,12 +41,13 @@ struct EnumerateOptions {
 
 class ImpDatabase {
  public:
-  /// Builds the database. `entry_cdfg`/`paths` must describe the module's
-  /// entry function, with call cycles annotated from the profile.
+  /// Builds the database. `entry_cdfg` must describe the module's entry
+  /// function, with call cycles annotated from the profile. The unused path
+  /// list stays only while the perfbench replay passes it.
   ImpDatabase(const ir::Module& module, const profile::ModuleProfile& prof,
               const iplib::IpLibrary& lib, const cdfg::Cdfg& entry_cdfg,
-              const std::vector<cdfg::ExecPath>& paths, const std::vector<SCall>& scalls,
-              const EnumerateOptions& opts = {});
+              const std::vector<cdfg::ExecPath>& /*paths*/,
+              const std::vector<SCall>& scalls, const EnumerateOptions& opts = {});
 
   const std::vector<Imp>& imps() const { return imps_; }
   const std::vector<SCall>& scalls() const { return scalls_; }
@@ -55,6 +56,10 @@ class ImpDatabase {
   std::vector<ImpIndex> imps_for(ir::CallSiteId sc) const;
 
   const SCall* scall_of(ir::CallSiteId sc) const;
+
+  /// S-calls that got no parallel-code variant because a PC query overran
+  /// cdfg::kPcVisitBudget (their gains are understated, never overstated).
+  std::size_t pc_overruns() const { return pc_overruns_; }
 
   /// Multi-line description of the whole database.
   std::string dump(const iplib::IpLibrary& lib) const;
@@ -86,8 +91,8 @@ class ImpDatabase {
   const profile::ModuleProfile& prof_;
   const iplib::IpLibrary& lib_;
   const cdfg::Cdfg& entry_cdfg_;
-  const std::vector<cdfg::ExecPath>& paths_;
   EnumerateOptions opts_;
+  std::size_t pc_overruns_ = 0;
 
   std::vector<SCall> scalls_;
   std::vector<Imp> imps_;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cdfg/cdfg.hpp"
 #include "iface/model.hpp"
 #include "iface/types.hpp"
 #include "iplib/library.hpp"
@@ -52,6 +53,9 @@ struct Imp {
   /// Parallel-code arrangement.
   PcUse pc_use = PcUse::kNone;
   std::int64_t parallel_cycles = 0;  // T_C offered to the timing model
+  /// The PC's nodes in the entry CDFG, in program order: what the kernel
+  /// runs while the IP works.
+  std::vector<cdfg::NodeIndex> pc_nodes;
   /// s-calls whose software implementation this IMP's PC consumes
   /// (SC-PC conflicts; Problem 2 only).
   std::vector<ir::CallSiteId> pc_consumed_scalls;

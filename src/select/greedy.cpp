@@ -1,7 +1,7 @@
 #include "select/greedy.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <set>
 
 namespace partita::select {
 
@@ -12,10 +12,7 @@ Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib
   const std::vector<isel::Imp>& imps = db.imps();
 
   std::vector<isel::ImpIndex> chosen;
-  std::vector<bool> scall_taken(db.scalls().size() * 4, false);  // by site value
-  auto taken = [&](ir::CallSiteId site) -> bool {
-    return site.value() < scall_taken.size() && scall_taken[site.value()];
-  };
+  std::set<ir::CallSiteId> taken;  // s-calls implemented so far
   std::vector<bool> blocked(imps.size(), false);  // excluded by SC-PC conflicts
   std::vector<std::uint32_t> ips_used;
 
@@ -37,14 +34,14 @@ Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib
     bool found = false;
     for (std::size_t j = 0; j < imps.size(); ++j) {
       const isel::Imp& imp = imps[j];
-      if (blocked[j] || taken(imp.scall)) continue;
+      if (blocked[j] || taken.count(imp.scall)) continue;
       const isel::SCall* sc = db.scall_of(imp.scall);
       if (!sc || sc->node == cdfg::kInvalidNode) continue;
       // A consumed s-call that is already implemented in hardware blocks the
       // PC variant.
       bool conflict = false;
       for (ir::CallSiteId c : imp.pc_consumed_scalls) {
-        if (taken(c)) conflict = true;
+        if (taken.count(c)) conflict = true;
       }
       if (conflict) continue;
 
@@ -78,10 +75,7 @@ Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib
 
     const isel::Imp& pick = imps[best];
     chosen.push_back(best);
-    if (pick.scall.value() >= scall_taken.size()) {
-      scall_taken.resize(pick.scall.value() + 1, false);
-    }
-    scall_taken[pick.scall.value()] = true;
+    taken.insert(pick.scall);
     if (std::find(ips_used.begin(), ips_used.end(), pick.ip.value) == ips_used.end()) {
       ips_used.push_back(pick.ip.value);
     }
@@ -97,7 +91,12 @@ Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib
     }
   }
 
-  return decode_selection(chosen, db, lib, entry_cdfg, paths);
+  Selection sel =
+      decode_selection(chosen, db, lib, entry_cdfg, cdfg::conditional_tree(entry_cdfg));
+  // The loop met the requirement on the enumerated paths only; past 12
+  // conditionals a path the list never held can still miss it.
+  if (sel.min_path_gain < required_gain) return Selection{};
+  return sel;
 }
 
 bool prior_art_allows(const isel::Imp& imp) {

@@ -2,8 +2,9 @@
 //
 // greedy_select: marginal gain-per-area heuristic. Repeatedly picks the IMP
 // with the best (gain contributed to still-unsatisfied paths) / (marginal
-// area: interface + IP if not yet instantiated) ratio until every path meets
-// its requirement or no IMP helps. Respects Eq. 1 and the SC-PC conflicts,
+// area: interface + IP if not yet instantiated) ratio until every enumerated
+// path meets its requirement or no IMP helps; the answer is feasible only if
+// the worst of all paths meets it. Respects Eq. 1 and the SC-PC conflicts,
 // but has no optimality guarantee -- the ablation benches quantify the area
 // it wastes versus the ILP.
 //

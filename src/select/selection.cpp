@@ -1,7 +1,6 @@
 #include "select/selection.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "support/json.hpp"
@@ -37,10 +36,29 @@ std::int64_t path_gain(const std::vector<isel::ImpIndex>& chosen,
   return g;
 }
 
+std::int64_t worst_path_gain(const std::vector<isel::ImpIndex>& chosen,
+                             const isel::ImpDatabase& db, const cdfg::Cdfg& entry_cdfg,
+                             const cdfg::CondTree& tree) {
+  std::vector<std::int64_t> gain(tree.scope_count(), 0);
+  for (isel::ImpIndex idx : chosen) {
+    const isel::Imp& imp = db.imps()[idx];
+    const isel::SCall* sc = db.scall_of(imp.scall);
+    if (!sc || sc->node == cdfg::kInvalidNode) continue;
+    gain[tree.node_scope[sc->node]] +=
+        imp.gain_per_exec * entry_cdfg.node(sc->node).loop_frequency;
+  }
+  // Children follow their parents in tree.conds, so innermost arms fold first.
+  for (std::size_t c = tree.conds.size(); c-- > 0;) {
+    gain[tree.conds[c].parent_scope] +=
+        std::min(gain[cdfg::CondTree::arm_scope(c, true)],
+                 gain[cdfg::CondTree::arm_scope(c, false)]);
+  }
+  return gain[0];
+}
+
 Selection decode_selection(const std::vector<isel::ImpIndex>& chosen,
                            const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
-                           const cdfg::Cdfg& entry_cdfg,
-                           const std::vector<cdfg::ExecPath>& paths) {
+                           const cdfg::Cdfg& entry_cdfg, const cdfg::CondTree& tree) {
   Selection sel;
   sel.feasible = true;
   sel.chosen = chosen;
@@ -69,11 +87,7 @@ Selection decode_selection(const std::vector<isel::ImpIndex>& chosen,
   sel.s_instructions = static_cast<int>(s_instr.size());
   sel.selected_scalls = static_cast<int>(sel.chosen.size());
 
-  sel.min_path_gain = std::numeric_limits<std::int64_t>::max();
-  for (const cdfg::ExecPath& p : paths) {
-    sel.min_path_gain = std::min(sel.min_path_gain, path_gain(sel.chosen, db, entry_cdfg, p));
-  }
-  if (paths.empty()) sel.min_path_gain = 0;
+  sel.min_path_gain = worst_path_gain(sel.chosen, db, entry_cdfg, tree);
   return sel;
 }
 

@@ -95,11 +95,16 @@ struct Selection {
 std::string solution_signature(const Selection& sel);
 
 /// Computes the derived fields (areas, S, O, min-path gain) for a set of
-/// chosen IMPs. Used by both the ILP selector and the baselines.
+/// chosen IMPs; `tree` is entry_cdfg's. Used by the ILP and the baselines.
 Selection decode_selection(const std::vector<isel::ImpIndex>& chosen,
                            const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
-                           const cdfg::Cdfg& entry_cdfg,
-                           const std::vector<cdfg::ExecPath>& paths);
+                           const cdfg::Cdfg& entry_cdfg, const cdfg::CondTree& tree);
+
+/// Achieved gain of a chosen IMP set on its worst path, over every path: each
+/// scope's chosen gains, plus per conditional its smaller arm.
+std::int64_t worst_path_gain(const std::vector<isel::ImpIndex>& chosen,
+                             const isel::ImpDatabase& db, const cdfg::Cdfg& entry_cdfg,
+                             const cdfg::CondTree& tree);
 
 /// Achieved gain of a chosen IMP set on one execution path: the sum of
 /// per-execution gains times the loop frequency of each s-call node on the

@@ -61,26 +61,23 @@ void retarget(ilp::Model& m, const std::vector<GainRow>& rows,
   }
 }
 
-}  // namespace
-
-bool Selector::uses_tree(const std::vector<std::int64_t>& required_gains) const {
-  return tree_.complete() &&
-         std::all_of(required_gains.begin(), required_gains.end(),
-                     [&](std::int64_t g) { return g == required_gains.front(); });
-}
-
-std::vector<std::vector<ilp::Term>> Selector::scope_terms() const {
-  const std::vector<isel::Imp>& imps = db_.imps();
-  std::vector<std::vector<ilp::Term>> terms(tree_.scope_count());
-  for (std::size_t j = 0; j < imps.size(); ++j) {
-    const isel::SCall* sc = db_.scall_of(imps[j].scall);
-    if (!sc || sc->node == cdfg::kInvalidNode) continue;
-    const double coeff = static_cast<double>(imps[j].gain_per_exec) *
-                         static_cast<double>(entry_cdfg_.node(sc->node).loop_frequency);
-    terms[tree_.node_scope[sc->node]].push_back({static_cast<ilp::VarIndex>(j), coeff});
+/// The IMPs a solve's 0/1 point selects (x_j is column j).
+std::vector<isel::ImpIndex> chosen_imps(const ilp::IlpResult& r, std::size_t imps) {
+  std::vector<isel::ImpIndex> chosen;
+  for (std::size_t j = 0; j < imps; ++j) {
+    if (r.x[j] > 0.5) chosen.push_back(static_cast<isel::ImpIndex>(j));
   }
-  return terms;
+  return chosen;
 }
+
+/// True when Eq. 2 for `gains` is built as the worst-path tree: one gain for
+/// every path.
+bool uses_tree(const std::vector<std::int64_t>& gains) {
+  return std::all_of(gains.begin(), gains.end(),
+                     [&](std::int64_t g) { return g == gains.front(); });
+}
+
+}  // namespace
 
 ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
                                  const SelectOptions& opt) const {
@@ -147,7 +144,15 @@ ilp::Model Selector::build_form(const SelectOptions& opt, bool tree) const {
   // y columns come after x and z, so they sort last in the lex tie-break.
   // Every Eq. 2 row is built with RHS 0; the caller retargets it.
   if (tree) {
-    const std::vector<std::vector<ilp::Term>> scope = scope_terms();
+    // Eq. 2's gain terms g_ij x_ij per scope of the conditional tree.
+    std::vector<std::vector<ilp::Term>> scope(tree_.scope_count());
+    for (std::size_t j = 0; j < imps.size(); ++j) {
+      const isel::SCall* sc = db_.scall_of(imps[j].scall);
+      if (!sc || sc->node == cdfg::kInvalidNode) continue;
+      scope[tree_.node_scope[sc->node]].push_back(
+          {x[j], static_cast<double>(imps[j].gain_per_exec) *
+                     static_cast<double>(entry_cdfg_.node(sc->node).loop_frequency)});
+    }
     const std::size_t nc = tree_.conds.size();
     std::vector<std::vector<std::size_t>> kids(tree_.scope_count());
     for (std::size_t c = 0; c < nc; ++c) kids[tree_.conds[c].parent_scope].push_back(c);
@@ -287,11 +292,7 @@ Selection Selector::finish_selection(const ilp::IlpResult& r,
 
   Selection sel;
   if (r.has_solution) {
-    std::vector<isel::ImpIndex> chosen;
-    for (std::size_t j = 0; j < db_.imps().size(); ++j) {
-      if (r.x[j] > 0.5) chosen.push_back(static_cast<isel::ImpIndex>(j));
-    }
-    sel = decode_selection(chosen, db_, lib_, entry_cdfg_, paths_);
+    sel = decode_selection(chosen_imps(r, db_.imps().size()), db_, lib_, entry_cdfg_, tree_);
   }
 
   // Rung 3: a truncated search may have no incumbent at all, or one that is
@@ -392,9 +393,7 @@ std::vector<Selection> Selector::solve_ladder(
   // One model for the whole ladder; items only retarget the gain-row RHS
   // below. The tree form needs every item uniform: its one requirement row
   // gain_path0 then takes each item's gain.
-  const bool tree = std::all_of(items.begin(), items.end(),
-                                [&](const auto& item) { return uses_tree(item); });
-  ilp::Model m = build_form(opt, tree);
+  ilp::Model m = build_form(opt, std::all_of(items.begin(), items.end(), uses_tree));
   const std::vector<GainRow> rows = gain_rows(m);
   // A context carried over from the other Eq. 2 form holds a differently
   // shaped model's artifacts (clique table, bases, pseudo-costs): start over.
@@ -461,9 +460,8 @@ std::uint64_t Selector::answer_map_digest() const {
 }
 
 std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
-  // Eq. 2 in the form a uniform requirement builds: the worst-path tree
-  // whenever every path was enumerated.
-  ilp::Model m = build_form(opt, tree_.complete());
+  // Eq. 2 in the form a uniform requirement builds: the worst-path tree.
+  ilp::Model m = build_form(opt, true);
 
   // Upper bound for G_min: everything selected at once (ignoring conflicts).
   double ub = 1.0;
@@ -488,10 +486,8 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   }
   const ilp::VarIndex gmin = m.add_continuous("G_min", 0.0, ub, 1.0);
 
-  // Every requirement row (the tree's one, or one per path) becomes
-  // sum(gains) - G_min >= 0.
-  const std::vector<GainRow> rows = gain_rows(m);
-  for (const GainRow& g : rows) {
+  // The tree's requirement row becomes sum(gains) + sum(y) - G_min >= 0.
+  for (const GainRow& g : gain_rows(m)) {
     m.append_term(g.row, {gmin, -1.0});
     m.set_rhs(g.row, 0.0);
   }
@@ -506,33 +502,8 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   // floating objective can sit just below the integer optimum, and
   // truncating it would derive a gain one too low. G_min's own bound caps
   // it as in the model.
-  std::int64_t g = static_cast<std::int64_t>(ub);
-  if (tree_.complete()) {
-    // The worst path by the tree's recursion: each scope's chosen gain, and
-    // each conditional adds its smaller arm to its parent scope (children
-    // follow their parents in tree_.conds).
-    const std::vector<std::vector<ilp::Term>> scope = scope_terms();
-    std::vector<std::int64_t> gain(scope.size(), 0);
-    for (std::size_t sc = 0; sc < scope.size(); ++sc) {
-      for (const ilp::Term& t : scope[sc]) {
-        if (r.x[t.var] > 0.5) gain[sc] += std::llround(t.coeff);
-      }
-    }
-    for (std::size_t c = tree_.conds.size(); c-- > 0;) {
-      gain[tree_.conds[c].parent_scope] +=
-          std::min(gain[cdfg::CondTree::arm_scope(c, true)],
-                   gain[cdfg::CondTree::arm_scope(c, false)]);
-    }
-    return std::min(g, gain[0]);
-  }
-  for (const GainRow& row : rows) {
-    std::int64_t path_gain = 0;
-    for (const ilp::Term& t : m.row(row.row).terms) {
-      if (t.var != gmin && r.x[t.var] > 0.5) path_gain += std::llround(t.coeff);
-    }
-    g = std::min(g, path_gain);
-  }
-  return g;
+  return std::min(static_cast<std::int64_t>(ub),
+                  worst_path_gain(chosen_imps(r, db_.imps().size()), db_, entry_cdfg_, tree_));
 }
 
 }  // namespace partita::select

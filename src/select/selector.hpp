@@ -11,8 +11,9 @@
 //           Under a uniform T it is built as a worst-path tree: one row
 //           sum(straight-line terms) + sum y_c >= T, and per conditional c
 //           a continuous y_c with one row y_c <= (arm gain) per arm, so
-//           y_c is at most the min over c's arms. One row per path remains
-//           for per-path T_k and for truncated path enumeration
+//           y_c is at most the min over c's arms. The tree covers every
+//           path, however many conditionals there are. One row per
+//           enumerated path remains only for per-path T_k that differ
 //           (docs/ilp_solver.md, "Eq. 2 as a worst-path tree"). Every
 //           Eq. 2 row is built whatever the gains; a T_k <= 0 gets a
 //           never-binding floor as its RHS.
@@ -120,9 +121,9 @@ class Selector {
   std::size_t path_count() const { return paths_.size(); }
 
   /// Exposes the built ILP (for tests and debugging dumps). Eq. 2 is the
-  /// worst-path tree when the gains are uniform and every path was
-  /// enumerated, one row per path otherwise; a non-positive gain keeps its
-  /// row, with a never-binding floor as the RHS.
+  /// worst-path tree when the gains are uniform, one row per enumerated path
+  /// otherwise; a non-positive gain keeps its row, with a never-binding floor
+  /// as the RHS.
   ilp::Model build_model(const std::vector<std::int64_t>& required_gains,
                          const SelectOptions& opt) const;
 
@@ -141,17 +142,9 @@ class Selector {
   std::int64_t max_feasible_gain(const SelectOptions& opt = {}) const;
 
  private:
-  /// True when Eq. 2 for `required_gains` is built as the worst-path tree:
-  /// one gain for every path, and every path enumerated.
-  bool uses_tree(const std::vector<std::int64_t>& required_gains) const;
-
   /// build_model with the Eq. 2 form chosen by the caller and every Eq. 2
   /// row at RHS 0, for the caller to retarget.
   ilp::Model build_form(const SelectOptions& opt, bool tree) const;
-
-  /// Eq. 2's gain terms g_ij x_ij per scope of the conditional tree, with
-  /// x_ij at column j.
-  std::vector<std::vector<ilp::Term>> scope_terms() const;
 
   /// The one ladder core behind every selection (select, select_per_path,
   /// select_batch, select_batch_per_path, select_seeded): builds the model

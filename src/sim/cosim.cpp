@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cdfg/parallel.hpp"
 #include "support/assert.hpp"
 
 namespace partita::sim {
@@ -36,15 +35,9 @@ struct CoSimulator::RunState {
   bool in_parallel_code = false;
 };
 
-CoSimulator::CoSimulator(const ir::Module& module, const iplib::IpLibrary& lib,
-                         const isel::ImpDatabase& db, const cdfg::Cdfg& entry_cdfg,
-                         const std::vector<cdfg::ExecPath>& paths, const SimConfig& config)
-    : module_(module),
-      lib_(lib),
-      db_(db),
-      entry_cdfg_(entry_cdfg),
-      paths_(paths),
-      config_(config) {}
+CoSimulator::CoSimulator(const ir::Module& module, const isel::ImpDatabase& db,
+                         const cdfg::Cdfg& entry_cdfg)
+    : module_(module), db_(db), entry_cdfg_(entry_cdfg) {}
 
 void CoSimulator::exec_seq(RunState& st, const ir::Function& fn,
                            const std::vector<ir::StmtId>& seq) const {
@@ -139,20 +132,13 @@ void CoSimulator::exec_selected_call(RunState& st, const ir::Function& fn,
   st.t += imp.timing.t_if_in;
   const std::int64_t core_start = st.t;
 
-  if (imp.pc_use != isel::PcUse::kNone && !st.in_parallel_code) {
-    // Re-derive this IMP's parallel code and execute the control-equivalent
-    // statements on the kernel while the IP runs.
-    const isel::SCall* sc = db_.scall_of(imp.scall);
-    PARTITA_ASSERT(sc != nullptr && sc->node != cdfg::kInvalidNode);
-    cdfg::PcOptions pc_opt;
-    pc_opt.allow_scall_software = imp.pc_use == isel::PcUse::kWithScallSw;
-    pc_opt.is_scall = [this](ir::CallSiteId c) { return db_.scall_of(c) != nullptr; };
-    const cdfg::ParallelCode pc =
-        cdfg::parallel_code(entry_cdfg_, sc->node, paths_, pc_opt);
-
+  if (!imp.pc_nodes.empty() && !st.in_parallel_code) {
+    // Execute the IMP's parallel code -- its statements control-equivalent
+    // to the call -- on the kernel while the IP runs.
+    const cdfg::NodeIndex call = entry_cdfg_.node_of_call(s.call_site);
     st.in_parallel_code = true;
-    for (cdfg::NodeIndex n : pc.nodes) {
-      if (!entry_cdfg_.same_branch(sc->node, n)) continue;  // static schedule
+    for (cdfg::NodeIndex n : imp.pc_nodes) {
+      if (!entry_cdfg_.same_branch(call, n)) continue;  // static schedule
       const ir::StmtId stmt = entry_cdfg_.node(n).stmt;
       const std::uint64_t key = stmt_key(fn.id(), stmt);
       auto hoisted = st.pending_skips.find(key);

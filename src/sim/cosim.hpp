@@ -10,18 +10,19 @@
 //    controller) or the data memories (DMA) for the analytic interface time,
 //    so nothing overlaps;
 //  * s-calls implemented through type 1/3 fill the buffer (T_IF_IN), start
-//    the IP, and -- when the IMP carries parallel code -- execute the PC
-//    statements on the kernel while the IP runs, then wait for the IP and
-//    drain (T_IF_OUT). Statements executed early are skipped when control
-//    reaches them in normal order.
+//    the IP, and -- when the IMP carries parallel code -- execute the IMP's
+//    own PC nodes (Imp::pc_nodes, decided once by the IMP database) on the
+//    kernel while the IP runs, then wait for the IP and drain (T_IF_OUT).
+//    Statements executed early are skipped when control reaches them in
+//    normal order.
 //
 // A scheduling note: the analytic model (Definitions 3-5) lets the PC live in
 // a deeper branch region than the call, guaranteeing the min-over-paths gain.
 // A statically scheduled overlap, however, may only hoist statements that are
-// control-equivalent to the call; the simulator enforces exactly that, so
+// control-equivalent to the call; the simulator runs only those PC nodes, so
 // simulated gains can fall slightly short of the analytic credit when a PC
-// crosses into a conditional arm. Tests validate exact agreement on
-// control-equivalent layouts.
+// crosses into a conditional arm. On control-equivalent layouts, straight-line
+// code included, the simulated gain equals the guaranteed one.
 //
 // The simulator's purpose is validating the Section 3 equations (Fig. 2's
 // overlap picture) against an independent execution model, and providing the
@@ -35,10 +36,6 @@
 #include "support/rng.hpp"
 
 namespace partita::sim {
-
-struct SimConfig {
-  iface::KernelParams kernel;
-};
 
 struct ScallStats {
   std::int64_t executions = 0;
@@ -56,9 +53,8 @@ struct SimResult {
 
 class CoSimulator {
  public:
-  CoSimulator(const ir::Module& module, const iplib::IpLibrary& lib,
-              const isel::ImpDatabase& db, const cdfg::Cdfg& entry_cdfg,
-              const std::vector<cdfg::ExecPath>& paths, const SimConfig& config = {});
+  CoSimulator(const ir::Module& module, const isel::ImpDatabase& db,
+              const cdfg::Cdfg& entry_cdfg);
 
   /// One run. `selection` may be nullptr for the pure-software reference.
   /// Branches are resolved with `rng` using their profile probabilities.
@@ -79,11 +75,8 @@ class CoSimulator {
                           const isel::Imp& imp) const;
 
   const ir::Module& module_;
-  const iplib::IpLibrary& lib_;
   const isel::ImpDatabase& db_;
   const cdfg::Cdfg& entry_cdfg_;
-  const std::vector<cdfg::ExecPath>& paths_;
-  SimConfig config_;
 };
 
 }  // namespace partita::sim

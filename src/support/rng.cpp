@@ -57,8 +57,6 @@ double Rng::uniform01() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform_real(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
 bool Rng::chance(double p) { return uniform01() < p; }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {

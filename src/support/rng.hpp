@@ -34,9 +34,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform01();
 
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi);
-
   /// Bernoulli draw with probability p of returning true.
   bool chance(double p);
 

@@ -53,16 +53,6 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
   return out;
 }
 
-bool is_integer(std::string_view s) {
-  if (s.empty()) return false;
-  std::size_t i = (s[0] == '-') ? 1 : 0;
-  if (i == s.size()) return false;
-  for (; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
-  }
-  return true;
-}
-
 bool parse_int(std::string_view s, std::int64_t& out) {
   const char* first = s.data();
   const char* last = s.data() + s.size();

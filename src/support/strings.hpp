@@ -19,9 +19,6 @@ std::vector<std::string_view> split_ws(std::string_view s);
 /// Joins the pieces with the given separator.
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 
-/// True if s consists of one or more decimal digits (optionally '-' first).
-bool is_integer(std::string_view s);
-
 /// Parses a decimal integer; returns false on malformed input or overflow.
 bool parse_int(std::string_view s, std::int64_t& out);
 

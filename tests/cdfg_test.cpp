@@ -179,11 +179,9 @@ func main {
 struct PcFixture {
   ir::Module module;
   Cdfg g;
-  std::vector<ExecPath> paths;
 
   explicit PcFixture(std::string_view kl)
-      : module(parse(kl)), g(module, module.function(module.entry())),
-        paths(enumerate_paths(g)) {
+      : module(parse(kl)), g(module, module.function(module.entry())) {
     g.annotate_call_cycles([](ir::FuncId) { return std::int64_t{1000}; });
   }
 };
@@ -200,7 +198,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call, f.paths);
+  const ParallelCode pc = parallel_code(f.g, call).value();
   EXPECT_EQ(pc.cycles, 300);
   ASSERT_EQ(pc.nodes.size(), 1u);
   EXPECT_TRUE(pc.consumed_scalls.empty());
@@ -219,7 +217,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call, f.paths);
+  const ParallelCode pc = parallel_code(f.g, call).value();
   EXPECT_EQ(pc.cycles, 0);
 }
 
@@ -234,7 +232,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call, f.paths);
+  const ParallelCode pc = parallel_code(f.g, call).value();
   EXPECT_EQ(pc.cycles, 0);  // the loop body runs under a different loop nest
 }
 
@@ -255,7 +253,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call, f.paths);
+  const ParallelCode pc = parallel_code(f.g, call).value();
   EXPECT_EQ(pc.cycles, 100);
 }
 
@@ -274,11 +272,11 @@ func main {
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
 
   PcOptions p1;  // Problem 1: s-calls excluded
-  EXPECT_EQ(parallel_code(f.g, call, f.paths, p1).cycles, 0);
+  EXPECT_EQ(parallel_code(f.g, call, p1).value().cycles, 0);
 
   PcOptions p2;
   p2.allow_scall_software = true;
-  const ParallelCode pc = parallel_code(f.g, call, f.paths, p2);
+  const ParallelCode pc = parallel_code(f.g, call, p2).value();
   EXPECT_EQ(pc.cycles, 1000);
   ASSERT_EQ(pc.consumed_scalls.size(), 1u);
   EXPECT_EQ(pc.consumed_scalls[0], ir::CallSiteId{1});
@@ -299,7 +297,7 @@ func main {
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
   PcOptions opt;  // Problem 1 semantics...
   opt.is_scall = [](ir::CallSiteId c) { return c == ir::CallSiteId{0}; };
-  const ParallelCode pc = parallel_code(f.g, call, f.paths, opt);
+  const ParallelCode pc = parallel_code(f.g, call, opt).value();
   EXPECT_EQ(pc.cycles, 1000);  // annotate gave every call 1000 cycles
   EXPECT_TRUE(pc.consumed_scalls.empty());
 }
@@ -319,11 +317,11 @@ func main {
   PcOptions opt;
   opt.allow_scall_software = true;
   opt.max_consumed = 1;
-  const ParallelCode pc1 = parallel_code(f.g, call, f.paths, opt);
+  const ParallelCode pc1 = parallel_code(f.g, call, opt).value();
   EXPECT_EQ(pc1.consumed_scalls.size(), 1u);
   EXPECT_EQ(pc1.cycles, 1000);
   opt.max_consumed = 2;
-  const ParallelCode pc2 = parallel_code(f.g, call, f.paths, opt);
+  const ParallelCode pc2 = parallel_code(f.g, call, opt).value();
   EXPECT_EQ(pc2.consumed_scalls.size(), 2u);
   EXPECT_EQ(pc2.cycles, 2000);
 }

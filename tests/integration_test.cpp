@@ -157,8 +157,7 @@ TEST(CrossCheck, SimulatorConfirmsGuaranteedGain) {
   for (auto make : {workloads::gsm_decoder, workloads::jpeg_encoder}) {
     workloads::Workload w = make();
     Flow flow(w.module, w.library);
-    sim::CoSimulator cosim(w.module, w.library, flow.imp_database(), flow.entry_cdfg(),
-                           flow.paths());
+    sim::CoSimulator cosim(w.module, flow.imp_database(), flow.entry_cdfg());
     const Selection sel = flow.select(flow.max_feasible_gain() / 2);
     ASSERT_TRUE(sel.feasible) << w.name;
     for (int i = 0; i < 5; ++i) {

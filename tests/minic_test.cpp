@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "cdfg/parallel.hpp"
-#include "cdfg/paths.hpp"
 #include "ir/verify.hpp"
 #include "minic/mc_codegen.hpp"
 #include "minic/mc_lexer.hpp"
@@ -242,12 +241,11 @@ void main() {
 
   cdfg::Cdfg g(*m, m->function(m->entry()));
   g.annotate_call_cycles([&](ir::FuncId f) { return prof.cycles_of(f); });
-  const auto paths = cdfg::enumerate_paths(g);
   const cdfg::NodeIndex call = g.node_of_call(ir::CallSiteId{0});
   ASSERT_NE(call, cdfg::kInvalidNode);
   // The hist loop reads frame but not out1: it cannot be the PC (different
   // loop context), but the trailing scalar pack depends on out1 -> no PC.
-  const cdfg::ParallelCode pc = cdfg::parallel_code(g, call, paths);
+  const cdfg::ParallelCode pc = cdfg::parallel_code(g, call).value();
   EXPECT_EQ(pc.cycles, 0);
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
+#include "cdfg/parallel.hpp"
 #include "cdfg/paths.hpp"
 #include "ilp/fingerprint.hpp"
 #include "ilp/simplex.hpp"
@@ -229,19 +232,19 @@ TEST(Formulation, MaxFeasibleGainIsExact) {
   EXPECT_TRUE(flow.select(g).feasible);
   EXPECT_FALSE(flow.select(g + 1).feasible) << "derived gain " << g << " is below the optimum";
 
-  // More than 12 conditionals, so no worst-path tree: Eq. 2 is one row per
-  // enumerated path and the probe adds G_min to each of them. Call-site
-  // count 26 is the smallest random_workload shape (default parameters
-  // otherwise) found to truncate path enumeration at kMaxPaths.
+  // More than 12 conditionals, so path enumeration truncates at kMaxPaths;
+  // the worst-path tree still covers every path. Call-site count 26 is the
+  // smallest random_workload shape (default parameters otherwise) found to
+  // truncate.
   workloads::RandomWorkloadParams wide;
   wide.call_sites = 26;
   const workloads::Workload many = workloads::random_workload(wide, 100);
-  Flow per_path(many.module, many.library);
-  ASSERT_GT(cdfg::conditional_tree(per_path.entry_cdfg()).conds.size(), 12u);
-  ASSERT_EQ(per_path.paths().size(), cdfg::kMaxPaths);
-  const std::int64_t gp = per_path.max_feasible_gain();
-  EXPECT_TRUE(per_path.select(gp).feasible);
-  EXPECT_FALSE(per_path.select(gp + 1).feasible)
+  Flow truncated(many.module, many.library);
+  ASSERT_GT(cdfg::conditional_tree(truncated.entry_cdfg()).conds.size(), 12u);
+  ASSERT_EQ(truncated.paths().size(), cdfg::kMaxPaths);
+  const std::int64_t gp = truncated.max_feasible_gain();
+  EXPECT_TRUE(truncated.select(gp).feasible);
+  EXPECT_FALSE(truncated.select(gp + 1).feasible)
       << "derived gain " << gp << " is below the optimum";
 }
 
@@ -317,7 +320,9 @@ TEST(Formulation, WorstPathTreeMatchesEveryPath) {
     workloads::Workload w = workloads::random_workload(p, seed);
     const Flow flow(w.module, w.library);
     const cdfg::CondTree t = cdfg::conditional_tree(flow.entry_cdfg());
-    if (t.conds.empty() || !t.complete()) continue;
+    // More than 12 conditionals would truncate flow.paths(), which
+    // per_path_model rebuilds Eq. 2 from.
+    if (t.conds.empty() || t.conds.size() > 12) continue;
     nested += std::any_of(t.conds.begin(), t.conds.end(),
                           [](const cdfg::CondTree::Cond& c) { return c.parent_scope != 0; });
     in_loop += std::any_of(flow.entry_cdfg().nodes().begin(), flow.entry_cdfg().nodes().end(),
@@ -558,6 +563,169 @@ TEST(Decode, DescribeUsesPaperNotation) {
   EXPECT_NE(desc.find("SC"), std::string::npos);
   EXPECT_NE(desc.find("IF"), std::string::npos);
   EXPECT_NE(desc.find("IP"), std::string::npos);
+}
+
+// --- the path-free Flow against an uncapped path enumeration ------------------------------
+
+// Every execution path of g with no kMaxPaths cap: each decision vector in
+// enumerate_paths' order (conditionals in conditional_tree order, then-arm
+// first) materialized, repeated node sets dropped.
+std::vector<cdfg::ExecPath> uncapped_paths(const cdfg::Cdfg& g) {
+  const cdfg::CondTree t = cdfg::conditional_tree(g);
+  std::vector<std::vector<std::pair<std::size_t, bool>>> frames(g.node_count());
+  for (cdfg::NodeIndex v = 0; v < g.node_count(); ++v) {
+    for (const cdfg::BranchFrame& f : g.node(v).branch_ctx) {
+      std::size_t c = 0;
+      while (t.conds[c].stmt != f.if_stmt) ++c;
+      frames[v].emplace_back(c, f.then_arm);
+    }
+  }
+  const std::size_t k = t.conds.size();
+  std::vector<cdfg::ExecPath> out;
+  std::set<std::vector<cdfg::NodeIndex>> seen;
+  for (std::uint64_t code = 0; code < (std::uint64_t{1} << k); ++code) {
+    cdfg::ExecPath p;  // bit k-1-c of code set: conditional c takes its else-arm
+    for (cdfg::NodeIndex v = 0; v < g.node_count(); ++v) {
+      const bool on = std::all_of(frames[v].begin(), frames[v].end(), [&](const auto& f) {
+        return ((code >> (k - 1 - f.first)) & 1) != f.second;
+      });
+      if (on) p.nodes.push_back(v);
+    }
+    if (seen.insert(p.nodes).second) out.push_back(std::move(p));
+  }
+  return out;
+}
+
+// Definition 5 read off a path list: cdfg/parallel.hpp's per-path
+// construction on every path through the call; the first path with the
+// fewest PC cycles wins.
+cdfg::ParallelCode pc_over_paths(const cdfg::Cdfg& g, cdfg::NodeIndex call,
+                                 const std::vector<cdfg::ExecPath>& paths,
+                                 const cdfg::PcOptions& opt) {
+  std::optional<cdfg::ParallelCode> best;
+  for (const cdfg::ExecPath& path : paths) {
+    const auto at = std::find(path.nodes.begin(), path.nodes.end(), call);
+    if (at == path.nodes.end()) continue;
+    cdfg::ParallelCode pc;
+    std::vector<cdfg::NodeIndex> skipped;
+    for (auto it = at + 1; it != path.nodes.end(); ++it) {
+      const cdfg::AtomicNode& node = g.node(*it);
+      bool join = g.independent(call, *it) && g.same_loop_ctx(call, *it);
+      bool consumes = false;
+      if (join && node.is_call && opt.is_scall(node.call_site)) {
+        consumes = opt.allow_scall_software && pc.consumed_scalls.size() < opt.max_consumed;
+        join = consumes;
+      }
+      for (const cdfg::NodeIndex s : skipped) join = join && !g.depends(s, *it);
+      if (!join) {
+        skipped.push_back(*it);
+        continue;
+      }
+      pc.nodes.push_back(*it);
+      pc.cycles += node.cycles;
+      if (consumes) pc.consumed_scalls.push_back(node.call_site);
+    }
+    if (!best || pc.cycles < best->cycles) best = std::move(pc);
+  }
+  return best.value_or(cdfg::ParallelCode{});
+}
+
+// Parallel code, the derived gain and the guaranteed gain see every path,
+// not just the kMaxPaths that enumerate_paths lists. Checked against the
+// uncapped enumeration above on random workloads with at most 12
+// conditionals (where enumerate_paths is complete) and with 13-15, where a
+// minimum over the listed paths alone overstates some PCs.
+TEST(PathFree, TreeMatchesUncappedEnumeration) {
+  int wide = 0;
+  for (const auto& [sites, seed] : std::vector<std::pair<int, std::uint64_t>>{
+           {12, 1}, {12, 2}, {20, 3}, {30, 9}, {30, 35}, {36, 35}}) {
+    workloads::RandomWorkloadParams params;
+    params.call_sites = sites;
+    const workloads::Workload w = workloads::random_workload(params, seed);
+    const Flow flow(w.module, w.library);
+    const cdfg::Cdfg& g = flow.entry_cdfg();
+    const isel::ImpDatabase& db = flow.imp_database();
+    const std::size_t conds = cdfg::conditional_tree(g).conds.size();
+    SCOPED_TRACE(std::to_string(sites) + " call sites, seed " + std::to_string(seed) + ", " +
+                 std::to_string(conds) + " conditionals");
+    ASSERT_GT(conds, 0u);
+    wide += conds > 12;
+    const std::vector<cdfg::ExecPath> paths = uncapped_paths(g);
+    EXPECT_EQ(db.pc_overruns(), 0u);
+
+    // Plain PC, Problem 2's PC and every consumption prefix of it.
+    for (const isel::SCall& sc : db.scalls()) {
+      if (sc.node == cdfg::kInvalidNode) continue;
+      cdfg::PcOptions opt;
+      opt.is_scall = [&](ir::CallSiteId c) { return db.scall_of(c) != nullptr; };
+      std::vector<cdfg::PcOptions> queries{opt};
+      opt.allow_scall_software = true;
+      queries.push_back(opt);
+      const std::size_t consumable = pc_over_paths(g, sc.node, paths, opt).consumed_scalls.size();
+      for (std::size_t k = 1; k <= consumable; ++k) {
+        opt.max_consumed = k;
+        queries.push_back(opt);
+      }
+      for (const cdfg::PcOptions& q : queries) {
+        SCOPED_TRACE("SC" + std::to_string(sc.site.value()) + " problem2 " +
+                     std::to_string(q.allow_scall_software) + " max_consumed " +
+                     std::to_string(q.max_consumed));
+        const cdfg::ParallelCode want = pc_over_paths(g, sc.node, paths, q);
+        const std::optional<cdfg::ParallelCode> got = cdfg::parallel_code(g, sc.node, q);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->cycles, want.cycles);
+        EXPECT_EQ(got->nodes, want.nodes);
+        EXPECT_EQ(got->consumed_scalls, want.consumed_scalls);
+      }
+    }
+
+    // The selection at the derived gain meets it on every path, and its
+    // guaranteed gain is the worst path's.
+    const std::int64_t gmax = flow.max_feasible_gain();
+    const Selection sel = flow.select(gmax);
+    ASSERT_TRUE(sel.feasible);
+    std::int64_t worst = std::numeric_limits<std::int64_t>::max();
+    for (const cdfg::ExecPath& p : paths) {
+      worst = std::min(worst, path_gain(sel.chosen, db, g, p));
+    }
+    EXPECT_GE(worst, gmax);
+    EXPECT_EQ(sel.min_path_gain, worst);
+  }
+  EXPECT_EQ(wide, 3);
+}
+
+// Greedy checks only the enumerated paths; past 12 conditionals it can
+// call a selection feasible that misses the requirement on a path it never
+// saw. The ladder must not answer with such a selection: with a one-node
+// search every greedy-fallback answer meets its requirement on every path.
+TEST(PathFree, GreedyFallbackMeetsRequirementOnEveryPath) {
+  int fallbacks = 0;
+  for (const auto& [sites, seed] : std::vector<std::pair<int, std::uint64_t>>{
+           {30, 6}, {30, 35}, {30, 40}}) {
+    workloads::RandomWorkloadParams params;
+    params.call_sites = sites;
+    const workloads::Workload w = workloads::random_workload(params, seed);
+    const Flow flow(w.module, w.library);
+    SCOPED_TRACE(std::to_string(sites) + " call sites, seed " + std::to_string(seed));
+    ASSERT_GT(cdfg::conditional_tree(flow.entry_cdfg()).conds.size(), 12u);
+    const std::vector<cdfg::ExecPath> paths = uncapped_paths(flow.entry_cdfg());
+    const std::int64_t gmax = flow.max_feasible_gain();
+    for (int k = 1; k <= 4; ++k) {
+      const std::int64_t rg = gmax * k / 4;
+      SelectOptions opt;
+      opt.ilp.max_nodes = 1;
+      const Selection sel = flow.select(rg, opt);
+      if (sel.rung != DegradationRung::kGreedyFallback) continue;
+      ++fallbacks;
+      std::int64_t worst = std::numeric_limits<std::int64_t>::max();
+      for (const cdfg::ExecPath& p : paths) {
+        worst = std::min(worst, path_gain(sel.chosen, flow.imp_database(), flow.entry_cdfg(), p));
+      }
+      EXPECT_GE(worst, rg);
+      EXPECT_GE(sel.min_path_gain, rg);
+    }
+  }
+  EXPECT_GT(fallbacks, 0);
 }
 
 // --- property: on random workloads the ILP never loses to greedy -----------------------

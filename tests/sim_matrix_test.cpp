@@ -60,8 +60,7 @@ func main {
   ASSERT_TRUE(module && library) << diags.render_all();
 
   select::Flow flow(*module, *library);
-  CoSimulator cosim(*module, *library, flow.imp_database(), flow.entry_cdfg(),
-                    flow.paths());
+  CoSimulator cosim(*module, flow.imp_database(), flow.entry_cdfg());
   const std::int64_t gmax = flow.max_feasible_gain();
   if (gmax <= 0) GTEST_SKIP() << "IP useless for this configuration";
 

@@ -2,6 +2,8 @@
 // model validation for all four interface types, and the Fig. 2 overlap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "frontend/parser.hpp"
 #include "iplib/loader.hpp"
 #include "select/flow.hpp"
@@ -19,7 +21,7 @@ struct SimFixture {
   explicit SimFixture(workloads::Workload wl, const isel::EnumerateOptions& opts = {})
       : w(std::move(wl)),
         flow(w.module, w.library, opts),
-        cosim(w.module, w.library, flow.imp_database(), flow.entry_cdfg(), flow.paths()) {}
+        cosim(w.module, flow.imp_database(), flow.entry_cdfg()) {}
 };
 
 workloads::Workload make_workload(std::string_view kl, std::string_view lib_text) {
@@ -216,6 +218,29 @@ ip FIR_IP {
   const SimResult hw = f.cosim.run(&sel, rng);
   ASSERT_EQ(hw.per_site.size(), 1u);
   EXPECT_EQ(hw.per_site.begin()->second.executions, 4);
+}
+
+TEST(CoSim, Fig9MaxGainRealizesGuaranteedGain) {
+  // Fig. 9 under Problem 2 at its largest feasible gain: straight-line code,
+  // so the simulated gain is the guaranteed one exactly. Each chosen IMP runs
+  // the PC its gain was priced with, so no chosen s-call is swallowed as
+  // software by another s-call's parallel code.
+  SimFixture f(workloads::fig9_case());
+  const select::Selection sel = f.flow.select(f.flow.max_feasible_gain());
+  ASSERT_TRUE(sel.feasible);
+  const auto& imps = f.flow.imp_database().imps();
+  EXPECT_TRUE(std::any_of(sel.chosen.begin(), sel.chosen.end(), [&](isel::ImpIndex i) {
+    return imps[i].pc_use == isel::PcUse::kWithScallSw;
+  }));
+  support::Rng r1(1), r2(1);
+  const SimResult sw = f.cosim.run(nullptr, r1);
+  const SimResult hw = f.cosim.run(&sel, r2);
+  EXPECT_EQ(sw.total_cycles - hw.total_cycles, sel.min_path_gain);
+  for (const isel::ImpIndex i : sel.chosen) {
+    const auto it = hw.per_site.find(imps[i].scall.value());
+    ASSERT_NE(it, hw.per_site.end()) << "SC" << imps[i].scall.value();
+    EXPECT_GT(it->second.executions, 0) << "SC" << imps[i].scall.value();
+  }
 }
 
 TEST(CoSim, AverageRunsStable) {

@@ -210,7 +210,13 @@ int cmd_info(const Args& args, select::Flow& flow) {
   std::printf("functions     : %zu\n", w.module.function_count());
   std::printf("call sites    : %zu\n", w.module.call_sites().size());
   std::printf("s-calls       : %zu\n", flow.scalls().size());
-  std::printf("exec paths    : %zu\n", flow.paths().size());
+  // Enumeration lists every resolution of the conditionals up to kMaxPaths.
+  const std::size_t conds = cdfg::conditional_tree(flow.entry_cdfg()).conds.size();
+  std::printf("exec paths    : %zu (%zu conditionals)", flow.paths().size(), conds);
+  if (conds >= 64 || (std::size_t{1} << conds) > cdfg::kMaxPaths) {
+    std::printf(" (truncated at %zu)", cdfg::kMaxPaths);
+  }
+  std::printf(", PC overruns %zu\n", flow.imp_database().pc_overruns());
   std::printf("IPs           : %zu\n", w.library.size());
   std::printf("IMPs          : %zu\n", flow.imp_database().imps().size());
   std::printf("sw cycles/run : %s\n",
@@ -319,8 +325,7 @@ int cmd_sim(const Args& args, select::Flow& flow) {
     return 1;
   }
   const workloads::Workload& w = args.workload;
-  sim::CoSimulator cosim(w.module, w.library, flow.imp_database(), flow.entry_cdfg(),
-                         flow.paths());
+  sim::CoSimulator cosim(w.module, flow.imp_database(), flow.entry_cdfg());
   support::Rng r1(args.seed), r2(args.seed);
   const sim::SimResult sw = cosim.run_average(nullptr, r1, static_cast<std::size_t>(args.runs));
   const sim::SimResult hw = cosim.run_average(&sel, r2, static_cast<std::size_t>(args.runs));
