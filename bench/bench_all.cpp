@@ -24,8 +24,10 @@
 //                  random workload (the kill-mid-search recovery scenario).
 //                  Resumed answers are held to the same bit-identity gate.
 //
-// Output: a partita-bench-v2 JSON record (schema in docs/benchmarks.md),
-// default BENCH_<date>.json in the working directory.
+// Output: a partita-bench-v2 JSON record (schema in docs/benchmarks.md) at
+// --out. Without --out a full run writes BENCH_<date>.json into the working
+// directory, but exits 1 instead of replacing an existing one (the committed
+// trajectory points carry that name); a --smoke run writes no file.
 //
 //   bench_all [--smoke] [--out <path>] [--check <baseline.json>]
 //
@@ -636,7 +638,15 @@ int main(int argc, char** argv) {
   }
 
   const partita::bench::MachineMeta meta = partita::bench::collect_machine_meta();
-  if (out_path.empty()) out_path = "BENCH_" + meta.date + ".json";
+  if (out_path.empty() && !smoke) {
+    out_path = "BENCH_" + meta.date + ".json";
+    if (std::ifstream(out_path).good()) {
+      std::fprintf(stderr,
+                   "bench_all: %s exists and is not replaced; pass --out <path>\n",
+                   out_path.c_str());
+      return 1;
+    }
+  }
 
   const int sweep_steps = smoke ? 4 : 8;
   const int repeats = smoke ? kLadderRepeatsSmoke : kLadderRepeats;
@@ -679,11 +689,10 @@ int main(int argc, char** argv) {
       dur.sites, dur.cold_seconds, dur.resume_seconds,
       dur.saved_fraction * 100.0, dur.frontier_nodes, dur.waves);
 
-  const std::string json = render_json(meta, smoke, e2e, svc, cache, dur);
-  std::ofstream out(out_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!out_path.empty()) {
+    std::ofstream(out_path) << render_json(meta, smoke, e2e, svc, cache, dur);
+    std::printf("wrote %s\n", out_path.c_str());
+  }
 
   int rc = 0;
   if (dur.gate_failed) {

@@ -4,8 +4,8 @@
 // exposes the raw pipelined stream; call() is the common path -- send one
 // request, then read frames until the response whose id matches arrives,
 // parking any other responses (answers to still-in-flight `wait`s, say) in
-// an internal queue for a later take_pending()/wait_for(). That is the
-// client half of the correlation-id multiplexing.
+// an internal queue for a later recv()/wait_for(). That is the client half
+// of the correlation-id multiplexing.
 //
 // Not thread-safe: one WireClient per thread (the load generator opens one
 // per simulated session).

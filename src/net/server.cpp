@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -17,9 +19,16 @@ namespace partita::net {
 
 namespace {
 
-/// Writes the whole buffer; false when the peer is gone. MSG_NOSIGNAL: a
-/// disconnected client must never SIGPIPE the server.
+/// Per-frame send timeout on session sockets: workers write `wait` answers,
+/// and a peer that stops reading must not hold one.
+constexpr int kSendTimeoutSeconds = 2;
+
+/// Writes the whole buffer; false when the peer is gone or the frame is not
+/// out in time (SO_SNDTIMEO bounds a blocked send, the deadline a trickle of
+/// partial ones). MSG_NOSIGNAL: a gone client must never SIGPIPE the server.
 bool send_all(int fd, const std::string& bytes) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(kSendTimeoutSeconds);
   std::size_t off = 0;
   while (off < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
@@ -28,6 +37,7 @@ bool send_all(int fd, const std::string& bytes) {
       return false;
     }
     off += static_cast<std::size_t>(n);
+    if (off < bytes.size() && std::chrono::steady_clock::now() > deadline) return false;
   }
   return true;
 }
@@ -44,8 +54,30 @@ WireResponse protocol_error(std::uint64_t id, const std::string& verb, std::stri
 
 }  // namespace
 
+struct WireServer::Counters {
+  std::atomic<std::uint64_t> frames_in{0};
+  std::atomic<std::uint64_t> frames_out{0};
+  std::atomic<std::uint64_t> protocol_errors{0};
+};
+
+/// The fd closes with the last holder -- the reader's Connection or a
+/// pending wait hook -- so a late hook writes to a shut-down socket, never
+/// to a reused descriptor.
+struct WireServer::Session {
+  Session(int fd_in, std::shared_ptr<Counters> counters_in)
+      : fd(fd_in), counters(std::move(counters_in)) {}
+  ~Session() { ::close(fd); }
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  const int fd;
+  const std::shared_ptr<Counters> counters;
+  std::mutex write_mu;
+  std::atomic<bool> done{false};  // the reader returned; reap may join it
+};
+
 WireServer::WireServer(service::SolveService& svc, ServerConfig cfg)
-    : svc_(svc), cfg_(std::move(cfg)) {}
+    : svc_(svc), cfg_(std::move(cfg)), counters_(std::make_shared<Counters>()) {}
 
 WireServer::~WireServer() { stop(); }
 
@@ -133,26 +165,23 @@ void WireServer::stop() {
   listen_fd_ = -1;
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
 
-  // Kick every session's socket so its reader sees EOF, then join. The
-  // reader joins its own waiters before returning, so after this loop no
-  // thread of ours is alive.
-  std::list<std::unique_ptr<Session>> sessions;
+  // Kick every session's socket so its reader sees EOF, then join the
+  // readers. Sessions with pending waits live on in their hooks.
+  std::list<Connection> sessions;
   {
     std::lock_guard<std::mutex> lk(sessions_mu_);
     sessions.swap(sessions_);
   }
-  for (auto& s : sessions) {
-    ::shutdown(s->fd, SHUT_RDWR);
-  }
-  for (auto& s : sessions) {
-    if (s->reader.joinable()) s->reader.join();
-    ::close(s->fd);
-  }
+  for (Connection& c : sessions) ::shutdown(c.session->fd, SHUT_RDWR);
+  for (Connection& c : sessions) c.reader.join();
 }
 
 ServerStats WireServer::stats() const {
   std::lock_guard<std::mutex> lk(sessions_mu_);
   ServerStats s = stats_;
+  s.frames_in = counters_->frames_in.load();
+  s.frames_out = counters_->frames_out.load();
+  s.protocol_errors = counters_->protocol_errors.load();
   s.active_sessions = sessions_.size();
   return s;
 }
@@ -175,19 +204,17 @@ void WireServer::accept_main() {
       continue;
     }
     ++stats_.sessions_accepted;
-    auto session = std::make_unique<Session>();
-    session->fd = fd;
-    Session* raw = session.get();
-    sessions_.push_back(std::move(session));
-    raw->reader = std::thread([this, raw] { session_main(raw); });
+    const timeval send_timeout{kSendTimeoutSeconds, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof send_timeout);
+    auto session = std::make_shared<Session>(fd, counters_);
+    sessions_.push_back({session, std::thread([this, session] { session_main(session); })});
   }
 }
 
 void WireServer::reap_finished_locked() {
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if ((*it)->done.load()) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      ::close((*it)->fd);
+    if (it->session->done.load()) {
+      it->reader.join();
       it = sessions_.erase(it);
     } else {
       ++it;
@@ -195,7 +222,7 @@ void WireServer::reap_finished_locked() {
   }
 }
 
-void WireServer::session_main(Session* session) {
+void WireServer::session_main(const std::shared_ptr<Session>& session) {
   FrameDecoder decoder;
   char buf[4096];
   for (;;) {
@@ -205,83 +232,54 @@ void WireServer::session_main(Session* session) {
     decoder.feed(buf, static_cast<std::size_t>(n));
     std::string payload;
     while (decoder.next(&payload)) {
-      {
-        std::lock_guard<std::mutex> lk(sessions_mu_);
-        ++stats_.frames_in;
-      }
-      handle_payload(*session, payload);
+      ++counters_->frames_in;
+      handle_payload(session, payload);
     }
     if (decoder.error() != FrameDecoder::Error::kNone) {
       // The stream is desynchronized: answer once, then hang up. Unlike a
       // JSON-level error, nothing after a framing error is trustworthy.
-      {
-        std::lock_guard<std::mutex> lk(sessions_mu_);
-        ++stats_.protocol_errors;
-      }
+      ++counters_->protocol_errors;
       send_response(*session, protocol_error(0, "", decoder.error_message()));
       break;
     }
   }
-  // Join in-flight waits before declaring the session finished; they own
-  // references into this Session. Only this reader adds waiters.
-  std::list<Waiter> waiters;
-  {
-    std::lock_guard<std::mutex> lk(session->waiters_mu);
-    waiters.swap(session->waiters);
-  }
-  for (Waiter& w : waiters) w.thread.join();
   // Hang up so the peer sees EOF now: after a framing error the client may
-  // still be blocked reading, and the fd itself is only closed at reap/stop.
+  // still be blocked reading, and the fd itself closes with the last holder
+  // of the session. Answers to this session's pending waits are dropped.
   ::shutdown(session->fd, SHUT_RDWR);
   session->done.store(true);
 }
 
-void WireServer::handle_payload(Session& session, const std::string& payload) {
+void WireServer::handle_payload(const std::shared_ptr<Session>& session,
+                                const std::string& payload) {
   std::string why;
   std::optional<WireRequest> req = decode_request(payload, &why);
   if (!req) {
     // A JSON-level error answers and keeps the connection: the framing is
     // intact, so subsequent frames are still trustworthy.
-    {
-      std::lock_guard<std::mutex> lk(sessions_mu_);
-      ++stats_.protocol_errors;
-    }
-    send_response(session, protocol_error(0, "", why));
+    ++counters_->protocol_errors;
+    send_response(*session, protocol_error(0, "", why));
     return;
   }
 
-  if (req->verb == "wait" || req->verb == "drain") {
-    // Blocking verbs get their own thread: the reader stays free to serve
-    // further frames on this connection (the point of id multiplexing).
-    // Finished waiters are joined first, so a connection holds at most its
-    // in-flight ones.
-    std::lock_guard<std::mutex> lk(session.waiters_mu);
-    session.waiters.remove_if([](Waiter& w) {
-      if (!w.done.load()) return false;
-      w.thread.join();
-      return true;
-    });
-    Waiter& waiter = session.waiters.emplace_back();
-    waiter.thread = std::thread([this, &session, &waiter, r = *req] {
-      WireResponse resp;
-      resp.id = r.id;
-      resp.verb = r.verb;
-      if (r.verb == "wait") {
-        resp.result = to_wire(svc_.wait(r.ticket));
-      } else {
-        svc_.drain();
-        resp.state = "drained";
-      }
-      send_response(session, resp);
-      waiter.done.store(true);
-    });
+  if (req->verb == "wait") {
+    // No thread waits for the ticket: whoever finalizes it writes the
+    // answer, and the reader moves on to the next frame.
+    svc_.on_terminal(req->ticket,
+                     [session, id = req->id](const service::SolveResponse& r) {
+                       WireResponse resp;
+                       resp.id = id;
+                       resp.verb = "wait";
+                       resp.result = to_wire(r);
+                       send_response(*session, resp);
+                     });
     return;
   }
 
-  send_response(session, handle_immediate(*req));
+  send_response(*session, handle_inline(*req));
 }
 
-WireResponse WireServer::handle_immediate(const WireRequest& req) {
+WireResponse WireServer::handle_inline(const WireRequest& req) {
   WireResponse resp;
   resp.id = req.id;
   resp.verb = req.verb;
@@ -304,6 +302,11 @@ WireResponse WireServer::handle_immediate(const WireRequest& req) {
   }
   if (req.verb == "cancel") {
     resp.cancelled = svc_.cancel(req.ticket);
+    return resp;
+  }
+  if (req.verb == "drain") {
+    svc_.drain();
+    resp.state = "drained";
     return resp;
   }
   if (req.verb == "status") {
@@ -369,17 +372,15 @@ WireResponse WireServer::handle_immediate(const WireRequest& req) {
 
 void WireServer::send_response(Session& session, const WireResponse& resp) {
   const std::string frame = encode_frame(encode_response(resp));
-  bool sent = false;
-  {
-    std::lock_guard<std::mutex> lk(session.write_mu);
-    sent = send_all(session.fd, frame);
+  std::lock_guard<std::mutex> lk(session.write_mu);
+  if (send_all(session.fd, frame)) {
+    ++session.counters->frames_out;
+    return;
   }
-  if (sent) {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    ++stats_.frames_out;
-  }
-  // A vanished client is not an error: its terminal states live on in the
-  // service and the response is simply dropped.
+  // Gone, stuck past the send timeout, or cut mid-frame: the stream cannot
+  // resume, so hang up. The reader sees EOF and ends the session; dropped
+  // answers stay in the service for a later `status`.
+  ::shutdown(session.fd, SHUT_RDWR);
 }
 
 }  // namespace partita::net

@@ -5,12 +5,15 @@
 // verbs to one shared service::SolveService. Threading model:
 //
 //   * one accept thread;
-//   * one reader thread per connection, which parses frames and answers
-//     non-blocking verbs (submit/cancel/status/stats/ping) inline;
-//   * blocking verbs (wait, drain) run on detached-from-the-reader waiter
-//     threads so one long wait never stalls the connection -- that is what
-//     makes the correlation-id multiplexing real. Responses are written
-//     under a per-connection write mutex, one frame at a time.
+//   * one reader thread per connection, and no other. It answers every verb
+//     inline but `wait`, which registers a SolveService::on_terminal hook
+//     and moves on -- that is what makes the correlation-id multiplexing
+//     real. The thread that finalizes the ticket writes the answer.
+//
+// Responses are written under a per-connection write mutex, one frame at a
+// time. A hook holds its session, never the WireServer, so it may fire after
+// the peer left or the server stopped. A fixed send timeout hangs up a peer
+// that stops reading, so none can hold a worker.
 //
 // Error containment mirrors the service's quarantine philosophy: a
 // malformed JSON payload or unknown verb gets an error response (kind
@@ -63,9 +66,10 @@ class WireServer {
   /// Binds, listens and starts accepting. False + reason on bind failure.
   bool start(std::string* error);
 
-  /// Stops accepting, shuts every session's socket down and joins all
-  /// threads. In-flight waits are joined too, so drain the service first
-  /// (or let request budgets expire) for a bounded stop. Idempotent.
+  /// Stops accepting, shuts every session's socket down and joins the
+  /// accept and reader threads (a reader inside `drain` once it returns).
+  /// Pending waits' hooks stay with the service and answer into a shut-down
+  /// socket, so drain the service first to have them answered. Idempotent.
   void stop();
 
   /// Bound TCP port (0 for unix sockets or before start()).
@@ -77,30 +81,21 @@ class WireServer {
   ServerStats stats() const;
 
  private:
-  /// One blocking verb's thread; `done` (its last act) lets a later verb
-  /// join it, since an exited but unjoined thread keeps its stack mapped.
-  struct Waiter {
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
-  struct Session {
-    int fd = -1;
+  struct Counters;  // frame counters, shared with every Session
+  struct Session;   // one socket, shared by its reader and its wait hooks
+  struct Connection {
+    std::shared_ptr<Session> session;
     std::thread reader;
-    std::mutex write_mu;
-    std::mutex waiters_mu;
-    std::list<Waiter> waiters;  // list: a waiter's address must stay stable
-    std::atomic<bool> done{false};
   };
 
   void accept_main();
-  void session_main(Session* session);
-  /// Decodes and dispatches one frame payload; answers inline or spawns a
-  /// waiter for blocking verbs.
-  void handle_payload(Session& session, const std::string& payload);
-  /// Non-blocking verbs; must not sleep or wait (runs on the reader).
-  WireResponse handle_immediate(const WireRequest& req);
-  void send_response(Session& session, const WireResponse& resp);
+  void session_main(const std::shared_ptr<Session>& session);
+  /// Decodes one frame payload; a `wait` registers its hook.
+  void handle_payload(const std::shared_ptr<Session>& session, const std::string& payload);
+  /// Every verb but `wait`; runs on the reader.
+  WireResponse handle_inline(const WireRequest& req);
+  /// Writes one frame, or hangs the session up. Static: hooks call it.
+  static void send_response(Session& session, const WireResponse& resp);
   void reap_finished_locked();
 
   service::SolveService& svc_;
@@ -111,10 +106,11 @@ class WireServer {
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
+  std::shared_ptr<Counters> counters_;
 
   mutable std::mutex sessions_mu_;
-  std::list<std::unique_ptr<Session>> sessions_;
-  ServerStats stats_;
+  std::list<Connection> sessions_;
+  ServerStats stats_;  // session counts; frame counts live in counters_
 };
 
 }  // namespace partita::net

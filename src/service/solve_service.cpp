@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <future>
 #include <utility>
 
 #include "ilp/checkpoint.hpp"
@@ -44,7 +45,13 @@ double SolveService::retry_after_hint_locked() const {
 }
 
 SubmitOutcome SolveService::submit(SolveRequest request) {
-  std::lock_guard<std::mutex> g(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
+  SubmitOutcome out = submit_locked(std::move(request));
+  run_hooks(lk);  // tickets the rejecter evicted for this arrival
+  return out;
+}
+
+SubmitOutcome SolveService::submit_locked(SolveRequest request) {
   SubmitOutcome out;
 
   if (request.required_gains.empty()) request.required_gains.push_back(-1);
@@ -198,7 +205,13 @@ void SolveService::shed_queued_locked(std::uint64_t job, const std::string& why)
 }
 
 bool SolveService::cancel(std::uint64_t ticket) {
-  std::lock_guard<std::mutex> g(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
+  const bool cancelled = cancel_locked(ticket);
+  run_hooks(lk);
+  return cancelled;
+}
+
+bool SolveService::cancel_locked(std::uint64_t ticket) {
   auto it = entries_.find(ticket);
   if (it == entries_.end()) return false;
   Entry& e = it->second;
@@ -224,18 +237,32 @@ bool SolveService::cancel(std::uint64_t ticket) {
   return true;
 }
 
-SolveResponse SolveService::wait(std::uint64_t ticket) {
+void SolveService::on_terminal(std::uint64_t ticket, TerminalHook hook) {
   std::unique_lock<std::mutex> lk(mu_);
-  auto it = entries_.find(ticket);
-  if (it == entries_.end()) {
-    SolveResponse r;
+  const auto it = entries_.find(ticket);
+  if (it != entries_.end() && !is_terminal(it->second.response.state)) {
+    it->second.hooks.push_back(std::move(hook));
+    return;
+  }
+  SolveResponse r;
+  if (it != entries_.end()) {
+    r = it->second.response;
+  } else {
     r.ticket = ticket;
     r.state = RequestState::kFailed;
     r.error = support::Error{"unknown ticket", {}};
-    return r;
   }
-  done_cv_.wait(lk, [&] { return is_terminal(it->second.response.state); });
-  return it->second.response;
+  lk.unlock();
+  hook(r);
+}
+
+SolveResponse SolveService::wait(std::uint64_t ticket) {
+  // Shared with the hook: the finalizing thread may still hold it after
+  // get() has returned here.
+  const auto answer = std::make_shared<std::promise<SolveResponse>>();
+  std::future<SolveResponse> done = answer->get_future();
+  on_terminal(ticket, [answer](const SolveResponse& r) { answer->set_value(r); });
+  return done.get();
 }
 
 std::optional<SolveResponse> SolveService::poll(std::uint64_t ticket) const {
@@ -260,7 +287,7 @@ void SolveService::drain() {
   draining_ = true;
   paused_ = false;  // parked queues must flush, not hang
   work_cv_.notify_all();
-  done_cv_.wait(lk, [&] { return live_count_ == 0; });
+  done_cv_.wait(lk, [&] { return live_count_ == 0 && hooks_running_ == 0; });
   // Quiesced: every admit is paired with a terminal record, so compaction
   // collapses the journal to one empty segment for the next boot.
   if (cfg_.journal != nullptr && cfg_.journal->is_open()) cfg_.journal->compact();
@@ -354,10 +381,14 @@ void SolveService::finalize_locked(Entry& e, RequestState state) {
   }
   stats_.retries +=
       static_cast<std::uint64_t>(std::max(0, e.response.attempts - 1));
+  if (!e.hooks.empty()) {
+    fired_.push_back({std::move(e.hooks), e.response});
+    e.hooks.clear();
+  }
   if (e.live) {
     e.live = false;
     admitted_memory_ -= e.memory_charge;
-    --live_count_;
+    if (--live_count_ == 0) done_cv_.notify_all();
     const auto tit = live_per_tenant_.find(e.tenant);
     if (tit != live_per_tenant_.end() && tit->second > 0) {
       if (--tit->second == 0) live_per_tenant_.erase(tit);
@@ -367,7 +398,20 @@ void SolveService::finalize_locked(Entry& e, RequestState state) {
     // is estimating.
     drain_rate_.record_terminal(clock_.now_micros());
   }
-  done_cv_.notify_all();
+}
+
+void SolveService::run_hooks(std::unique_lock<std::mutex>& lk) {
+  if (fired_.empty()) return;
+  std::vector<FiredHooks> fired;
+  fired.swap(fired_);
+  ++hooks_running_;
+  lk.unlock();
+  for (FiredHooks& f : fired) {
+    for (const TerminalHook& hook : f.hooks) hook(f.response);
+  }
+  fired.clear();  // what the hooks captured is released outside mu_ too
+  lk.lock();
+  if (--hooks_running_ == 0) done_cv_.notify_all();
 }
 
 void SolveService::worker_main() {
@@ -388,6 +432,7 @@ void SolveService::worker_main() {
     run_job(lk, *picked, std::move(request));
     --running_count_;
     policy_->on_complete(*picked, RequestState::kCompleted, clock_.now_micros());
+    run_hooks(lk);
   }
 }
 

@@ -13,6 +13,10 @@
 //     one of completed / cancelled / rejected / failed, and wait(ticket)
 //     always returns. Workers never die: exceptions, injected faults and
 //     resource exhaustion are quarantined per-request.
+//   * One completion path: on_terminal(ticket, hook) runs the hook exactly
+//     once with the terminal response, on the thread that finalized the
+//     ticket. wait() is built on it, and so is the wire `wait` verb, which
+//     therefore holds no thread while its ticket is pending.
 //   * Cooperative cancellation: a per-request support::CancelToken is
 //     threaded into ilp::ResourceBudget and observed at branch & bound wave
 //     boundaries, so cancel(ticket) terminates a running solve within one
@@ -61,6 +65,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -295,6 +300,19 @@ class SolveService {
   /// already terminal.
   bool cancel(std::uint64_t ticket);
 
+  /// Called once with a ticket's terminal response; see on_terminal().
+  using TerminalHook = std::function<void(const SolveResponse&)>;
+
+  /// Runs `hook` exactly once with the ticket's terminal response. For a
+  /// terminal ticket, and for an unknown one (with wait()'s kFailed "unknown
+  /// ticket" response), it runs at once on the caller's thread. Otherwise the
+  /// thread that finalizes the ticket runs it after releasing the service
+  /// lock: a worker, cancel(), or a submit() whose admission evicted it. A
+  /// hook may call poll(), stats(), submit(), cancel() or on_terminal(); it
+  /// must not throw, and must not block on the service (wait(), drain() and
+  /// shutdown() all wait for running hooks or for workers that run them).
+  void on_terminal(std::uint64_t ticket, TerminalHook hook);
+
   /// Blocks until the request is terminal and returns its response.
   /// Unknown tickets fail immediately with a kFailed response.
   SolveResponse wait(std::uint64_t ticket);
@@ -307,7 +325,8 @@ class SolveService {
 
   /// Stops admission and blocks until every admitted request reached its
   /// natural terminal state (queued ones still run; cancel them first for a
-  /// fast abort). Afterwards the pool rejects all further submits.
+  /// fast abort) and every on_terminal hook they fired has returned.
+  /// Afterwards the pool rejects all further submits.
   void drain();
 
   /// drain() + worker join. Idempotent; the destructor calls it.
@@ -348,8 +367,20 @@ class SolveService {
     /// position in its job. finalize_locked appends the matching terminal
     /// record and drops the request's checkpoint.
     std::uint64_t journal_seq = 0;
+    /// on_terminal hooks still owed the terminal response.
+    std::vector<TerminalHook> hooks;
   };
 
+  /// Hooks of one ticket finalized under the current hold of mu_, with the
+  /// response they are owed.
+  struct FiredHooks {
+    std::vector<TerminalHook> hooks;
+    SolveResponse response;
+  };
+
+  /// submit() and cancel() under mu_; the callers run the fired hooks.
+  SubmitOutcome submit_locked(SolveRequest request);
+  bool cancel_locked(std::uint64_t ticket);
   void worker_main();
   /// Runs one dequeued job: marks its live items running, runs the
   /// attempt/retry loop over them outside the lock, then finalizes each.
@@ -363,9 +394,13 @@ class SolveService {
       const std::vector<support::CancelToken>& tokens, int attempt,
       std::string& cache_marker);
   /// Marks the entry terminal, releases its admission charge and tenant
-  /// slot, feeds the drain-rate estimator, and wakes waiters. Caller holds
-  /// mu_.
+  /// slot, feeds the drain-rate estimator, and moves its hooks to fired_.
+  /// Caller holds mu_ and calls run_hooks before releasing it.
   void finalize_locked(Entry& entry, RequestState state);
+  /// Runs (and destroys) fired_ with `lk` released, then re-locks; drain()
+  /// waits for it. Every path that finalizes calls this before it releases
+  /// mu_, so fired_ holds only the calling thread's own finalizations.
+  void run_hooks(std::unique_lock<std::mutex>& lk);
   /// Finalizes every live item of a still-queued job as kRejected -- the
   /// rejecter policy's eviction path. The policy has already dropped the
   /// job's ticket from its pending set.
@@ -386,7 +421,7 @@ class SolveService {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // workers: pending work / pause / stop
-  std::condition_variable done_cv_;  // waiters: entry became terminal
+  std::condition_variable done_cv_;  // drain: all terminal, no hook running
   std::map<std::uint64_t, Entry> entries_;
   /// Queued jobs by first ticket. A job's tickets are consecutive from it,
   /// one per required_gains item (submit issues them under one lock).
@@ -398,6 +433,8 @@ class SolveService {
   std::size_t admitted_memory_ = 0;  // charge of queued + running requests
   std::size_t running_count_ = 0;    // picked and not yet terminal
   std::size_t live_count_ = 0;       // non-terminal entries
+  std::vector<FiredHooks> fired_;    // see run_hooks
+  std::size_t hooks_running_ = 0;    // run_hooks calls with mu_ released
   bool paused_ = false;
   bool draining_ = false;
   bool stopping_ = false;

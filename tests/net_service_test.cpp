@@ -11,6 +11,11 @@
 // The malformed-peer tests speak raw bytes on a hand-rolled socket: a framing
 // error must kill only that connection (after one error frame); a JSON error
 // must not even do that. The server survives both.
+//
+// The wait-hook tests pin the threading model: a pending `wait` holds no
+// thread, its answer is written before drain() returns, a peer that stops
+// reading is hung up instead of holding a worker, and a hook that fires
+// after its peer left and its server stopped touches neither.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,10 +23,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.hpp"
@@ -343,8 +352,11 @@ TEST(Waiters, FinishedWaitsAreJoinedOnLongConnections) {
 struct RawConn {
   int fd = -1;
 
-  explicit RawConn(int port) {
+  /// `rcvbuf` > 0 shrinks the receive buffer (set before connect, so the
+  /// advertised window is small too).
+  explicit RawConn(int port, int rcvbuf = 0) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf > 0) ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -471,6 +483,177 @@ TEST(MalformedPeer, UnknownVerbAndWorkloadAreContained) {
   const auto pong = client.call(ping, &err);
   ASSERT_TRUE(pong.has_value()) << err;
   EXPECT_TRUE(pong->ok);
+}
+
+// --- wait hooks ----------------------------------------------------------------
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+WireRequest wait_verb(std::uint64_t id, std::uint64_t ticket) {
+  WireRequest w;
+  w.id = id;
+  w.verb = "wait";
+  w.ticket = ticket;
+  return w;
+}
+
+/// One round trip on `client`: every frame sent before it has been handled
+/// by the server's reader once this returns.
+void sync_ping(WireClient& client) {
+  WireRequest ping;
+  ping.verb = "ping";
+  std::string err;
+  const auto pong = client.call(ping, &err);
+  ASSERT_TRUE(pong.has_value()) << err;
+}
+
+TEST(WaitHooks, InFlightWaitsAddNoThread) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;
+  ServerFixture fx(cfg);
+  WireClient client;
+  std::string err;
+  ASSERT_TRUE(client.connect(fx.server.endpoint(), &err)) << err;
+  const auto submitted = client.call(submit_builtin("fig9"), &err);
+  ASSERT_TRUE(submitted.has_value()) << err;
+  ASSERT_EQ(submitted->state, "queued");
+  const std::uint64_t ticket = submitted->tickets.front();
+
+  const std::size_t before = thread_count();
+  constexpr std::uint64_t kWaits = 64;
+  for (std::uint64_t i = 1; i <= kWaits; ++i) {
+    ASSERT_EQ(client.send(wait_verb(1000 + i, ticket), &err), 1000 + i) << err;
+  }
+  sync_ping(client);
+  EXPECT_EQ(thread_count(), before) << "a pending wait must not hold a thread";
+
+  fx.svc.resume();
+  for (std::uint64_t i = 1; i <= kWaits; ++i) {
+    const auto done = client.wait_for(1000 + i, &err);
+    ASSERT_TRUE(done.has_value()) << err;
+    ASSERT_TRUE(done->result.has_value());
+    EXPECT_EQ(done->result->state, "completed");
+  }
+}
+
+TEST(WaitHooks, DrainThenStopDeliversThePendingAnswerBeforeEof) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;
+  ServerFixture fx(cfg);
+  WireClient client;
+  std::string err;
+  ASSERT_TRUE(client.connect(fx.server.endpoint(), &err)) << err;
+  const auto submitted = client.call(submit_builtin("fig9"), &err);
+  ASSERT_TRUE(submitted.has_value()) << err;
+  ASSERT_EQ(client.send(wait_verb(77, submitted->tickets.front()), &err), 77u) << err;
+  sync_ping(client);  // the wait's hook is registered
+
+  fx.svc.drain();  // returns after the hook wrote the answer
+  fx.server.stop();
+
+  const auto answer = client.recv(&err);
+  ASSERT_TRUE(answer.has_value()) << "stop() cut the pending answer: " << err;
+  EXPECT_EQ(answer->id, 77u);
+  ASSERT_TRUE(answer->result.has_value());
+  EXPECT_EQ(answer->result->state, "completed");
+  EXPECT_FALSE(client.recv(&err).has_value()) << "expected EOF after stop()";
+}
+
+TEST(WaitHooks, PeerThatStopsReadingIsHungUpAndHoldsNoWorker) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;  // the one worker writes every wait answer
+  cfg.start_paused = true;
+  ServerFixture fx(cfg);
+  WireClient client;
+  std::string err;
+  ASSERT_TRUE(client.connect(fx.server.endpoint(), &err)) << err;
+  const auto stuck_job = client.call(submit_builtin("gsm_encoder"), &err);
+  ASSERT_TRUE(stuck_job.has_value()) << err;
+  ASSERT_EQ(stuck_job->state, "queued");
+
+  // A peer with a tiny receive window piles up waits on the queued ticket
+  // and never reads. The answers (~450 B each) overflow its window and the
+  // server's send buffer -- which loopback TCP autotunes up to 4 MB, hence
+  // this many -- so the worker writing them blocks until the send timeout.
+  RawConn stuck(fx.server.port(), /*rcvbuf=*/2048);
+  ASSERT_GE(stuck.fd, 0);
+  constexpr std::uint64_t kWaits = 10000;
+  const std::uint64_t frames_before = fx.server.stats().frames_in;
+  std::string burst;
+  for (std::uint64_t i = 1; i <= kWaits; ++i) {
+    burst += encode_frame(encode_request(wait_verb(i, stuck_job->tickets.front())));
+  }
+  burst += encode_frame(R"({"v":"partita-wire-v1","id":999,"verb":"ping"})");
+  stuck.send_bytes(burst);
+  // The trailing ping is counted only after every wait before it was handled.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fx.server.stats().frames_in < frames_before + kWaits + 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "waits never registered";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Another client's request, queued behind the stuck peer's ticket, still
+  // completes soon: the 2 s send timeout, the two solves and encoding the
+  // stuck peer's answers (with slack for sanitizer builds).
+  const auto other = client.call(submit_builtin("fig9"), &err);
+  ASSERT_TRUE(other.has_value()) << err;
+  ASSERT_EQ(other->state, "queued");
+  const auto t0 = std::chrono::steady_clock::now();
+  fx.svc.resume();
+  const auto done = client.call(wait_verb(0, other->tickets.front()), &err);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ASSERT_TRUE(done.has_value()) << err;
+  ASSERT_TRUE(done->result.has_value());
+  EXPECT_EQ(done->result->state, "completed");
+  EXPECT_LT(seconds, 10.0);
+
+  // The stuck peer was hung up: draining what reached it ends in EOF.
+  const timeval patience{10, 0};
+  ::setsockopt(stuck.fd, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof patience);
+  ssize_t n = 0;
+  char buf[4096];
+  while ((n = ::recv(stuck.fd, buf, sizeof buf, 0)) > 0) {
+  }
+  EXPECT_EQ(n, 0) << "the stuck peer was never hung up";
+}
+
+TEST(WaitHooks, HookOutlivesItsPeerAndItsServer) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+  auto server = std::make_unique<WireServer>(svc);
+  std::string err;
+  ASSERT_TRUE(server->start(&err)) << err;
+
+  std::uint64_t ticket = 0;
+  {
+    WireClient client;
+    ASSERT_TRUE(client.connect(server->endpoint(), &err)) << err;
+    const auto submitted = client.call(submit_builtin("fig9"), &err);
+    ASSERT_TRUE(submitted.has_value()) << err;
+    ticket = submitted->tickets.front();
+    ASSERT_NE(client.send(wait_verb(5, ticket), &err), 0u) << err;
+    sync_ping(client);
+  }  // the peer disconnects with its wait pending
+
+  server->stop();
+  server.reset();  // the pending hook now holds the session's last reference
+  svc.resume();
+  svc.drain();  // fires the hook into a shut-down socket
+  const auto r = svc.poll(ticket);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->state, service::RequestState::kCompleted);
 }
 
 // --- stats verb ---------------------------------------------------------------

@@ -1,13 +1,17 @@
 // SolveService request lifecycle: differential equivalence against one-shot
 // solves, admission control (queue depth + aggregate memory), queued and
 // mid-solve cancellation, transient-fault retry on a FakeClock, permanent
-// failure with a replayable quarantine fixture, and graceful drain. Every
+// failure with a replayable quarantine fixture, graceful drain, and the
+// on_terminal completion hook on every path to a terminal state. Every
 // test is deterministic: queues fill while the pool is parked
 // (start_paused), timing runs on fake clocks, and faults are injected.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "oracle/fixture.hpp"
@@ -371,5 +375,182 @@ TEST(SolveServiceDrain, WaitOnUnknownTicketFailsStructurally) {
   EXPECT_NE(r.error.message.find("unknown ticket"), std::string::npos);
 }
 
+// --- on_terminal: one completion path ----------------------------------------
+//
+// Each hook is registered while its ticket is still pending (the pool is
+// parked), so it fires from the finalizing path under test. drain() returns
+// only after every fired hook returned, so counts read after it are final.
+
+/// Counts the calls of its hook and keeps the state the last one saw.
+struct HookProbe {
+  std::atomic<int> calls{0};
+  std::atomic<service::RequestState> state{service::RequestState::kQueued};
+
+  service::SolveService::TerminalHook hook() {
+    return [this](const service::SolveResponse& r) {
+      state = r.state;
+      ++calls;
+    };
+  }
+};
+
+TEST(SolveServiceOnTerminal, FiresOnceOnCompletionAndDrainWaitsForIt) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+
+  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  HookProbe first;
+  std::atomic<bool> slow_done{false};
+  svc.on_terminal(t, first.hook());
+  svc.on_terminal(t, [&](const service::SolveResponse&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    slow_done = true;
+  });
+  EXPECT_EQ(first.calls, 0);
+
+  svc.drain();  // unparks; returns after the worker ran both hooks
+  EXPECT_TRUE(slow_done);
+  EXPECT_EQ(first.calls, 1);
+  EXPECT_EQ(first.state, service::RequestState::kCompleted);
+}
+
+TEST(SolveServiceOnTerminal, FiresOnceOnTheCancellingThreadForAQueuedTicket) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+
+  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  HookProbe probe;
+  svc.on_terminal(t, probe.hook());
+  ASSERT_TRUE(svc.cancel(t));
+  EXPECT_EQ(probe.calls, 1);  // ran before cancel() returned
+  EXPECT_EQ(probe.state, service::RequestState::kCancelled);
+  svc.drain();
+  EXPECT_EQ(probe.calls, 1);
+}
+
+TEST(SolveServiceOnTerminal, FiresOnceWhenCancelledMidSolve) {
+  TicketCancellingClock clock;
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.clock = &clock;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+
+  workloads::RandomWorkloadParams params;
+  params.leaf_functions = 12;
+  params.call_sites = 48;
+  params.ips = 16;
+  service::SolveRequest req =
+      builtin_request(workloads::random_workload(params, /*seed=*/3));
+  req.options.ilp.budget.time_limit_seconds = 1e9;
+  const std::uint64_t t = svc.submit(std::move(req)).ticket();
+  HookProbe probe;
+  svc.on_terminal(t, probe.hook());
+  clock.arm(&svc, t, /*at_call=*/4);
+  svc.drain();
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_EQ(probe.state, service::RequestState::kCancelled);
+}
+
+TEST(SolveServiceOnTerminal, FiresOnceOnTheSubmittingThreadWhenEvicted) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.policy = "rejecter";
+  cfg.max_queue_depth = 1;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+
+  service::SolveRequest batch = builtin_request(workloads::fig9_case());
+  batch.priority = service::kPriorityBatch;
+  const service::SubmitOutcome low = svc.submit(std::move(batch));
+  ASSERT_TRUE(low.admitted());
+  HookProbe probe;
+  svc.on_terminal(low.ticket(), probe.hook());
+
+  service::SolveRequest interactive = builtin_request(workloads::fig10_case());
+  interactive.priority = service::kPriorityInteractive;
+  ASSERT_TRUE(svc.submit(std::move(interactive)).admitted());
+  EXPECT_EQ(probe.calls, 1);  // ran before the evicting submit() returned
+  EXPECT_EQ(probe.state, service::RequestState::kRejected);
+  svc.drain();
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_EQ(svc.stats().evicted, 1u);
+}
+
+TEST(SolveServiceOnTerminal, FiresOnceWhenRetriesAreExhausted) {
+  support::FakeClock clock;
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.clock = &clock;
+  cfg.retry.max_attempts = 3;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+
+  support::ScopedFault fault("service.transient", /*trip_at=*/1, /*sticky=*/true);
+  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  HookProbe probe;
+  svc.on_terminal(t, probe.hook());
+  svc.drain();
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_EQ(probe.state, service::RequestState::kFailed);
+  EXPECT_EQ(svc.stats().retries, 2u);
+}
+
+TEST(SolveServiceOnTerminal, FiresAtOnceForTerminalAndUnknownTickets) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  service::SolveService svc(cfg);
+
+  const std::uint64_t t = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  ASSERT_EQ(svc.wait(t).state, service::RequestState::kCompleted);
+  HookProbe done;
+  svc.on_terminal(t, done.hook());
+  EXPECT_EQ(done.calls, 1);
+  EXPECT_EQ(done.state, service::RequestState::kCompleted);
+
+  std::string message;
+  int unknown_calls = 0;
+  svc.on_terminal(98765, [&](const service::SolveResponse& r) {
+    ++unknown_calls;
+    EXPECT_EQ(r.ticket, 98765u);
+    EXPECT_EQ(r.state, service::RequestState::kFailed);
+    message = r.error.message;
+  });
+  EXPECT_EQ(unknown_calls, 1);
+  EXPECT_NE(message.find("unknown ticket"), std::string::npos);
+}
+
+TEST(SolveServiceOnTerminal, HooksRunOutsideTheServiceLock) {
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.start_paused = true;
+  service::SolveService svc(cfg);
+
+  // poll() and stats() take the service mutex: a hook run under it would
+  // deadlock here, on the worker path and on the cancel path alike.
+  const std::uint64_t solved = svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  const std::uint64_t cancelled =
+      svc.submit(builtin_request(workloads::fig9_case())).ticket();
+  std::atomic<int> reentered{0};
+  const auto reenter = [&](const service::SolveResponse& r) {
+    const auto seen = svc.poll(r.ticket);
+    EXPECT_TRUE(seen.has_value());
+    EXPECT_EQ(seen->state, r.state);
+    EXPECT_GE(svc.stats().submitted, 2u);
+    ++reentered;
+  };
+  svc.on_terminal(solved, reenter);
+  svc.on_terminal(cancelled, reenter);
+  ASSERT_TRUE(svc.cancel(cancelled));
+  EXPECT_EQ(reentered, 1);
+  svc.drain();
+  EXPECT_EQ(reentered, 2);
+}
+
 }  // namespace
 }  // namespace partita
+

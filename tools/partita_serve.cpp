@@ -382,8 +382,9 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Shutdown (SIGTERM or end of script): drain first so in-flight waits
-  // answer, then unblock the listener and join every session.
+  // Shutdown (SIGTERM or end of script): drain first -- it returns once
+  // every admitted request is terminal and every pending wait's answer has
+  // been written -- then close the listener and join the session readers.
   std::printf("partita_serve: draining\n");
   std::fflush(stdout);
   svc.drain();
