@@ -1,4 +1,5 @@
-// Canonical instance fingerprinting for cross-request solution caching.
+// Canonical instance fingerprinting: a search checkpoint names the model
+// and options it was taken under, and resumes only on a match.
 //
 // fingerprint_model() hashes a Model's *mathematical content* into a 128-bit
 // digest with two deliberate symmetry properties:
@@ -14,12 +15,12 @@
 //     not an accident. The solver's canonical tie-breaking reports the
 //     lexicographically smallest optimal vector, which is a function of the
 //     variable order -- permuting columns can legitimately change which
-//     optimal selection is "the" answer. A cache keyed by this fingerprint
-//     therefore never serves an answer across a column permutation; such
-//     instances miss the cache and re-solve, which is vacuously consistent.
+//     optimal selection is "the" answer, so a checkpoint never resumes
+//     across a column permutation.
 //
 // digest_options() folds every answer-affecting IlpOptions field into a
-// 64-bit digest so a cache key changes whenever the solver contract does.
+// 64-bit digest so a checkpoint or cache key changes whenever the solver
+// contract does.
 // The resource budget's runtime plumbing (cancel token, clock) is excluded:
 // tokens/clocks are per-request wiring, not semantics. Budget *limits* are
 // included -- a tighter budget can truncate to a different rung.

@@ -345,9 +345,6 @@ WireResponse WireServer::handle_inline(const WireRequest& req) {
     m["cache_evictions"] = static_cast<double>(s.cache_evictions);
     m["cache_stale"] = static_cast<double>(s.cache_stale);
     m["cache_seed_fallbacks"] = static_cast<double>(s.cache_seed_fallbacks);
-    m["cache_memo_hits"] = static_cast<double>(s.cache_memo_hits);
-    m["cache_memo_entries"] = static_cast<double>(s.cache_memo_entries);
-    m["cache_gain_memo_entries"] = static_cast<double>(s.cache_gain_memo_entries);
     m["recovered_requests"] = static_cast<double>(s.recovered_requests);
     m["journal_rejects"] = static_cast<double>(s.journal_rejects);
     m["sched_admitted"] = static_cast<double>(p.admitted);

@@ -132,8 +132,8 @@ class Selector {
   /// identity map and the per-IP area/power the degradation ladder sums. Two
   /// specs can build bit-identical models (e.g. duplicate-parameter IPs
   /// swapped by a column permutation) yet decode the same optimal vector to
-  /// different IP indices; a solution cache must key on this digest alongside
-  /// ilp::fingerprint_model so such instances miss and re-solve.
+  /// different IP indices, so a key built from ilp::fingerprint_model alone
+  /// would serve one's answer for the other.
   std::uint64_t answer_map_digest() const;
 
   /// The largest uniform required gain that stays feasible: maximizes an

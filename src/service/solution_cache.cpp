@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -18,10 +19,13 @@ namespace {
 
 namespace json = partita::support::json;
 
-/// v2: derived gains are exact integers (v1 memos and derived-gain entries
-/// came from a truncated floating objective, sometimes one too low), so a
-/// v1 document imports nothing.
-constexpr const char* kSnapshotFormat = "partita-cache-snapshot-v2";
+/// v3: keys name envelope digests and entries carry one scalar gain. A v2
+/// document's keys name structure fingerprints no request forms any more,
+/// and a v1 document's derived gains came from a truncated floating
+/// objective, so neither imports anything. The key does not see the code
+/// that builds and solves the model: bump the version with any change that
+/// can move an answer or a derived gain for an unchanged envelope.
+constexpr const char* kSnapshotFormat = "partita-cache-snapshot-v3";
 
 /// Serializes the answer-defining Selection fields (exactly the set
 /// solution_signature covers, plus the honesty labels). Solver
@@ -84,20 +88,6 @@ bool selection_from_json(const json::Object& o, select::Selection* out) {
   return true;
 }
 
-std::int64_t l1_distance(const std::vector<std::int64_t>& a,
-                         const std::vector<std::int64_t>& b) {
-  if (a.size() != b.size()) return std::numeric_limits<std::int64_t>::max();
-  std::int64_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::int64_t step = a[i] > b[i] ? a[i] - b[i] : b[i] - a[i];
-    if (d > std::numeric_limits<std::int64_t>::max() - step) {
-      return std::numeric_limits<std::int64_t>::max();
-    }
-    d += step;
-  }
-  return d;
-}
-
 /// Folds one word into both lanes of a running digest. The lanes see the
 /// word with different mixing, so a collision needs both to collide.
 void fold_word(ilp::Fingerprint& d, std::uint64_t w) {
@@ -117,21 +107,6 @@ void fold_text(ilp::Fingerprint& d, std::string_view text) {
 }
 
 }  // namespace
-
-ilp::Fingerprint structure_fingerprint(const select::Selector& selector,
-                                       const select::SelectOptions& opt) {
-  // Every select-level flag that shapes the constraint system (problem2,
-  // max_power) lands in the token-gain model's row set, so only the ilp
-  // options need a separate digest (the key's options_digest).
-  ilp::Fingerprint fp = ilp::fingerprint_model(selector.build_model(
-      std::vector<std::int64_t>(selector.path_count(), 1), opt));
-  // The model digest alone is not enough: a cached Selection also reports
-  // the column -> (s-call, IP, interface) decode map, which can differ
-  // between specs whose models are bit-identical (duplicate-parameter IPs
-  // swapped by a column permutation). Mix it in so such instances miss.
-  fp.lo = ilp::fp_mix(fp.lo ^ selector.answer_map_digest());
-  return fp;
-}
 
 ilp::Fingerprint envelope_digest(const ir::Module& module,
                                  const iplib::IpLibrary& library,
@@ -159,7 +134,7 @@ ilp::Fingerprint envelope_digest(const ir::Module& module,
 std::string SolutionCache::Key::group() const {
   std::string s = tenant;
   s += '|';
-  s += structure.hex();
+  s += envelope.hex();
   s += '|';
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -171,10 +146,7 @@ std::string SolutionCache::Key::group() const {
 std::string SolutionCache::Key::str() const {
   std::string s = group();
   s += '|';
-  for (std::size_t i = 0; i < gains.size(); ++i) {
-    if (i) s += ',';
-    s += std::to_string(gains[i]);
-  }
+  s += std::to_string(gain);
   return s;
 }
 
@@ -184,7 +156,6 @@ SolutionCache::SolutionCache(Config cfg) : cfg_(cfg) {
 
 std::size_t SolutionCache::entry_bytes(const Entry& e) {
   std::size_t b = sizeof(Entry) + e.key.size() + e.group.size();
-  b += e.resolved_gains.size() * sizeof(std::int64_t);
   b += e.selection.chosen.size() * sizeof(isel::ImpIndex);
   b += e.selection.ips_used.size() * sizeof(iplib::IpId);
   b += e.selection.degradation_detail.size();
@@ -201,7 +172,7 @@ std::size_t SolutionCache::entry_bytes(const Entry& e) {
   return b;
 }
 
-std::optional<select::Selection> SolutionCache::lookup(const Key& key, bool via_memo) {
+std::optional<select::Selection> SolutionCache::lookup(const Key& key) {
   const std::string k = key.str();
   std::lock_guard<std::mutex> g(mu_);
   ++stats_.lookups;
@@ -219,13 +190,11 @@ std::optional<select::Selection> SolutionCache::lookup(const Key& key, bool via_
     return std::nullopt;
   }
   ++stats_.hits;
-  if (via_memo) ++stats_.memo_hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->selection;
 }
 
-CacheSeed SolutionCache::nearest(const Key& key,
-                                 const std::vector<std::int64_t>& resolved_gains) {
+CacheSeed SolutionCache::nearest(const Key& key, std::int64_t resolved_gain) {
   const std::string group = key.group();
   CacheSeed seed;
   std::lock_guard<std::mutex> g(mu_);
@@ -233,7 +202,7 @@ CacheSeed SolutionCache::nearest(const Key& key,
   const Entry* best_entry = nullptr;
   for (const Entry& e : lru_) {
     if (e.generation != generation_ || e.group != group) continue;
-    const std::int64_t d = l1_distance(resolved_gains, e.resolved_gains);
+    const std::int64_t d = std::abs(resolved_gain - e.resolved_gain);
     if (d < best) {
       best = d;
       best_entry = &e;
@@ -248,47 +217,12 @@ CacheSeed SolutionCache::nearest(const Key& key,
   return seed;
 }
 
-std::optional<ilp::Fingerprint> SolutionCache::memo_structure(
-    const ilp::Fingerprint& envelope) {
-  std::lock_guard<std::mutex> g(mu_);
-  const auto it = memo_index_.find(envelope);
-  if (it == memo_index_.end()) return std::nullopt;
-  memo_.splice(memo_.begin(), memo_, it->second);  // refresh recency
-  return it->second->second;
-}
-
-void SolutionCache::remember_structure(const ilp::Fingerprint& envelope,
-                                       const ilp::Fingerprint& structure) {
-  std::lock_guard<std::mutex> g(mu_);
-  // A racing request with the same envelope may have stored it already;
-  // the structure is a function of the envelope, so that entry stands.
-  if (memo_index_.count(envelope) != 0) return;
-  memo_.emplace_front(envelope, structure);
-  memo_index_[envelope] = memo_.begin();
-  while (memo_.size() > cfg_.capacity) {
-    memo_index_.erase(memo_.back().first);
-    memo_.pop_back();
-  }
-}
-
-std::optional<std::int64_t> SolutionCache::derived_gain(const Key& key) {
-  std::lock_guard<std::mutex> g(mu_);
-  const auto it = groups_.find(key.group());
-  if (it == groups_.end() || !it->second.derived_gain.has_value()) {
-    return std::nullopt;
-  }
-  ++stats_.gain_memo_hits;
-  return it->second.derived_gain;
-}
-
 void SolutionCache::insert(const Key& key, const select::Selection& sel,
-                           ilp::BatchContext artifacts,
-                           const std::vector<std::int64_t>& resolved_gains,
-                           std::optional<std::int64_t> derived) {
+                           ilp::BatchContext artifacts, std::int64_t resolved_gain) {
   Entry e;
   e.key = key.str();
   e.group = key.group();
-  e.resolved_gains = resolved_gains;
+  e.resolved_gain = resolved_gain;
   e.selection = sel;
   e.artifacts = std::move(artifacts);
   e.artifacts.carry_search_state = true;
@@ -296,16 +230,12 @@ void SolutionCache::insert(const Key& key, const select::Selection& sel,
 
   std::lock_guard<std::mutex> g(mu_);
   e.generation = generation_;
-  if (derived.has_value()) groups_[e.group].derived_gain = *derived;
   link_locked(std::move(e));
   ++stats_.insertions;
   evict_locked();
 }
 
 void SolutionCache::link_locked(Entry e) {
-  // Count the newcomer first, so refreshing a group's only entry (same key
-  // re-inserted after a stale drop or a racing double-miss) keeps its group.
-  ++groups_[e.group].entries;
   const auto it = index_.find(e.key);
   if (it != index_.end()) unlink_locked(it->second);
   bytes_ += e.bytes;
@@ -315,8 +245,6 @@ void SolutionCache::link_locked(Entry e) {
 
 void SolutionCache::unlink_locked(std::list<Entry>::iterator it) {
   bytes_ -= it->bytes;
-  const auto g = groups_.find(it->group);
-  if (g != groups_.end() && --g->second.entries == 0) groups_.erase(g);
   index_.erase(it->key);
   lru_.erase(it);
 }
@@ -333,39 +261,25 @@ void SolutionCache::invalidate_all() {
   std::lock_guard<std::mutex> g(mu_);
   ++generation_;
   ++stats_.invalidations;
-  for (auto& [name, group] : groups_) group.derived_gain.reset();
-  memo_.clear();
-  memo_index_.clear();
 }
 
 std::string SolutionCache::export_snapshot() const {
   std::ostringstream entries;
-  std::ostringstream memos;
   std::size_t count = 0;
-  bool first_memo = true;
   std::lock_guard<std::mutex> g(mu_);
   for (const Entry& e : lru_) {
     if (e.generation != generation_) continue;  // invalidated: never resurfaces
     entries << (count ? ", " : "") << "{\"key\": " << json::quote(e.key)
-            << ", \"group\": " << json::quote(e.group) << ", \"gains\": [";
-    for (std::size_t i = 0; i < e.resolved_gains.size(); ++i) {
-      entries << (i ? ", " : "") << e.resolved_gains[i];
-    }
-    entries << "], \"sel\": ";
+            << ", \"group\": " << json::quote(e.group) << ", \"gain\": " << e.resolved_gain
+            << ", \"sel\": ";
     selection_json(entries, e.selection);
     entries << "}";
     ++count;
   }
-  for (const auto& [name, group] : groups_) {
-    if (!group.derived_gain.has_value()) continue;
-    memos << (first_memo ? "" : ", ") << "[" << json::quote(name) << ", "
-          << *group.derived_gain << "]";
-    first_memo = false;
-  }
-  if (count == 0 && first_memo) return "";
+  if (count == 0) return "";
   std::ostringstream os;
-  os << "{\"v\": " << json::quote(kSnapshotFormat) << ", \"entries\": ["
-     << entries.str() << "], \"gain_memo\": [" << memos.str() << "]}";
+  os << "{\"v\": " << json::quote(kSnapshotFormat) << ", \"entries\": [" << entries.str()
+     << "]}";
   return os.str();
 }
 
@@ -374,51 +288,30 @@ std::size_t SolutionCache::import_snapshot(const std::string& data) {
   if (!doc || !doc->is_object()) return 0;
   const json::Object& o = doc->object();
   if (json::string_or(o, "v", "") != kSnapshotFormat) return 0;
+  const json::Array* entries = json::array_or_null(o, "entries");
+  if (!entries) return 0;
   std::size_t imported = 0;
-  if (const json::Array* entries = json::array_or_null(o, "entries")) {
-    for (const json::Value& v : *entries) {
-      if (!v.is_object()) continue;
-      const json::Object& eo = v.object();
-      Entry e;
-      e.key = json::string_or(eo, "key", "");
-      e.group = json::string_or(eo, "group", "");
-      if (e.key.empty() || e.group.empty()) continue;
-      const json::Array* gains = json::array_or_null(eo, "gains");
-      if (!gains) continue;
-      bool ok = true;
-      for (const json::Value& gv : *gains) {
-        if (!gv.is_number()) {
-          ok = false;
-          break;
-        }
-        e.resolved_gains.push_back(static_cast<std::int64_t>(gv.number()));
-      }
-      const json::Object* sel = json::object_or_null(eo, "sel");
-      if (!ok || !sel || !selection_from_json(*sel, &e.selection)) continue;
-      e.artifacts.carry_search_state = true;
-      e.bytes = entry_bytes(e);
-      std::lock_guard<std::mutex> g(mu_);
-      e.generation = generation_;
-      link_locked(std::move(e));
-      ++stats_.insertions;
-      evict_locked();
-      ++imported;
-    }
-  }
-  if (const json::Array* memo = json::array_or_null(o, "gain_memo")) {
-    for (const json::Value& v : *memo) {
-      if (!v.is_array() || v.array().size() != 2 || !v.array()[0].is_string() ||
-          !v.array()[1].is_number()) {
-        continue;
-      }
-      // A memo joins only a group that has entries: it goes with them.
-      const std::string& name = v.array()[0].string();
-      std::lock_guard<std::mutex> g(mu_);
-      const auto it = groups_.find(name);
-      if (it != groups_.end()) {
-        it->second.derived_gain = static_cast<std::int64_t>(v.array()[1].number());
-      }
-    }
+  for (const json::Value& v : *entries) {
+    if (!v.is_object()) continue;
+    const json::Object& eo = v.object();
+    Entry e;
+    e.key = json::string_or(eo, "key", "");
+    e.group = json::string_or(eo, "group", "");
+    if (e.key.empty() || e.group.empty()) continue;
+    // Resolved gains are never negative, so a negative one is malformed
+    // (and a difference of two gains cannot overflow in nearest()).
+    e.resolved_gain = json::int_or(eo, "gain", -1);
+    if (e.resolved_gain < 0) continue;
+    const json::Object* sel = json::object_or_null(eo, "sel");
+    if (!sel || !selection_from_json(*sel, &e.selection)) continue;
+    e.artifacts.carry_search_state = true;
+    e.bytes = entry_bytes(e);
+    std::lock_guard<std::mutex> g(mu_);
+    e.generation = generation_;
+    link_locked(std::move(e));
+    ++stats_.insertions;
+    evict_locked();
+    ++imported;
   }
   return imported;
 }
@@ -428,10 +321,6 @@ CacheStats SolutionCache::stats() const {
   CacheStats st = stats_;
   st.entries = lru_.size();
   st.bytes = bytes_;
-  st.memo_entries = memo_.size();
-  for (const auto& [name, group] : groups_) {
-    if (group.derived_gain.has_value()) ++st.gain_memo_entries;
-  }
   return st;
 }
 

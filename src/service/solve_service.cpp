@@ -313,14 +313,11 @@ ServiceStats SolveService::stats() const {
     const CacheStats cs = cache_->stats();
     s.cache_lookups = cs.lookups;
     s.cache_hits = cs.hits;
-    s.cache_memo_hits = cs.memo_hits;
     s.cache_misses = cs.misses;
     s.cache_neighbor_seeds = cs.neighbor_hits;
     s.cache_insertions = cs.insertions;
     s.cache_evictions = cs.evictions;
     s.cache_stale = cs.stale;
-    s.cache_memo_entries = cs.memo_entries;
-    s.cache_gain_memo_entries = cs.gain_memo_entries;
   }
   s.cache_seed_fallbacks = cache_seed_fallbacks_.load();
   return s;
@@ -595,49 +592,31 @@ support::Result<std::vector<select::Selection>> SolveService::run_attempt(
     // the cache rather than trust it to be pure.
     const bool cacheable = cache_ != nullptr && one_item && !req.options.imp_filter;
     if (cache_ != nullptr && one_item && !cacheable) cache_marker = "bypass";
+    // The key is formed from the request alone, so an exact repeat is
+    // answered without building a Flow.
     SolutionCache::Key key;
-    ilp::Fingerprint envelope;
-    bool keyed = false;
     if (cacheable) {
       key.tenant = req.tenant;
+      key.envelope = envelope_digest(req.workload.module, req.workload.library, opt);
       // The retry-shrunk max_nodes is digested too: retry answers on a lower
       // rung never collide with first-attempt entries.
       key.options_digest = ilp::digest_options(opt.ilp);
-      key.gains = gains;  // literal: -1 = "derived", itself a pure function
-                          // of (structure, options)
-      // Fast path: an envelope seen before names its structure fingerprint,
-      // so an exact repeat is answered without building a Flow. Whatever
-      // the lookup says, the key is final: a miss is not probed again.
-      envelope = envelope_digest(req.workload.module, req.workload.library, opt);
-      if (std::optional<ilp::Fingerprint> structure = cache_->memo_structure(envelope)) {
-        key.structure = *structure;
-        keyed = true;
-        if (std::optional<select::Selection> hit = cache_->lookup(key, true)) {
-          cache_marker = "hit";
-          return std::vector<select::Selection>{std::move(*hit)};
-        }
-      }
-    }
-
-    auto flow_or = select::Flow::create(req.workload.module, req.workload.library);
-    if (!flow_or.ok()) return flow_or.error();  // permanent: bad input
-    const select::Selector& selector = flow_or.value()->selector();
-    if (cacheable && !keyed) {
-      key.structure = structure_fingerprint(selector, opt);
-      cache_->remember_structure(envelope, key.structure);
+      key.gain = gains.front();  // literal: -1 = "derived", itself a pure
+                                 // function of (envelope, options)
       if (std::optional<select::Selection> hit = cache_->lookup(key)) {
         cache_marker = "hit";
         return std::vector<select::Selection>{std::move(*hit)};
       }
     }
 
-    // A negative gain is derived once for the whole job. Group-level memo:
-    // same structure + options => same derived gain, so a near-miss skips
-    // the auxiliary max_feasible_gain ILP entirely.
+    auto flow_or = select::Flow::create(req.workload.module, req.workload.library);
+    if (!flow_or.ok()) return flow_or.error();  // permanent: bad input
+    const select::Selector& selector = flow_or.value()->selector();
+
+    // A negative gain is derived once for the whole job.
     std::optional<std::int64_t> derived;
     for (std::int64_t& g : gains) {
       if (g >= 0) continue;
-      if (!derived && cacheable) derived = cache_->derived_gain(key);
       if (!derived) derived = selector.max_feasible_gain(opt) / 2;
       g = *derived;
     }
@@ -653,7 +632,7 @@ support::Result<std::vector<select::Selection>> SolveService::run_attempt(
     cache_marker = "miss";
     const std::vector<std::int64_t> per_path(selector.path_count(), gains.front());
     CacheSeed seed;
-    if (cfg_.cache_neighbor_seeding) seed = cache_->nearest(key, per_path);
+    if (cfg_.cache_neighbor_seeding) seed = cache_->nearest(key, gains.front());
     ilp::BatchContext ctx = std::move(seed.artifacts);
     ctx.carry_search_state = true;
     bool redone_cold = false;
@@ -668,7 +647,7 @@ support::Result<std::vector<select::Selection>> SolveService::run_attempt(
         sel.solver.termination == ilp::TerminationReason::kCompleted) {
       // Only proven answers (optimal or proven-infeasible) are cacheable;
       // truncated rungs depend on the budget that struck and stay uncached.
-      cache_->insert(key, sel, std::move(ctx), per_path, derived);
+      cache_->insert(key, sel, std::move(ctx), gains.front());
     }
     return std::vector<select::Selection>{std::move(sel)};
   } catch (const std::exception& ex) {

@@ -256,12 +256,9 @@ struct ServiceStats {
                                            // ladder items (sum of batch_hits)
   // Cross-request solution cache (all zero while cache_enabled is false).
   // Invariants: cache_hits + cache_misses == cache_lookups;
-  // cache_neighbor_seeds <= cache_misses; cache_memo_hits <= cache_hits;
-  // evictions/stale are monotone.
+  // cache_neighbor_seeds <= cache_misses; evictions/stale are monotone.
   std::uint64_t cache_lookups = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_memo_hits = 0;  // hits keyed by the envelope memo,
-                                      // answered without building a Flow
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_neighbor_seeds = 0;  // misses seeded from a neighbor
   std::uint64_t cache_insertions = 0;
@@ -269,8 +266,6 @@ struct ServiceStats {
   std::uint64_t cache_stale = 0;           // entries dropped after invalidation
   std::uint64_t cache_seed_fallbacks = 0;  // seeded solves redone cold after
                                            // a truncation (answer-safety)
-  std::uint64_t cache_memo_entries = 0;       // gauge: envelope memo size
-  std::uint64_t cache_gain_memo_entries = 0;  // gauge: derived-gain memo size
   // Durability (all zero without a configured journal).
   std::uint64_t recovered_requests = 0;  // admits replayed by boot recovery
   std::uint64_t journal_rejects = 0;     // submits refused because the WAL
@@ -343,7 +338,7 @@ class SolveService {
   /// answers changes underneath the service. No-op when the cache is off.
   void invalidate_cache();
 
-  /// Serialized snapshot of the solution cache (partita-cache-snapshot-v2);
+  /// Serialized snapshot of the solution cache (partita-cache-snapshot-v3);
   /// "" when the cache is disabled or empty. The serve daemon persists this
   /// next to the journal on graceful drain.
   std::string export_cache_snapshot() const;

@@ -31,7 +31,6 @@
 //                         (docs/caching.md)
 //   --cache-capacity N    cache entry bound (implies --cache; default 256)
 //   --cache-mb N          cache byte budget (implies --cache; default 64)
-//   --no-neighbor-seeding disable warm-start seeding of near-misses
 //   --journal-dir D       enable the write-ahead journal (docs/durability.md):
 //                         admits are durable before they are acknowledged,
 //                         and on boot every undecided admit found in D is
@@ -97,8 +96,8 @@ void on_signal(int) { g_stop = 1; }
                "       [--max-live-per-tenant N] [--max-sessions N]\n"
                "       [--quarantine-dir D] [--fault SITE[:n][:crash]]\n"
                "       [--cache] [--cache-capacity N] [--cache-mb N]\n"
-               "       [--no-neighbor-seeding] [--journal-dir D]\n"
-               "       [--checkpoint-dir D] [--checkpoint-waves N] [SCRIPT]\n"
+               "       [--journal-dir D] [--checkpoint-dir D]\n"
+               "       [--checkpoint-waves N] [SCRIPT]\n"
                "\n"
                "SPEC: tcp:HOST:PORT (PORT 0 = ephemeral) or unix:PATH\n"
                "SCRIPT: submit | spec | cancel | drain | selfterm lines; no listener\n"
@@ -251,9 +250,7 @@ int run(int argc, char** argv) {
       cfg.cache_enabled = true;
       cfg.cache_max_bytes =
           static_cast<std::size_t>(std::atof(need_value()) * 1024.0 * 1024.0);
-    } else if (flag == "--no-neighbor-seeding")
-      cfg.cache_neighbor_seeding = false;
-    else if (flag == "--journal-dir") journal_dir = need_value();
+    } else if (flag == "--journal-dir") journal_dir = need_value();
     else if (flag == "--checkpoint-dir") checkpoint_dir = need_value();
     else if (flag == "--checkpoint-waves") checkpoint_waves = std::atoi(need_value());
     else if (flag.empty() || flag[0] == '-' || !script_path.empty()) usage(argv[0]);
@@ -402,8 +399,7 @@ int run(int argc, char** argv) {
   std::printf(
       "partita_serve: done submitted=%llu completed=%llu cancelled=%llu "
       "rejected=%llu failed=%llu retries=%llu peak-queue=%zu sessions=%llu "
-      "frames=%llu/%llu protocol-errors=%llu cache-hits=%llu/%llu "
-      "memo-hits=%llu memo-entries=%llu gain-memo-entries=%llu\n",
+      "frames=%llu/%llu protocol-errors=%llu cache-hits=%llu/%llu\n",
       static_cast<unsigned long long>(st.submitted),
       static_cast<unsigned long long>(st.completed),
       static_cast<unsigned long long>(st.cancelled),
@@ -415,10 +411,7 @@ int run(int argc, char** argv) {
       static_cast<unsigned long long>(ns.frames_out),
       static_cast<unsigned long long>(ns.protocol_errors),
       static_cast<unsigned long long>(st.cache_hits),
-      static_cast<unsigned long long>(st.cache_lookups),
-      static_cast<unsigned long long>(st.cache_memo_hits),
-      static_cast<unsigned long long>(st.cache_memo_entries),
-      static_cast<unsigned long long>(st.cache_gain_memo_entries));
+      static_cast<unsigned long long>(st.cache_lookups));
   if (journal.is_open()) {
     const service::JournalStats js = journal.stats();
     std::printf(
