@@ -15,7 +15,6 @@ void Cdfg::build() {
   walk_seq(fn_->body());
   words_per_row_ = (nodes_.size() + 63) / 64;
   adj_.assign(nodes_.size() * words_per_row_, 0);
-  closure_.assign(nodes_.size() * words_per_row_, 0);
   add_dependence_edges();
   close_transitively();
 }
@@ -84,7 +83,6 @@ void Cdfg::close_transitively() {
   // backward sweep computes the closure: closure[u] = adj[u] union of
   // closure[v] for each direct successor v.
   closure_ = adj_;
-  if (nodes_.empty()) return;
   for (NodeIndex u = static_cast<NodeIndex>(nodes_.size()); u-- > 0;) {
     for (NodeIndex v = u + 1; v < nodes_.size(); ++v) {
       if (!bit(adj_, u, v)) continue;

@@ -69,6 +69,9 @@ class Cdfg {
   /// Transitive dependence u ->* v (program order respected: u < v).
   bool depends(NodeIndex u, NodeIndex v) const;
 
+  /// Every v with u ->* v: bit v % 64 of word v / 64 of a node_count()-bit row.
+  const std::uint64_t* dependents(NodeIndex u) const { return &closure_[u * words_per_row_]; }
+
   /// True when the two nodes have no transitive dependence either way --
   /// Definition 3's "independent code" relation.
   bool independent(NodeIndex a, NodeIndex b) const {

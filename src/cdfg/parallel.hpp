@@ -23,12 +23,20 @@
 // dependence. Rule (c) is exactly "can be listed in a sequence" made
 // operational.
 //
-// The minimum over paths needs no path list: one depth-first walk decides a
-// conditional's arm when it first reaches one of its nodes (then-arm first,
-// so paths come in enumerate_paths order) and backtracks, scanning a prefix
-// shared by many paths once. Cycles are non-negative, so a branch whose
-// running PC reaches the best so far is pruned; ties keep the first minimum.
-// The walk gives up after kPcVisitBudget node visits.
+// The minimum over paths needs no path list. One walk decides a
+// conditional's arm at its first node, takes the then-arm and the else-arm
+// in turn and keeps the else-arm only when its PC is strictly shorter: the
+// first minimum in enumerate_paths order. The PC from such a branch point v
+// on depends only on v, the s-call bodies it may still absorb, the arms of
+// the conditionals open at v (an outer and a nested one can branch at the
+// same node) and which later candidates (independent of the call, in its
+// loop context) have a skipped transitive predecessor, and is memoized on
+// exactly that. k conditionals that each hold an excluded node read after
+// them all still give 2^(k-1) states, so past kPcMemoStates entries the walk
+// stops branching: an undecided conditional takes both arms at once, their
+// nodes skipped. What joins then lies on every path through those arms, with
+// its predecessors there joined: a parallel code of each, maybe not the
+// shortest.
 //
 // Problem 1 forbids other s-calls inside a PC; Problem 2 allows the software
 // implementation of another s-call to join, recording which call sites were
@@ -37,7 +45,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "cdfg/cdfg.hpp"
@@ -59,10 +66,9 @@ struct PcOptions {
   std::size_t max_consumed = static_cast<std::size_t>(-1);
 };
 
-/// Node visits after which parallel_code gives up on one query: ~4.7x the
-/// most one query took on random workloads (26-48 call sites, seeds 1-40)
-/// with up to 18 conditionals.
-inline constexpr std::uint64_t kPcVisitBudget = std::uint64_t{1} << 20;
+/// Memo entries after which parallel_code stops branching: ~11x the most one
+/// query stored on random workloads of up to 128 call sites.
+inline constexpr std::size_t kPcMemoStates = std::size_t{1} << 12;
 
 /// A parallel-code segment: the PC of one s-call on its worst path.
 struct ParallelCode {
@@ -77,8 +83,6 @@ struct ParallelCode {
 
 /// Definition 5's PC of `call_node`: that of the first path through the call,
 /// in enumerate_paths order and over every path, with the fewest PC cycles.
-/// std::nullopt when the walk overran kPcVisitBudget.
-std::optional<ParallelCode> parallel_code(const Cdfg& g, NodeIndex call_node,
-                                          const PcOptions& opt = {});
+ParallelCode parallel_code(const Cdfg& g, NodeIndex call_node, const PcOptions& opt = {});
 
 }  // namespace partita::cdfg

@@ -554,28 +554,29 @@ class Solver {
     if (lp.status == LpStatus::kIterationLimit) {
       // No usable bound; keep exploring below this node.
       node_bound = node.bound;
-      have_branch_var = pick_any_unfixed(lane_.lo, lane_.hi, branch_var);
+      have_branch_var = pick_free_binary(/*lex=*/false, branch_var);
       branch_frac = 0.5;
     } else {
       node_bound = sign_ * lp.objective;
       if (node.has_parent_obj) update_pseudo_cost(node, node_bound);
       if (pruned_by_bound(node_bound, lane_.lo)) return;
       have_branch_var = pick_branch_var(lp.x, branch_var, branch_frac);
+      // Rounded, the LP point is a candidate incumbent: a cheap heuristic at
+      // a fractional node, the node's own optimum at an integral one.
+      const bool rounds_feasibly = offer_incumbent(lp.x);
       if (!have_branch_var) {
-        offer_incumbent(lp.x);  // integral: candidate incumbent
-        // The LP optimum is only one integer point of this subtree. Under
-        // canonical ties another one with the same objective may still be
-        // lex-smaller than the incumbent, so a subtree in the tie window
-        // keeps splitting until lex_improvable rules it out.
-        if (!opt_.canonical_ties || !has_incumbent_ ||
-            pruned_by_bound(node_bound, lane_.lo)) {
+        // An LP value below kIntTol that a huge coefficient made count can
+        // round to a point that breaks a row: that proves nothing about the
+        // subtree, which keeps splitting. A feasible one is only one integer
+        // point of it. Under canonical ties another one with the same
+        // objective may still be lex-smaller than the incumbent, so a subtree
+        // in the tie window keeps splitting until lex_improvable rules it out.
+        if (rounds_feasibly &&
+            (!opt_.canonical_ties || pruned_by_bound(node_bound, lane_.lo))) {
           return;
         }
-        if (!pick_lex_branch_var(lane_.lo, lane_.hi, branch_var)) return;
+        have_branch_var = pick_free_binary(/*lex=*/rounds_feasibly, branch_var);
         bound_usable = false;  // no fractional move: nothing for the pseudo-costs
-        have_branch_var = true;
-      } else {
-        try_rounding(lp.x);
       }
       if (pruned_by_bound(node_bound, lane_.lo)) return;
     }
@@ -750,27 +751,14 @@ class Solver {
     return found;
   }
 
-  /// Tie-window split of an integral node: the first free binary the
-  /// incumbent sets to 1. Its down side holds exactly the subtree's points
-  /// that can first undercut the incumbent there.
-  bool pick_lex_branch_var(const std::vector<double>& lo, const std::vector<double>& hi,
-                           VarIndex& out) const {
-    for (std::size_t j = 0; j < model_.var_count(); ++j) {
-      if (model_.var(static_cast<VarIndex>(j)).kind != VarKind::kBinary) continue;
-      if (lo[j] < hi[j] - kIntTol && incumbent_x_[j] > 0.5) {
-        out = static_cast<VarIndex>(j);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool pick_any_unfixed(const std::vector<double>& lo, const std::vector<double>& hi,
-                        VarIndex& out) const {
-    for (std::size_t j = 0; j < model_.var_count(); ++j) {
-      if (model_.var(static_cast<VarIndex>(j)).kind != VarKind::kBinary) continue;
-      if (lo[j] < hi[j] - kIntTol) {
-        out = static_cast<VarIndex>(j);
+  /// The first free binary; with `lex`, the first the incumbent sets to 1:
+  /// the tie-window split of an integral node, whose down side holds exactly
+  /// the subtree's points that can first undercut the incumbent there.
+  bool pick_free_binary(bool lex, VarIndex& out) const {
+    for (VarIndex j = 0; j < model_.var_count(); ++j) {
+      if (model_.var(j).kind == VarKind::kBinary && lane_.lo[j] < lane_.hi[j] - kIntTol &&
+          (!lex || incumbent_x_[j] > 0.5)) {
+        out = j;
         return true;
       }
     }
@@ -806,14 +794,14 @@ class Solver {
 
   // --- incumbent ------------------------------------------------------------
 
-  void offer_incumbent(const std::vector<double>& x) {
+  /// Offers x with its binaries rounded; false when that point is
+  /// infeasible (and so not offered).
+  bool offer_incumbent(const std::vector<double>& x) {
     std::vector<double> xi = x;
-    for (std::size_t j = 0; j < model_.var_count(); ++j) {
-      if (model_.var(static_cast<VarIndex>(j)).kind == VarKind::kBinary) {
-        xi[j] = std::round(xi[j]);
-      }
+    for (VarIndex j = 0; j < xi.size(); ++j) {
+      if (model_.var(j).kind == VarKind::kBinary) xi[j] = std::round(xi[j]);
     }
-    if (!model_.is_feasible(xi)) return;
+    if (!model_.is_feasible(xi)) return false;
     const double obj = sign_ * model_.objective_value(xi);
     const double inc = incumbent_obj_;
     const bool better = !has_incumbent_ || obj < inc - kGapTol;
@@ -830,11 +818,8 @@ class Solver {
       incumbent_obj_ = tie_wins ? std::min(obj, inc) : obj;
       incumbent_x_ = std::move(xi);
     }
+    return true;
   }
-
-  /// Cheap primal heuristic: round the fractional LP point and keep it if it
-  /// happens to be feasible.
-  void try_rounding(const std::vector<double>& x) { offer_incumbent(x); }
 
   // --- wrap-up --------------------------------------------------------------
 

@@ -182,44 +182,25 @@ void ImpDatabase::add_imp(Imp imp) {
 }
 
 void ImpDatabase::build_for_scall(const SCall& sc) {
-  const std::int64_t t_sw = sc.t_sw;
-
   // Parallel-code variants from the caller's CDFG (top-level context): the
   // Problem 1 PC, then under Problem 2 one PC per consumption prefix.
   std::vector<std::pair<PcUse, cdfg::ParallelCode>> pcs;
   if (sc.node != cdfg::kInvalidNode) {
-    bool overran = false;
-    const auto query = [&](const cdfg::PcOptions& o) {
-      std::optional<cdfg::ParallelCode> pc;
-      if (!overran) pc = cdfg::parallel_code(entry_cdfg_, sc.node, o);
-      overran = overran || !pc;
-      return pc.value_or(cdfg::ParallelCode{});
-    };
-    const auto is_scall = [this](ir::CallSiteId c) { return scall_of(c) != nullptr; };
-    cdfg::PcOptions plain_opt;
-    plain_opt.is_scall = is_scall;
-    const cdfg::ParallelCode plain = query(plain_opt);
+    cdfg::PcOptions opt;
+    opt.is_scall = [this](ir::CallSiteId c) { return scall_of(c) != nullptr; };
+    const cdfg::ParallelCode plain = cdfg::parallel_code(entry_cdfg_, sc.node, opt);
     if (plain.cycles > 0) pcs.emplace_back(PcUse::kPlain, plain);
-    if (opts_.problem2) {
-      cdfg::PcOptions sw_opt;
-      sw_opt.allow_scall_software = true;
-      sw_opt.is_scall = is_scall;
-      const std::size_t consumable = query(sw_opt).consumed_scalls.size();
-      // One variant per consumption prefix: consuming fewer s-calls yields
-      // less overlap but leaves the rest free for their own IPs.
-      for (std::size_t k = 1; k <= consumable; ++k) {
-        sw_opt.max_consumed = k;
-        cdfg::ParallelCode pc = query(sw_opt);
-        if (pc.cycles > plain.cycles && !pc.consumed_scalls.empty()) {
-          pcs.emplace_back(PcUse::kWithScallSw, std::move(pc));
-        }
+    // One variant per consumption prefix: consuming fewer s-calls yields
+    // less overlap but leaves the rest free for their own IPs.
+    opt.allow_scall_software = true;
+    const std::size_t consumable =
+        opts_.problem2 ? cdfg::parallel_code(entry_cdfg_, sc.node, opt).consumed_scalls.size() : 0;
+    for (std::size_t k = 1; k <= consumable; ++k) {
+      opt.max_consumed = k;
+      cdfg::ParallelCode pc = cdfg::parallel_code(entry_cdfg_, sc.node, opt);
+      if (pc.cycles > plain.cycles && !pc.consumed_scalls.empty()) {
+        pcs.emplace_back(PcUse::kWithScallSw, std::move(pc));
       }
-    }
-    // A PC cut short by the visit budget is unknown; offering none only
-    // understates this s-call's gains.
-    if (overran) {
-      pcs.clear();
-      ++pc_overruns_;
     }
   }
 
@@ -247,7 +228,7 @@ void ImpDatabase::build_for_scall(const SCall& sc) {
         imp.pc_consumed_scalls = pc->consumed_scalls;
         imp.timing = iface::interface_timing(fi.type, ip, *fi.ip_function, pc->cycles,
                                              opts_.kernel);
-        imp.gain_per_exec = t_sw - imp.timing.total_cycles;
+        imp.gain_per_exec = sc.t_sw - imp.timing.total_cycles;
       }
       imp.interface_area = fi.interface_area;
       imp.interface_power = fi.interface_power;

@@ -57,10 +57,6 @@ class ImpDatabase {
 
   const SCall* scall_of(ir::CallSiteId sc) const;
 
-  /// S-calls that got no parallel-code variant because a PC query overran
-  /// cdfg::kPcVisitBudget (their gains are understated, never overstated).
-  std::size_t pc_overruns() const { return pc_overruns_; }
-
   /// Multi-line description of the whole database.
   std::string dump(const iplib::IpLibrary& lib) const;
 
@@ -92,7 +88,6 @@ class ImpDatabase {
   const iplib::IpLibrary& lib_;
   const cdfg::Cdfg& entry_cdfg_;
   EnumerateOptions opts_;
-  std::size_t pc_overruns_ = 0;
 
   std::vector<SCall> scalls_;
   std::vector<Imp> imps_;

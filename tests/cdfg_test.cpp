@@ -2,6 +2,8 @@
 // and the Definition 3-5 parallel-code extraction.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cdfg/cdfg.hpp"
 #include "cdfg/parallel.hpp"
 #include "cdfg/paths.hpp"
@@ -198,7 +200,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call).value();
+  const ParallelCode pc = parallel_code(f.g, call);
   EXPECT_EQ(pc.cycles, 300);
   ASSERT_EQ(pc.nodes.size(), 1u);
   EXPECT_TRUE(pc.consumed_scalls.empty());
@@ -217,7 +219,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call).value();
+  const ParallelCode pc = parallel_code(f.g, call);
   EXPECT_EQ(pc.cycles, 0);
 }
 
@@ -232,7 +234,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call).value();
+  const ParallelCode pc = parallel_code(f.g, call);
   EXPECT_EQ(pc.cycles, 0);  // the loop body runs under a different loop nest
 }
 
@@ -253,7 +255,7 @@ func main {
 }
 )");
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
-  const ParallelCode pc = parallel_code(f.g, call).value();
+  const ParallelCode pc = parallel_code(f.g, call);
   EXPECT_EQ(pc.cycles, 100);
 }
 
@@ -272,11 +274,11 @@ func main {
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
 
   PcOptions p1;  // Problem 1: s-calls excluded
-  EXPECT_EQ(parallel_code(f.g, call, p1).value().cycles, 0);
+  EXPECT_EQ(parallel_code(f.g, call, p1).cycles, 0);
 
   PcOptions p2;
   p2.allow_scall_software = true;
-  const ParallelCode pc = parallel_code(f.g, call, p2).value();
+  const ParallelCode pc = parallel_code(f.g, call, p2);
   EXPECT_EQ(pc.cycles, 1000);
   ASSERT_EQ(pc.consumed_scalls.size(), 1u);
   EXPECT_EQ(pc.consumed_scalls[0], ir::CallSiteId{1});
@@ -297,7 +299,7 @@ func main {
   const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
   PcOptions opt;  // Problem 1 semantics...
   opt.is_scall = [](ir::CallSiteId c) { return c == ir::CallSiteId{0}; };
-  const ParallelCode pc = parallel_code(f.g, call, opt).value();
+  const ParallelCode pc = parallel_code(f.g, call, opt);
   EXPECT_EQ(pc.cycles, 1000);  // annotate gave every call 1000 cycles
   EXPECT_TRUE(pc.consumed_scalls.empty());
 }
@@ -317,13 +319,45 @@ func main {
   PcOptions opt;
   opt.allow_scall_software = true;
   opt.max_consumed = 1;
-  const ParallelCode pc1 = parallel_code(f.g, call, opt).value();
+  const ParallelCode pc1 = parallel_code(f.g, call, opt);
   EXPECT_EQ(pc1.consumed_scalls.size(), 1u);
   EXPECT_EQ(pc1.cycles, 1000);
   opt.max_consumed = 2;
-  const ParallelCode pc2 = parallel_code(f.g, call, opt).value();
+  const ParallelCode pc2 = parallel_code(f.g, call, opt);
   EXPECT_EQ(pc2.consumed_scalls.size(), 2u);
   EXPECT_EQ(pc2.cycles, 2000);
+}
+
+// 30 conditionals, each holding an s-call whose result a candidate reads
+// after them all: under Problem 1 every arm choice blocks a different set of
+// readers, 2^29 walk states at the last conditional. The walk stops
+// branching at kPcMemoStates and still answers the minimum, where every
+// then-arm blocks its reader. Under Problem 2 the s-calls join, nothing is
+// blocked, and the exact minimum takes every else-arm.
+TEST(ParallelCode, ChainOfExcludedCallsStaysBounded) {
+  constexpr int k = 30;
+  std::string kl = "module t;\nfunc fir scall sw_cycles 1000;\nfunc main {\n";
+  kl += "  seg pre 10 writes(a);\n  call fir reads(a) writes(x);\n";
+  for (int j = 0; j < k; ++j) {
+    kl += "  if prob 0.5 { call fir reads(a) writes(y" + std::to_string(j) + "); }\n";
+  }
+  for (int j = 0; j < k; ++j) {
+    kl += "  seg r" + std::to_string(j) + " 10 reads(y" + std::to_string(j) + ");\n";
+  }
+  kl += "}\n";
+  PcFixture f(kl);
+  const NodeIndex call = f.g.node_of_call(ir::CallSiteId{0});
+
+  const ParallelCode p1 = parallel_code(f.g, call);
+  EXPECT_EQ(p1.cycles, 0);
+  EXPECT_TRUE(p1.nodes.empty());
+
+  PcOptions p2;
+  p2.allow_scall_software = true;
+  const ParallelCode pc = parallel_code(f.g, call, p2);
+  EXPECT_EQ(pc.cycles, 10 * k);
+  EXPECT_EQ(pc.nodes.size(), std::size_t{k});
+  EXPECT_TRUE(pc.consumed_scalls.empty());
 }
 
 }  // namespace

@@ -245,7 +245,7 @@ void main() {
   ASSERT_NE(call, cdfg::kInvalidNode);
   // The hist loop reads frame but not out1: it cannot be the PC (different
   // loop context), but the trailing scalar pack depends on out1 -> no PC.
-  const cdfg::ParallelCode pc = cdfg::parallel_code(g, call).value();
+  const cdfg::ParallelCode pc = cdfg::parallel_code(g, call);
   EXPECT_EQ(pc.cycles, 0);
 }
 

@@ -212,11 +212,9 @@ int cmd_info(const Args& args, select::Flow& flow) {
   std::printf("s-calls       : %zu\n", flow.scalls().size());
   // Enumeration lists every resolution of the conditionals up to kMaxPaths.
   const std::size_t conds = cdfg::conditional_tree(flow.entry_cdfg()).conds.size();
-  std::printf("exec paths    : %zu (%zu conditionals)", flow.paths().size(), conds);
-  if (conds >= 64 || (std::size_t{1} << conds) > cdfg::kMaxPaths) {
-    std::printf(" (truncated at %zu)", cdfg::kMaxPaths);
-  }
-  std::printf(", PC overruns %zu\n", flow.imp_database().pc_overruns());
+  const bool cut = conds >= 64 || (std::size_t{1} << conds) > cdfg::kMaxPaths;
+  std::printf("exec paths    : %zu (%zu conditionals)%s\n", flow.paths().size(), conds,
+              cut ? (" (truncated at " + std::to_string(cdfg::kMaxPaths) + ")").c_str() : "");
   std::printf("IPs           : %zu\n", w.library.size());
   std::printf("IMPs          : %zu\n", flow.imp_database().imps().size());
   std::printf("sw cycles/run : %s\n",

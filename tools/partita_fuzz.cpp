@@ -4,10 +4,10 @@
 // exhaustive oracle and the production ILP selector, and fails loudly on any
 // divergence. On a mismatch the offending instance is delta-debugged to a
 // minimal repro and dumped as a JSON fixture that `--replay` loads back.
-// Exact mode checks every instance under Problem 2 and Problem 1, and also
-// checks the derived gain: wherever the oracle exhausts, it must be feasible
-// at Flow::max_feasible_gain and infeasible one above; the summary line
-// counts those instances as "max-gain checked".
+// Exact mode checks every instance under Problem 2 and Problem 1, at the
+// derived gain and at gains 1-3, and also checks the derived gain: wherever
+// the oracle exhausts, it must be feasible at Flow::max_feasible_gain and
+// infeasible one above; the summary line counts those "max-gain checked".
 //
 //   partita_fuzz --instances 500 --seed 1 --scalls 8        # exact mode
 //   partita_fuzz --mode sandwich --instances 100 --scalls 18
@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -178,13 +179,26 @@ std::string max_gain_divergence(const workloads::InstanceSpec& spec, bool* check
 }
 
 /// Exact mode's verdict on one spec: the differential check at the derived
-/// gain, then the derived gain itself. Empty when both agree or the oracle's
-/// guard struck; `skipped` / `gain_checked` say which.
+/// gain and at gains 1-3, then the derived gain itself. Empty when all agree
+/// or the oracle's guard struck; `skipped` / `gain_checked` say which. A
+/// differential divergence sets `*replayable` to the spec at the gain that
+/// diverged, the one check --replay runs.
 std::string exact_divergence(const workloads::InstanceSpec& spec, bool* skipped,
-                             bool* gain_checked) {
-  const oracle::DiffResult r = differential_check_both(spec);
-  if (r.skipped) *skipped = true;
-  if (!r.ok) return r.skipped ? "" : r.detail;
+                             bool* gain_checked,
+                             std::optional<workloads::InstanceSpec>* replayable = nullptr) {
+  const std::int64_t own = spec.required_gain;
+  for (const std::int64_t rg : {own, std::int64_t{1}, std::int64_t{2}, std::int64_t{3}}) {
+    workloads::InstanceSpec at = spec;
+    at.required_gain = rg;
+    const oracle::DiffResult r = differential_check_both(at);
+    if (r.skipped && rg == own) {
+      *skipped = true;
+      return "";
+    }
+    if (r.ok || r.skipped) continue;
+    if (replayable) *replayable = at;
+    return (rg == own ? "" : "rg " + std::to_string(rg) + ": ") + r.detail;
+  }
   return max_gain_divergence(spec, gain_checked);
 }
 
@@ -195,7 +209,8 @@ int run_exact(const Args& args) {
     const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(i);
     const workloads::InstanceSpec spec = workloads::random_instance_spec(params, seed);
     bool guard = false, checked = false;
-    const std::string detail = exact_divergence(spec, &guard, &checked);
+    std::optional<workloads::InstanceSpec> replayable;
+    const std::string detail = exact_divergence(spec, &guard, &checked, &replayable);
     skipped += guard;
     gain_checked += checked;
     if (detail.empty()) continue;
@@ -203,10 +218,12 @@ int run_exact(const Args& args) {
     std::fprintf(stderr, "seed %llu DIVERGES: %s\n",
                  static_cast<unsigned long long>(seed), detail.c_str());
     dump_repro(
-        args, spec,
-        [](const workloads::InstanceSpec& s) {
+        args, replayable.value_or(spec),
+        [&](const workloads::InstanceSpec& s) {
           bool g = false, c = false;
-          return !exact_divergence(s, &g, &c).empty();
+          if (!replayable) return !exact_divergence(s, &g, &c).empty();
+          const oracle::DiffResult r = differential_check_both(s);
+          return !r.ok && !r.skipped;
         },
         "fuzz_seed" + std::to_string(seed));
   }

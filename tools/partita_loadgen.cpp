@@ -97,8 +97,7 @@ struct Options {
   std::uint64_t seed = 1;
   int workers = 2;                        // self-serve pool
   std::size_t queue_depth = 0;            // 0 = scenario default
-  std::string out_path;                   // "" = BENCH_<date>.json
-  bool no_out = false;
+  std::string out_path;                   // "" = write no record
   std::string check_path;
   bool require_priority_win = false;
   double repeat_fraction = 0.0;           // P(resubmit an issued request verbatim)
@@ -139,7 +138,7 @@ double ms_since(SteadyClock::time_point t0) {
       "usage: partita_loadgen [--connect ENDPOINT | --policies a,b]\n"
       "  [--scenario smoke|mixed|storm] [--arrival closed|open:GAPMS]\n"
       "  [--sessions N] [--requests N] [--cancel-prob P] [--seed S]\n"
-      "  [--workers N] [--queue-depth N] [--out PATH | --no-out]\n"
+      "  [--workers N] [--queue-depth N] [--out PATH]\n"
       "  [--check BASELINE] [--require-priority-win]\n"
       "  [--repeat-fraction P] [--perturb-fraction P] [--cache]\n"
       "  [--kill-after MS --kill-pid P] [--recover]\n"
@@ -783,7 +782,6 @@ int main(int argc, char** argv) {
     else if (flag == "--queue-depth")
       opt.queue_depth = static_cast<std::size_t>(std::atoll(need_value()));
     else if (flag == "--out") opt.out_path = need_value();
-    else if (flag == "--no-out") opt.no_out = true;
     else if (flag == "--check") opt.check_path = need_value();
     else if (flag == "--require-priority-win") opt.require_priority_win = true;
     else if (flag == "--repeat-fraction") opt.repeat_fraction = std::atof(need_value());
@@ -914,16 +912,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.no_out) {
-    std::string path = opt.out_path;
-    if (path.empty()) {
-      path = "BENCH_" + bench::collect_machine_meta().date + ".json";
-    }
-    if (!write_bench(path, opt.scenario, opt.arrival, runs)) {
-      std::fprintf(stderr, "partita_loadgen: cannot write %s\n", path.c_str());
+  if (!opt.out_path.empty()) {
+    if (!write_bench(opt.out_path, opt.scenario, opt.arrival, runs)) {
+      std::fprintf(stderr, "partita_loadgen: cannot write %s\n", opt.out_path.c_str());
       rc = 1;
     } else {
-      std::printf("wrote %s\n", path.c_str());
+      std::printf("wrote %s\n", opt.out_path.c_str());
     }
   }
   if (!opt.check_path.empty()) {
