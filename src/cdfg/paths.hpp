@@ -2,11 +2,11 @@
 //
 // Every resolution of a function's two-armed conditionals yields one
 // execution path P_k. The conditional tree describes them all at once; the
-// explicit list serves per-path requirements (Eq. 2 with differing T_k), the
-// greedy baseline and the oracle. Loop bodies belong to every path (their
-// nodes carry a loop_frequency multiplier); conditionals *inside* loops are
-// resolved once per path, which approximates the dominant-iteration
-// behaviour the paper's profile-driven flow relies on.
+// explicit list serves the greedy baseline and the oracle. Loop bodies
+// belong to every path (their nodes carry a loop_frequency multiplier);
+// conditionals *inside* loops are resolved once per path, which approximates
+// the dominant-iteration behaviour the paper's profile-driven flow relies
+// on.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,8 @@ struct ExecPath {
 /// Hard cap on enumerated paths. Enumeration walks the decision vectors
 /// then-arm first and stops after kMaxPaths of them, before merging the ones
 /// that materialize the same nodes: past 12 conditionals the last vectors in
-/// that order are dropped, whatever their probability. Only per-path
-/// requirements, greedy and the oracle read the list.
+/// that order are dropped, whatever their probability. Only greedy and the
+/// oracle read the list.
 inline constexpr std::size_t kMaxPaths = 4096;
 
 /// The conditionals of a function as a tree of scopes. Scope 0 is the

@@ -913,7 +913,6 @@ IlpResult solve_ilp(const Model& model, const IlpOptions& opt, BatchContext* bat
   BatchContext& ctx = batch != nullptr ? *batch : local;
   IlpResult res = Solver(model, opt, ctx).run();
   ++ctx.items;
-  ctx.var_count = model.var_count();
   return res;
 }
 

@@ -7,7 +7,7 @@
 // maintains a *reduced* basis inverse: only the k x k matrix over the basic
 // structural columns and their active rows (k <= min(n, m)), since every
 // other basic column is a unit logical. Models with far more rows than
-// variables -- the per-path gain systems -- thus pivot in O(k^2), not O(m^2):
+// variables thus pivot in O(k^2), not O(m^2):
 //
 //   * every row i gets one logical column with coefficient +1 whose bounds
 //     encode the sense (<=: [0,inf); >=: (-inf,0]; =: [0,0]), so the

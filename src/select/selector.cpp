@@ -29,36 +29,13 @@ ImplSignature signature_of(const isel::Imp& imp) {
   return {imp.ip.value, static_cast<int>(imp.iface_type)};
 }
 
-/// One of Eq. 2's requirement rows "gain_path<p>" (the tree's one row, or
-/// one per path) and its never-binding floor: (sum of the row's negative
-/// coefficients) - 1, met by every 0/1 point with y = 0.
-struct GainRow {
-  ilp::RowIndex row;
-  std::size_t path;
-  double floor;
-};
-
-std::vector<GainRow> gain_rows(const ilp::Model& m) {
-  std::vector<GainRow> out;
-  for (std::size_t r = 0; r < m.row_count(); ++r) {
-    const ilp::Row& row = m.row(static_cast<ilp::RowIndex>(r));
-    if (row.name.rfind("gain_path", 0) != 0) continue;
-    GainRow g{static_cast<ilp::RowIndex>(r),
-              std::stoul(row.name.substr(sizeof("gain_path") - 1)), -1.0};
-    for (const ilp::Term& t : row.terms) g.floor += std::min(0.0, t.coeff);
-    out.push_back(g);
-  }
-  return out;
-}
-
-/// Points each requirement row at its path's gain. A non-positive gain gets
-/// the row's floor, so the row binds nothing, as if it were absent.
-void retarget(ilp::Model& m, const std::vector<GainRow>& rows,
-              const std::vector<std::int64_t>& gains) {
-  for (const GainRow& g : rows) {
-    const std::int64_t rg = gains[g.path];
-    m.set_rhs(g.row, rg > 0 ? static_cast<double>(rg) : g.floor);
-  }
+/// Points Eq. 2's requirement row at `gain`. A non-positive gain gets the
+/// row's never-binding floor, (sum of its negative coefficients) - 1, met by
+/// every 0/1 point with y = 0, so the row binds nothing, as if it were absent.
+void retarget(ilp::Model& m, ilp::RowIndex row, std::int64_t gain) {
+  double floor = -1.0;
+  for (const ilp::Term& t : m.row(row).terms) floor += std::min(0.0, t.coeff);
+  m.set_rhs(row, gain > 0 ? static_cast<double>(gain) : floor);
 }
 
 /// The IMPs a solve's 0/1 point selects (x_j is column j).
@@ -70,26 +47,26 @@ std::vector<isel::ImpIndex> chosen_imps(const ilp::IlpResult& r, std::size_t imp
   return chosen;
 }
 
-/// True when Eq. 2 for `gains` is built as the worst-path tree: one gain for
-/// every path.
-bool uses_tree(const std::vector<std::int64_t>& gains) {
-  return std::all_of(gains.begin(), gains.end(),
-                     [&](std::int64_t g) { return g == gains.front(); });
-}
-
 }  // namespace
+
+std::int64_t Selector::uniform_gain(const std::vector<std::int64_t>& required_gains) const {
+  // invariant: callers expand one RG to one entry per path; no user input
+  // reaches this signature.
+  PARTITA_ASSERT(required_gains.size() == paths_.size() && !required_gains.empty());
+  PARTITA_ASSERT(std::all_of(required_gains.begin(), required_gains.end(),
+                             [&](std::int64_t g) { return g == required_gains.front(); }));
+  return required_gains.front();
+}
 
 ilp::Model Selector::build_model(const std::vector<std::int64_t>& required_gains,
                                  const SelectOptions& opt) const {
-  // invariant: the Selector itself expands RG to one entry per path; no user
-  // input reaches this signature.
-  PARTITA_ASSERT(required_gains.size() == paths_.size());
-  ilp::Model m = build_form(opt, uses_tree(required_gains));
-  retarget(m, gain_rows(m), required_gains);
+  ilp::RowIndex req;
+  ilp::Model m = build_form(opt, &req);
+  retarget(m, req, uniform_gain(required_gains));
   return m;
 }
 
-ilp::Model Selector::build_form(const SelectOptions& opt, bool tree) const {
+ilp::Model Selector::build_form(const SelectOptions& opt, ilp::RowIndex* gain_row) const {
   const std::vector<isel::Imp>& imps = db_.imps();
 
   ilp::Model m;
@@ -135,72 +112,58 @@ ilp::Model Selector::build_form(const SelectOptions& opt, bool tree) const {
     }
   }
 
-  // --- Eq. 2 as a worst-path tree (uniform T) -----------------------------
+  // --- Eq. 2 as a worst-path tree ------------------------------------------
   // "Every path >= T" is "the worst path >= T". The worst path's gain is the
   // straight-line gain plus, per conditional c, the min over c's arms of the
   // arm's gain (its terms plus its nested conditionals' y). y_c <= each arm's
   // gain, so any feasible y_c is at most that min, and y_c = min is feasible:
   // the rows project onto exactly the per-path rows' x-set, LP included. The
   // y columns come after x and z, so they sort last in the lex tie-break.
-  // Every Eq. 2 row is built with RHS 0; the caller retargets it.
-  if (tree) {
-    // Eq. 2's gain terms g_ij x_ij per scope of the conditional tree.
-    std::vector<std::vector<ilp::Term>> scope(tree_.scope_count());
-    for (std::size_t j = 0; j < imps.size(); ++j) {
-      const isel::SCall* sc = db_.scall_of(imps[j].scall);
-      if (!sc || sc->node == cdfg::kInvalidNode) continue;
-      scope[tree_.node_scope[sc->node]].push_back(
-          {x[j], static_cast<double>(imps[j].gain_per_exec) *
-                     static_cast<double>(entry_cdfg_.node(sc->node).loop_frequency)});
-    }
-    const std::size_t nc = tree_.conds.size();
-    std::vector<std::vector<std::size_t>> kids(tree_.scope_count());
-    for (std::size_t c = 0; c < nc; ++c) kids[tree_.conds[c].parent_scope].push_back(c);
-    // y_c's bound: the larger arm's coefficient sum, nested conditionals at
-    // their own bound (children follow their parents in tree_.conds).
-    std::vector<double> arm_sum(tree_.scope_count(), 0.0);
-    for (std::size_t sc = 0; sc < scope.size(); ++sc) {
-      for (const ilp::Term& t : scope[sc]) arm_sum[sc] += t.coeff;
-    }
-    std::vector<double> y_ub(nc);
-    for (std::size_t c = nc; c-- > 0;) {
-      y_ub[c] = std::max(arm_sum[cdfg::CondTree::arm_scope(c, true)],
-                         arm_sum[cdfg::CondTree::arm_scope(c, false)]);
-      arm_sum[tree_.conds[c].parent_scope] += y_ub[c];
-    }
-    std::vector<ilp::VarIndex> y(nc);
-    for (std::size_t c = 0; c < nc; ++c) {
-      y[c] = m.add_continuous("y_if" + std::to_string(tree_.conds[c].stmt.value()), 0.0,
-                              y_ub[c], 0.0);
-    }
-    std::vector<ilp::Term> req = scope[0];
-    for (std::size_t c : kids[0]) req.push_back({y[c], 1.0});
-    m.add_row("gain_path0", std::move(req), ilp::RowSense::kGreaterEqual, 0.0);
-    for (std::size_t c = 0; c < nc; ++c) {
-      for (const bool then_arm : {true, false}) {
-        const std::size_t arm = cdfg::CondTree::arm_scope(c, then_arm);
-        std::vector<ilp::Term> terms{{y[c], 1.0}};
-        for (const ilp::Term& t : scope[arm]) terms.push_back({t.var, -t.coeff});
-        for (std::size_t k : kids[arm]) terms.push_back({y[k], -1.0});
-        m.add_row("arm_if" + std::to_string(tree_.conds[c].stmt.value()) +
-                      (then_arm ? "_then" : "_else"),
-                  std::move(terms), ilp::RowSense::kLessEqual, 0.0);
-      }
-    }
-  }
+  // Every Eq. 2 row is built with RHS 0; the caller retargets the
+  // requirement row.
 
-  // --- Eq. 2: per-path required gain -------------------------------------
-  for (std::size_t p = 0; !tree && p < paths_.size(); ++p) {
-    std::vector<ilp::Term> terms;
-    for (std::size_t j = 0; j < imps.size(); ++j) {
-      const isel::SCall* sc = db_.scall_of(imps[j].scall);
-      if (!sc || sc->node == cdfg::kInvalidNode || !paths_[p].contains(sc->node)) continue;
-      const double coeff = static_cast<double>(imps[j].gain_per_exec) *
-                           static_cast<double>(entry_cdfg_.node(sc->node).loop_frequency);
-      terms.push_back({x[j], coeff});
+  // Eq. 2's gain terms g_ij x_ij per scope of the conditional tree.
+  std::vector<std::vector<ilp::Term>> scope(tree_.scope_count());
+  for (std::size_t j = 0; j < imps.size(); ++j) {
+    const isel::SCall* sc = db_.scall_of(imps[j].scall);
+    if (!sc || sc->node == cdfg::kInvalidNode) continue;
+    scope[tree_.node_scope[sc->node]].push_back(
+        {x[j], static_cast<double>(imps[j].gain_per_exec) *
+                   static_cast<double>(entry_cdfg_.node(sc->node).loop_frequency)});
+  }
+  const std::size_t nc = tree_.conds.size();
+  std::vector<std::vector<std::size_t>> kids(tree_.scope_count());
+  for (std::size_t c = 0; c < nc; ++c) kids[tree_.conds[c].parent_scope].push_back(c);
+  // y_c's bound: the larger arm's coefficient sum, nested conditionals at
+  // their own bound (children follow their parents in tree_.conds).
+  std::vector<double> arm_sum(tree_.scope_count(), 0.0);
+  for (std::size_t sc = 0; sc < scope.size(); ++sc) {
+    for (const ilp::Term& t : scope[sc]) arm_sum[sc] += t.coeff;
+  }
+  std::vector<double> y_ub(nc);
+  for (std::size_t c = nc; c-- > 0;) {
+    y_ub[c] = std::max(arm_sum[cdfg::CondTree::arm_scope(c, true)],
+                       arm_sum[cdfg::CondTree::arm_scope(c, false)]);
+    arm_sum[tree_.conds[c].parent_scope] += y_ub[c];
+  }
+  std::vector<ilp::VarIndex> y(nc);
+  for (std::size_t c = 0; c < nc; ++c) {
+    y[c] = m.add_continuous("y_if" + std::to_string(tree_.conds[c].stmt.value()), 0.0,
+                            y_ub[c], 0.0);
+  }
+  std::vector<ilp::Term> req = scope[0];
+  for (std::size_t c : kids[0]) req.push_back({y[c], 1.0});
+  *gain_row = m.add_row("gain_path0", std::move(req), ilp::RowSense::kGreaterEqual, 0.0);
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (const bool then_arm : {true, false}) {
+      const std::size_t arm = cdfg::CondTree::arm_scope(c, then_arm);
+      std::vector<ilp::Term> terms{{y[c], 1.0}};
+      for (const ilp::Term& t : scope[arm]) terms.push_back({t.var, -t.coeff});
+      for (std::size_t k : kids[arm]) terms.push_back({y[k], -1.0});
+      m.add_row("arm_if" + std::to_string(tree_.conds[c].stmt.value()) +
+                    (then_arm ? "_then" : "_else"),
+                std::move(terms), ilp::RowSense::kLessEqual, 0.0);
     }
-    m.add_row("gain_path" + std::to_string(p), std::move(terms),
-              ilp::RowSense::kGreaterEqual, 0.0);
   }
 
   // --- fixed charge: IP area counted once --------------------------------
@@ -282,8 +245,7 @@ ilp::Model Selector::build_form(const SelectOptions& opt, bool tree) const {
   return m;
 }
 
-Selection Selector::finish_selection(const ilp::IlpResult& r,
-                                     const std::vector<std::int64_t>& required_gains,
+Selection Selector::finish_selection(const ilp::IlpResult& r, std::int64_t required_gain,
                                      const SelectOptions& opt) const {
   // Degradation ladder, rung 1 + 2: the exact ILP under its resource
   // budget. A completed search answers rung 1 (proven optimum) or proves
@@ -304,10 +266,7 @@ Selection Selector::finish_selection(const ilp::IlpResult& r,
   const bool cancelled =
       r.stats.termination == ilp::TerminationReason::kCancelled;
   if (truncated && !cancelled && !opt.imp_filter && !opt.max_power && opt.problem2) {
-    const std::int64_t uniform = required_gains.empty()
-        ? 0
-        : *std::max_element(required_gains.begin(), required_gains.end());
-    Selection greedy = greedy_select(db_, lib_, entry_cdfg_, paths_, uniform);
+    Selection greedy = greedy_select(db_, lib_, entry_cdfg_, paths_, required_gain);
     if (greedy.feasible &&
         (!sel.feasible || greedy.total_area() < sel.total_area())) {
       greedy.greedy_fallback = true;
@@ -352,28 +311,12 @@ Selection Selector::select(std::int64_t required_gain, const SelectOptions& opt)
   return std::move(select_batch({required_gain}, opt).front());
 }
 
-Selection Selector::select_per_path(const std::vector<std::int64_t>& required_gains,
-                                    const SelectOptions& opt) const {
-  return std::move(select_batch_per_path({required_gains}, opt).front());
-}
-
 std::vector<Selection> Selector::select_batch(
     const std::vector<std::int64_t>& required_gains, const SelectOptions& opt,
     const BatchItemHook& per_item) const {
-  std::vector<std::vector<std::int64_t>> items;
-  items.reserve(required_gains.size());
-  for (const std::int64_t rg : required_gains) {
-    items.emplace_back(paths_.size(), rg);
-  }
-  return select_batch_per_path(items, opt, per_item);
-}
-
-std::vector<Selection> Selector::select_batch_per_path(
-    const std::vector<std::vector<std::int64_t>>& items,
-    const SelectOptions& opt, const BatchItemHook& per_item) const {
   ilp::BatchContext ctx;
   ctx.carry_search_state = true;
-  return solve_ladder(items, opt, per_item, ctx, nullptr);
+  return solve_ladder(required_gains, opt, per_item, ctx, nullptr);
 }
 
 Selection Selector::select_seeded(const std::vector<std::int64_t>& required_gains,
@@ -381,48 +324,37 @@ Selection Selector::select_seeded(const std::vector<std::int64_t>& required_gain
                                   bool* redone_cold) const {
   PARTITA_ASSERT(batch != nullptr);
   if (redone_cold != nullptr) *redone_cold = false;
-  return std::move(solve_ladder({required_gains}, opt, {}, *batch, redone_cold).front());
+  return std::move(
+      solve_ladder({uniform_gain(required_gains)}, opt, {}, *batch, redone_cold).front());
 }
 
 std::vector<Selection> Selector::solve_ladder(
-    const std::vector<std::vector<std::int64_t>>& items, const SelectOptions& opt,
+    const std::vector<std::int64_t>& required_gains, const SelectOptions& opt,
     const BatchItemHook& per_item, ilp::BatchContext& ctx, bool* redone) const {
-  if (items.empty()) return {};
-  for (const auto& item : items) PARTITA_ASSERT(item.size() == paths_.size());
+  if (required_gains.empty()) return {};
 
-  // One model for the whole ladder; items only retarget the gain-row RHS
-  // below. The tree form needs every item uniform: its one requirement row
-  // gain_path0 then takes each item's gain.
-  ilp::Model m = build_form(opt, std::all_of(items.begin(), items.end(), uses_tree));
-  const std::vector<GainRow> rows = gain_rows(m);
-  // A context carried over from the other Eq. 2 form holds a differently
-  // shaped model's artifacts (clique table, bases, pseudo-costs): start over.
-  if (ctx.items > 0 && ctx.var_count != m.var_count()) {
-    ilp::BatchContext fresh;
-    fresh.carry_search_state = ctx.carry_search_state;
-    ctx = std::move(fresh);
-  }
+  // One model for the whole ladder; items only retarget the requirement
+  // row's RHS below.
+  ilp::RowIndex req;
+  ilp::Model m = build_form(opt, &req);
 
-  std::vector<ilp::IlpOptions> iopts(items.size(), opt.ilp);
+  std::vector<ilp::IlpOptions> iopts(required_gains.size(), opt.ilp);
   if (per_item) {
-    for (std::size_t i = 0; i < items.size(); ++i) per_item(i, iopts[i]);
+    for (std::size_t i = 0; i < required_gains.size(); ++i) per_item(i, iopts[i]);
   }
 
   // Hardest item first: with carried search state every later item starts
   // from the previous optimum, which a lower requirement usually keeps
   // feasible (offer_incumbent re-audits it either way).
-  std::vector<std::size_t> order(items.size());
-  std::vector<std::int64_t> top(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    order[i] = i;
-    top[i] = items[i].empty() ? 0 : *std::max_element(items[i].begin(), items[i].end());
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return top[a] > top[b]; });
+  std::vector<std::size_t> order(required_gains.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return required_gains[a] > required_gains[b];
+  });
 
-  std::vector<Selection> out(items.size());
+  std::vector<Selection> out(required_gains.size());
   for (const std::size_t i : order) {
-    retarget(m, rows, items[i]);
+    retarget(m, req, required_gains[i]);
     // Any earlier solve through ctx -- a previous item or a cache seed --
     // counts as carried state.
     const bool carried = ctx.items > 0;
@@ -438,7 +370,7 @@ std::vector<Selection> Selector::solve_ladder(
       r = ilp::solve_ilp(m, iopts[i], &ctx);
       if (redone != nullptr) *redone = true;
     }
-    out[i] = finish_selection(r, items[i], opt);
+    out[i] = finish_selection(r, required_gains[i], opt);
   }
   return out;
 }
@@ -460,8 +392,8 @@ std::uint64_t Selector::answer_map_digest() const {
 }
 
 std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
-  // Eq. 2 in the form a uniform requirement builds: the worst-path tree.
-  ilp::Model m = build_form(opt, true);
+  ilp::RowIndex req;
+  ilp::Model m = build_form(opt, &req);
 
   // Upper bound for G_min: everything selected at once (ignoring conflicts).
   double ub = 1.0;
@@ -486,11 +418,8 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   }
   const ilp::VarIndex gmin = m.add_continuous("G_min", 0.0, ub, 1.0);
 
-  // The tree's requirement row becomes sum(gains) + sum(y) - G_min >= 0.
-  for (const GainRow& g : gain_rows(m)) {
-    m.append_term(g.row, {gmin, -1.0});
-    m.set_rhs(g.row, 0.0);
-  }
+  // The requirement row becomes sum(gains) + sum(y) - G_min >= 0.
+  m.append_term(req, {gmin, -1.0});
 
   // Only the objective value is consumed here; skip the canonical tie-break
   // (the all-zero binary objective makes the equal-objective plateau huge).

@@ -6,17 +6,17 @@
 //
 // Constraints:
 //   Eq. 1   sum_j x_ij <= 1                       per s-call
-//   Eq. 2   sum_{SC_i on P_k} sum_j g^k_ij x_ij >= T_k   per execution path,
-//           where g^k_ij = gain_per_exec(IMP_ij) * loop frequency of SC_i.
-//           Under a uniform T it is built as a worst-path tree: one row
+//   Eq. 2   sum_{SC_i on P} sum_j g_ij x_ij >= T   on every execution path P,
+//           where g_ij = gain_per_exec(IMP_ij) * loop frequency of SC_i.
+//           It is built as a worst-path tree: one requirement row
 //           sum(straight-line terms) + sum y_c >= T, and per conditional c
 //           a continuous y_c with one row y_c <= (arm gain) per arm, so
 //           y_c is at most the min over c's arms. The tree covers every
-//           path, however many conditionals there are. One row per
-//           enumerated path remains only for per-path T_k that differ
-//           (docs/ilp_solver.md, "Eq. 2 as a worst-path tree"). Every
-//           Eq. 2 row is built whatever the gains; a T_k <= 0 gets a
-//           never-binding floor as its RHS.
+//           path, however many conditionals there are (docs/ilp_solver.md,
+//           "Eq. 2 as a worst-path tree"). The paper allows a T_k per path;
+//           this system takes one uniform T. The requirement row is built
+//           whatever the gain; a T <= 0 gets a never-binding floor as its
+//           RHS.
 //   FC      sum_{ij : s_ijk=1} x_ij <= M_k z_k    fixed charge, M_k = number
 //           of distinct s-calls with an IMP on IP k
 //   P1      x_iA = x_jB for matching IMPs of s-calls to the same function
@@ -27,7 +27,7 @@
 // Objective: minimize  sum_k a_k z_k + sum_ij c_ij x_ij   (Eq. 3)
 //
 // Re-entrancy: a Selector is immutable after construction -- select(),
-// select_per_path(), build_model() and max_feasible_gain() are const, build
+// select_batch(), build_model() and max_feasible_gain() are const, build
 // every model and solver state locally, and share nothing mutable between
 // calls. Concurrent select() calls on one Selector (or one Flow) from
 // different threads are safe and return bit-identical results for identical
@@ -66,14 +66,9 @@ class Selector {
       : db_(db), lib_(lib), entry_cdfg_(entry_cdfg), paths_(paths),
         tree_(cdfg::conditional_tree(entry_cdfg)) {}
 
-  /// Solves with the same required gain T_k = required_gain on every path:
-  /// a one-item select_batch.
+  /// Solves with the required gain T = required_gain on every path: a
+  /// one-item select_batch.
   Selection select(std::int64_t required_gain, const SelectOptions& opt = {}) const;
-
-  /// Solves with per-path required gains (size must match the path list):
-  /// a one-item select_batch_per_path.
-  Selection select_per_path(const std::vector<std::int64_t>& required_gains,
-                            const SelectOptions& opt = {}) const;
 
   /// Called once per batch item, in index order and before any solve, with
   /// (item index, that item's solver options); lets callers install
@@ -84,9 +79,9 @@ class Selector {
   /// Batch solve: one Selection per uniform required gain, amortizing the
   /// model build, the presolve clique table, its lifted cliques and the root
   /// LP basis across items (see ilp::BatchContext). Items are solved in
-  /// descending order of their largest gain with carried search state, so
-  /// each starts from the previous (harder) item's optimum; results come
-  /// back in index order. Results are bit-identical to calling select() once
+  /// descending order of gain with carried search state, so each starts
+  /// from the previous (harder) item's optimum; results come back in index
+  /// order. Results are bit-identical to calling select() once
   /// per gain -- the model is built a single time and only the gain-row RHS
   /// is retargeted between items, and every reused artifact is
   /// answer-neutral for a completed search under canonical tie-breaking. A
@@ -96,34 +91,28 @@ class Selector {
                                       const SelectOptions& opt = {},
                                       const BatchItemHook& per_item = {}) const;
 
-  /// Per-path-gains variant of select_batch: one inner vector per item, each
-  /// sized to the path list.
-  std::vector<Selection> select_batch_per_path(
-      const std::vector<std::vector<std::int64_t>>& items,
-      const SelectOptions& opt = {}, const BatchItemHook& per_item = {}) const;
-
   /// Seeded single solve for the cross-request cache: a one-item ladder
-  /// through the same core as select_batch_per_path, starting from the
-  /// artifacts in `batch` (non-null; see ilp::BatchContext) and leaving this
-  /// solve's there. The ladder model keeps one layout across all
-  /// same-structure solves of one Eq. 2 form (tree for uniform gains,
-  /// per-path rows otherwise), so artifacts from a previous same-structure
-  /// solve stay valid even when the gains differ; a context from the other
-  /// form is dropped, not imported. A seeded search that truncates is redone
-  /// from a fresh context (setting `*redone_cold`, when given), so the
-  /// answer is bit-identical to an unseeded one.
+  /// through the same core as select_batch, starting from the artifacts in
+  /// `batch` (non-null; see ilp::BatchContext) and leaving this solve's
+  /// there. Every solve under one SelectOptions builds one model layout,
+  /// whatever the gain, so artifacts from a previous solve under the same
+  /// options stay valid; a context from other options or another workload
+  /// must not be passed in. A seeded search that truncates is redone from a
+  /// fresh context (setting `*redone_cold`, when given), so the answer is
+  /// bit-identical to an unseeded one. `required_gains` holds one uniform
+  /// gain per path (path_count() entries).
   Selection select_seeded(const std::vector<std::int64_t>& required_gains,
                           const SelectOptions& opt, ilp::BatchContext* batch,
                           bool* redone_cold = nullptr) const;
 
-  /// Number of execution paths (the length build_model/select_per_path
-  /// expect of a per-path gains vector).
+  /// Number of execution paths: the length build_model and select_seeded
+  /// expect of their (uniform) gains vector.
   std::size_t path_count() const { return paths_.size(); }
 
-  /// Exposes the built ILP (for tests and debugging dumps). Eq. 2 is the
-  /// worst-path tree when the gains are uniform, one row per enumerated path
-  /// otherwise; a non-positive gain keeps its row, with a never-binding floor
-  /// as the RHS.
+  /// Exposes the built ILP (for tests and debugging dumps) at the uniform
+  /// gain that `required_gains` (path_count() equal entries) holds. Eq. 2 is
+  /// the worst-path tree; a non-positive gain keeps its row, with a
+  /// never-binding floor as the RHS.
   ilp::Model build_model(const std::vector<std::int64_t>& required_gains,
                          const SelectOptions& opt) const;
 
@@ -142,24 +131,26 @@ class Selector {
   std::int64_t max_feasible_gain(const SelectOptions& opt = {}) const;
 
  private:
-  /// build_model with the Eq. 2 form chosen by the caller and every Eq. 2
-  /// row at RHS 0, for the caller to retarget.
-  ilp::Model build_form(const SelectOptions& opt, bool tree) const;
+  /// build_model with Eq. 2's requirement row at RHS 0, for the caller to
+  /// retarget; `*gain_row` receives that row's index.
+  ilp::Model build_form(const SelectOptions& opt, ilp::RowIndex* gain_row) const;
 
-  /// The one ladder core behind every selection (select, select_per_path,
-  /// select_batch, select_batch_per_path, select_seeded): builds the model
-  /// once, solves the items hardest-first through `ctx`, and redoes from a
-  /// fresh context any truncated item that started from carried state
-  /// (setting `*redone`, when given).
-  std::vector<Selection> solve_ladder(const std::vector<std::vector<std::int64_t>>& items,
+  /// The one gain a build_model/select_seeded vector holds: asserts that it
+  /// has path_count() equal entries.
+  std::int64_t uniform_gain(const std::vector<std::int64_t>& required_gains) const;
+
+  /// The one ladder core behind every selection (select, select_batch,
+  /// select_seeded): builds the model once, solves the gains hardest-first
+  /// through `ctx`, and redoes from a fresh context any truncated item that
+  /// started from carried state (setting `*redone`, when given).
+  std::vector<Selection> solve_ladder(const std::vector<std::int64_t>& required_gains,
                                       const SelectOptions& opt,
                                       const BatchItemHook& per_item,
                                       ilp::BatchContext& ctx, bool* redone) const;
 
   /// Decodes one ladder item's IlpResult into a Selection: degradation
   /// ladder, greedy fallback, rung labeling.
-  Selection finish_selection(const ilp::IlpResult& r,
-                             const std::vector<std::int64_t>& required_gains,
+  Selection finish_selection(const ilp::IlpResult& r, std::int64_t required_gain,
                              const SelectOptions& opt) const;
 
   const isel::ImpDatabase& db_;

@@ -630,13 +630,13 @@ support::Result<std::vector<select::Selection>> SolveService::run_attempt(
     // Cache miss: a one-item ladder, started from the nearest cached
     // neighbour's solver artifacts when there is one.
     cache_marker = "miss";
-    const std::vector<std::int64_t> per_path(selector.path_count(), gains.front());
+    const std::vector<std::int64_t> uniform(selector.path_count(), gains.front());
     CacheSeed seed;
     if (cfg_.cache_neighbor_seeding) seed = cache_->nearest(key, gains.front());
     ilp::BatchContext ctx = std::move(seed.artifacts);
     ctx.carry_search_state = true;
     bool redone_cold = false;
-    select::Selection sel = selector.select_seeded(per_path, opt, &ctx, &redone_cold);
+    select::Selection sel = selector.select_seeded(uniform, opt, &ctx, &redone_cold);
     if (redone_cold) cache_seed_fallbacks_.fetch_add(1);
     // Ordered before the insert: a cancelled solve never populates the
     // cache, even when its search happened to complete under the wire.

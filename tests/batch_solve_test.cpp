@@ -57,10 +57,16 @@ TEST(BatchSolve, BitIdenticalToSerialOnSeedApps) {
       {"gsm_decoder", workloads::gsm_decoder()},
       {"jpeg_encoder", workloads::jpeg_encoder()},
       {"random_24site", workloads::random_workload(p, 4242)},
+      // 13 conditionals: past the 12 that the enumerated path list covers.
+      {"random_30site", workloads::random_workload({.call_sites = 30}, 9)},
   };
   for (const Case& c : cases) {
     select::Flow flow(c.w.module, c.w.library);
-    const std::vector<std::int64_t> rgs = ladder(flow.max_feasible_gain());
+    if (c.name == "random_30site") {
+      ASSERT_GT(cdfg::conditional_tree(flow.entry_cdfg()).conds.size(), 12u);
+    }
+    const std::int64_t gmax = flow.max_feasible_gain();
+    const std::vector<std::int64_t> rgs = ladder(gmax);
     std::vector<select::Selection> serial;
     for (const std::int64_t rg : rgs) serial.push_back(flow.select(rg, {}));
     const std::vector<select::Selection> batched = flow.select_batch(rgs, {});
@@ -69,6 +75,24 @@ TEST(BatchSolve, BitIdenticalToSerialOnSeedApps) {
       expect_same_selection(serial[i], batched[i],
                             c.name + " item " + std::to_string(i));
     }
+
+    // The same ladder as seeded solves through one context, hardest first,
+    // then one more gain from the context it leaves: every solve under one
+    // SelectOptions builds one model layout, so the carried state applies.
+    ilp::BatchContext ctx;
+    ctx.carry_search_state = true;
+    for (std::size_t i = rgs.size(); i-- > 0;) {
+      const select::Selection seeded = flow.selector().select_seeded(
+          std::vector<std::int64_t>(flow.paths().size(), rgs[i]), {}, &ctx);
+      expect_same_selection(serial[i], seeded, c.name + " seeded item " + std::to_string(i));
+    }
+    const std::int64_t extra = gmax / 3;
+    const select::Selection seeded = flow.selector().select_seeded(
+        std::vector<std::int64_t>(flow.paths().size(), extra), {}, &ctx);
+    const select::Selection cold = flow.select(extra, {});
+    EXPECT_GT(seeded.solver.batch_hits, 0) << c.name;
+    expect_same_selection(cold, seeded, c.name + " seeded after the ladder");
+    EXPECT_EQ(select::solution_signature(seeded), select::solution_signature(cold)) << c.name;
   }
 }
 
@@ -88,28 +112,6 @@ TEST(BatchSolve, ReusesAmortizedArtifacts) {
   long long hits = 0;
   for (std::size_t i = 1; i < batched.size(); ++i) hits += batched[i].solver.batch_hits;
   EXPECT_GT(hits, 0);
-}
-
-TEST(BatchSolve, PerPathVariantMatchesSerial) {
-  const workloads::Workload w = workloads::gsm_encoder();
-  select::Flow flow(w.module, w.library);
-  const std::int64_t gmax = flow.max_feasible_gain();
-  const std::size_t paths = flow.paths().size();
-  // Non-uniform per-path targets, including one all-easy and one stressed.
-  std::vector<std::vector<std::int64_t>> items;
-  items.push_back(std::vector<std::int64_t>(paths, gmax / 4));
-  std::vector<std::int64_t> mixed(paths, gmax / 2);
-  if (!mixed.empty()) mixed[0] = gmax;
-  items.push_back(mixed);
-  std::vector<select::Selection> serial;
-  for (const auto& gains : items)
-    serial.push_back(flow.selector().select_per_path(gains, {}));
-  const std::vector<select::Selection> batched =
-      flow.selector().select_batch_per_path(items, {});
-  ASSERT_EQ(batched.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    expect_same_selection(serial[i], batched[i], "per-path item " + std::to_string(i));
-  }
 }
 
 TEST(BatchSolve, PerItemHookRunsInOrder) {
@@ -178,36 +180,6 @@ TEST(BatchSolve, TruncatedSeededSolveIsRedoneColdAndReported) {
   EXPECT_TRUE(redone);
   EXPECT_EQ(sel.solver.seeded_artifacts, 0);
   expect_same_selection(flow.select(gmax / 2, capped), sel, "redone seeded solve");
-}
-
-TEST(BatchSolve, SeededContextNeverCrossesEq2Forms) {
-  // Uniform gains build Eq. 2 as the worst-path tree (with y columns),
-  // per-path gains one row per path. A context left by one form holds
-  // another model's clique table, bases and pseudo-costs: the other form
-  // must start afresh, not import it, and answer as a cold solve.
-  const workloads::Workload w = workloads::gsm_encoder();
-  select::Flow flow(w.module, w.library);
-  const std::int64_t gmax = flow.max_feasible_gain();
-  const std::size_t paths = flow.paths().size();
-  ASSERT_GT(paths, 1u);
-  const std::vector<std::int64_t> uniform(paths, gmax / 2);
-  std::vector<std::int64_t> mixed(paths, gmax / 2);
-  mixed[0] = gmax;
-
-  ilp::BatchContext ctx;
-  ctx.carry_search_state = true;
-  (void)flow.selector().select_seeded(uniform, {}, &ctx);
-  ASSERT_GT(ctx.items, 0);
-  const select::Selection per_path = flow.selector().select_seeded(mixed, {}, &ctx);
-  EXPECT_EQ(per_path.solver.batch_hits, 0);
-  EXPECT_EQ(per_path.solver.seeded_artifacts, 0);
-  expect_same_selection(flow.selector().select_per_path(mixed, {}), per_path,
-                        "per-path solve after a tree seed");
-
-  const select::Selection tree = flow.selector().select_seeded(uniform, {}, &ctx);
-  EXPECT_EQ(tree.solver.batch_hits, 0);
-  EXPECT_EQ(tree.solver.seeded_artifacts, 0);
-  expect_same_selection(flow.select(gmax / 2), tree, "tree solve after a per-path seed");
 }
 
 TEST(BatchSolve, FeasibleItemsPassOracleAudit) {

@@ -1,6 +1,6 @@
 // Cross-module property tests on randomized inputs: LP relaxation bounds,
-// path-probability algebra, print/parse round-trips, Huffman optimality
-// bounds, and per-path selection behaviour.
+// path-probability algebra, print/parse round-trips and Huffman optimality
+// bounds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -189,30 +189,6 @@ TEST_P(HuffmanProperty, ExpectedBitsWithinEntropyPlusOne) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HuffmanProperty, ::testing::Range(0, 20));
-
-// --- per-path required gains ------------------------------------------------------
-
-TEST(PerPathSelection, DifferentRequirementsPerPath) {
-  workloads::Workload w = workloads::fig10_case();
-  select::Flow flow(w.module, w.library);
-  ASSERT_EQ(flow.paths().size(), 2u);
-
-  // Demand a lot on one path and nothing on the other; then swap. Both must
-  // be cheaper (or equal) than demanding the max on both.
-  const std::int64_t gmax = flow.max_feasible_gain();
-  const select::Selection both = flow.selector().select_per_path({gmax, gmax});
-  ASSERT_TRUE(both.feasible);
-  for (std::size_t p = 0; p < 2; ++p) {
-    std::vector<std::int64_t> rgs{0, 0};
-    rgs[p] = gmax / 2;
-    const select::Selection one = flow.selector().select_per_path(rgs);
-    ASSERT_TRUE(one.feasible);
-    EXPECT_LE(one.total_area(), both.total_area() + 1e-9);
-    EXPECT_GE(select::path_gain(one.chosen, flow.imp_database(), flow.entry_cdfg(),
-                                flow.paths()[p]),
-              rgs[p]);
-  }
-}
 
 }  // namespace
 }  // namespace partita
