@@ -8,15 +8,6 @@ bool ExecPath::contains(NodeIndex n) const {
   return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
 }
 
-std::int64_t ExecPath::software_cycles(const Cdfg& g) const {
-  std::int64_t total = 0;
-  for (NodeIndex n : nodes) {
-    const AtomicNode& node = g.node(n);
-    total += node.cycles * node.loop_frequency;
-  }
-  return total;
-}
-
 CondTree conditional_tree(const Cdfg& g) {
   CondTree t;
   t.node_scope.reserve(g.node_count());
@@ -50,32 +41,29 @@ class Enumerator {
 
     std::vector<ExecPath> out;
     std::vector<std::pair<ir::StmtId, bool>> decision;
-    expand(ifs, 0, 1.0, decision, out);
+    expand(ifs, 0, decision, out);
     if (out.empty()) out.push_back(ExecPath{});  // function with no nodes
     return dedup(std::move(out));
   }
 
  private:
-  void expand(const std::vector<ir::StmtId>& ifs, std::size_t k, double prob,
+  void expand(const std::vector<ir::StmtId>& ifs, std::size_t k,
               std::vector<std::pair<ir::StmtId, bool>>& decision,
               std::vector<ExecPath>& out) {
     if (out.size() >= kMaxPaths) return;
     if (k == ifs.size()) {
-      out.push_back(materialize(decision, prob));
+      out.push_back(materialize(decision));
       return;
     }
-    const ir::Stmt& s = g_.function().stmt(ifs[k]);
     decision.emplace_back(ifs[k], true);
-    expand(ifs, k + 1, prob * s.taken_prob, decision, out);
+    expand(ifs, k + 1, decision, out);
     decision.back().second = false;
-    expand(ifs, k + 1, prob * (1.0 - s.taken_prob), decision, out);
+    expand(ifs, k + 1, decision, out);
     decision.pop_back();
   }
 
-  ExecPath materialize(const std::vector<std::pair<ir::StmtId, bool>>& decision,
-                       double prob) const {
+  ExecPath materialize(const std::vector<std::pair<ir::StmtId, bool>>& decision) const {
     ExecPath p;
-    p.probability = prob;
     for (NodeIndex i = 0; i < g_.node_count(); ++i) {
       const AtomicNode& n = g_.node(i);
       bool on_path = true;
@@ -94,15 +82,15 @@ class Enumerator {
   }
 
   /// Nested conditionals make some decision vectors materialize the same node
-  /// set (the inner if is irrelevant when the outer arm excludes it); merge
-  /// those paths and add up their probabilities.
+  /// set (the inner if is irrelevant when the outer arm excludes it); keep
+  /// the first of each.
   static std::vector<ExecPath> dedup(std::vector<ExecPath> paths) {
     std::vector<ExecPath> out;
     for (ExecPath& p : paths) {
-      auto it = std::find_if(out.begin(), out.end(),
-                             [&](const ExecPath& q) { return q.nodes == p.nodes; });
-      if (it == out.end()) out.push_back(std::move(p));
-      else it->probability += p.probability;
+      if (std::none_of(out.begin(), out.end(),
+                       [&](const ExecPath& q) { return q.nodes == p.nodes; })) {
+        out.push_back(std::move(p));
+      }
     }
     return out;
   }

@@ -1,12 +1,12 @@
 // Execution paths and the conditional tree.
 //
 // Every resolution of a function's two-armed conditionals yields one
-// execution path P_k. The conditional tree describes them all at once; the
-// explicit list serves the greedy baseline and the oracle. Loop bodies
-// belong to every path (their nodes carry a loop_frequency multiplier);
-// conditionals *inside* loops are resolved once per path, which approximates
-// the dominant-iteration behaviour the paper's profile-driven flow relies
-// on.
+// execution path P_k. The conditional tree describes them all at once and is
+// all that selection reads; the explicit list serves the oracle and tests.
+// Loop bodies belong to every path (their nodes carry a loop_frequency
+// multiplier); conditionals *inside* loops are resolved once per path, which
+// approximates the dominant-iteration behaviour the paper's profile-driven
+// flow relies on.
 #pragma once
 
 #include <cstdint>
@@ -20,21 +20,15 @@ namespace partita::cdfg {
 struct ExecPath {
   /// Atomic nodes on the path, in program order.
   std::vector<NodeIndex> nodes;
-  /// Profile probability of this path (product of arm probabilities).
-  double probability = 1.0;
 
   bool contains(NodeIndex n) const;
-
-  /// Total software cycles along the path, honouring loop frequencies.
-  /// Call-node cycles must have been annotated (Cdfg::annotate_call_cycles).
-  std::int64_t software_cycles(const Cdfg& g) const;
 };
 
 /// Hard cap on enumerated paths. Enumeration walks the decision vectors
 /// then-arm first and stops after kMaxPaths of them, before merging the ones
 /// that materialize the same nodes: past 12 conditionals the last vectors in
-/// that order are dropped, whatever their probability. Only greedy and the
-/// oracle read the list.
+/// that order are dropped. Selection never reads the list; only the oracle
+/// checks answers against it.
 inline constexpr std::size_t kMaxPaths = 4096;
 
 /// The conditionals of a function as a tree of scopes. Scope 0 is the

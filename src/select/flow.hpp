@@ -53,11 +53,15 @@ class Flow {
   }
 
   Selection greedy(std::int64_t required_gain) const {
-    return greedy_select(*db_, *library_, *entry_cdfg_, paths_, required_gain);
+    return greedy_select(*db_, *library_, *entry_cdfg_, selector_->cond_tree(),
+                         required_gain);
   }
 
+  /// The pre-paper baseline: the exact ILP on the IMPs prior_art_allows keeps.
   Selection prior_art(std::int64_t required_gain) const {
-    return prior_art_select(*db_, *library_, *entry_cdfg_, paths_, required_gain);
+    SelectOptions opt;
+    opt.imp_filter = prior_art_allows;
+    return selector_->select(required_gain, opt);
   }
 
   /// Largest uniform required gain that is still feasible: maximizes the

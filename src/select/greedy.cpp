@@ -5,33 +5,65 @@
 
 namespace partita::select {
 
+namespace {
+
+/// Per scope of `tree`, the number of execution paths through it that pass
+/// through no scope whose worst path meets `required_gain` (every path
+/// through such a scope meets it): those inside its subtree times the ways
+/// to resolve every conditional outside it. `worst` holds the worst gain
+/// over the paths through each scope.
+std::vector<double> open_paths_through(const cdfg::CondTree& tree,
+                                       const std::vector<std::int64_t>& worst,
+                                       std::int64_t required_gain) {
+  using cdfg::CondTree;
+  std::vector<double> inside(tree.scope_count());
+  for (std::size_t s = 0; s < inside.size(); ++s) inside[s] = worst[s] < required_gain;
+  for (std::size_t c = tree.conds.size(); c-- > 0;) {
+    inside[tree.conds[c].parent_scope] *=
+        inside[CondTree::arm_scope(c, true)] + inside[CondTree::arm_scope(c, false)];
+  }
+  std::vector<double> through = inside;
+  for (std::size_t c = 0; c < tree.conds.size(); ++c) {
+    const std::size_t t = CondTree::arm_scope(c, true), f = CondTree::arm_scope(c, false);
+    const double arms = inside[t] + inside[f];
+    const double share = arms > 0 ? through[tree.conds[c].parent_scope] / arms : 0.0;
+    through[t] = share * inside[t];
+    through[f] = share * inside[f];
+  }
+  return through;
+}
+
+}  // namespace
+
 Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
-                        const cdfg::Cdfg& entry_cdfg,
-                        const std::vector<cdfg::ExecPath>& paths,
+                        const cdfg::Cdfg& entry_cdfg, const cdfg::CondTree& tree,
                         std::int64_t required_gain) {
   const std::vector<isel::Imp>& imps = db.imps();
 
   std::vector<isel::ImpIndex> chosen;
   std::set<ir::CallSiteId> taken;  // s-calls implemented so far
   std::vector<bool> blocked(imps.size(), false);  // excluded by SC-PC conflicts
-  std::vector<std::uint32_t> ips_used;
-
-  auto path_deficit = [&](const cdfg::ExecPath& p) {
-    return required_gain - path_gain(chosen, db, entry_cdfg, p);
-  };
+  std::set<std::uint32_t> ips_used;  // IP ids instantiated so far
 
   while (true) {
-    // Collect unsatisfied paths.
-    std::vector<std::size_t> unsat;
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      if (path_deficit(paths[p]) > 0) unsat.push_back(p);
+    std::vector<std::int64_t> worst = worst_scope_gains(chosen, db, entry_cdfg, tree);
+    if (worst[0] >= required_gain) break;
+    // Top-down, parents first: the worst path through an arm is the worst
+    // path through its parent scope with the conditional's smaller arm
+    // swapped for this one.
+    for (std::size_t c = 0; c < tree.conds.size(); ++c) {
+      std::int64_t& t = worst[cdfg::CondTree::arm_scope(c, true)];
+      std::int64_t& f = worst[cdfg::CondTree::arm_scope(c, false)];
+      const std::int64_t rest = worst[tree.conds[c].parent_scope] - std::min(t, f);
+      t += rest;
+      f += rest;
     }
-    if (unsat.empty()) break;
+    const std::vector<double> through = open_paths_through(tree, worst, required_gain);
 
-    // Pick the IMP with the best useful-gain / marginal-area ratio.
+    // Pick the IMP with the best useful-gain / marginal-area ratio, if any
+    // helps: the first strict maximum.
     double best_ratio = 0;
     isel::ImpIndex best = 0;
-    bool found = false;
     for (std::size_t j = 0; j < imps.size(); ++j) {
       const isel::Imp& imp = imps[j];
       if (blocked[j] || taken.count(imp.scall)) continue;
@@ -39,46 +71,34 @@ Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib
       if (!sc || sc->node == cdfg::kInvalidNode) continue;
       // A consumed s-call that is already implemented in hardware blocks the
       // PC variant.
-      bool conflict = false;
-      for (ir::CallSiteId c : imp.pc_consumed_scalls) {
-        if (taken.count(c)) conflict = true;
+      if (std::any_of(imp.pc_consumed_scalls.begin(), imp.pc_consumed_scalls.end(),
+                      [&](ir::CallSiteId c) { return taken.count(c) != 0; })) {
+        continue;
       }
-      if (conflict) continue;
 
-      std::int64_t useful = 0;
-      for (std::size_t p : unsat) {
-        if (!paths[p].contains(sc->node)) continue;
-        const std::int64_t contribution =
-            imp.gain_per_exec * entry_cdfg.node(sc->node).loop_frequency;
-        useful += std::min(contribution, path_deficit(paths[p]));
-      }
+      const std::size_t s = tree.node_scope[sc->node];
+      if (worst[s] >= required_gain) continue;
+      const std::int64_t contribution =
+          imp.gain_per_exec * entry_cdfg.node(sc->node).loop_frequency;
+      const double useful = through[s] * static_cast<double>(std::min(
+                                             contribution, required_gain - worst[s]));
       if (useful <= 0) continue;
 
-      double marginal_area = imp.interface_area;
-      if (std::find(ips_used.begin(), ips_used.end(), imp.ip.value) == ips_used.end()) {
-        marginal_area += lib.ip(imp.ip).area;
-      }
-      const double ratio =
-          static_cast<double>(useful) / std::max(marginal_area, 1e-9);
+      const double marginal_area =
+          imp.interface_area + (ips_used.count(imp.ip.value) ? 0.0 : lib.ip(imp.ip).area);
+      const double ratio = useful / std::max(marginal_area, 1e-9);
       if (ratio > best_ratio) {
         best_ratio = ratio;
         best = static_cast<isel::ImpIndex>(j);
-        found = true;
       }
     }
 
-    if (!found) {
-      Selection sel;
-      sel.feasible = false;  // greedy dead end
-      return sel;
-    }
+    if (best_ratio <= 0) return Selection{};  // greedy dead end: infeasible
 
     const isel::Imp& pick = imps[best];
     chosen.push_back(best);
     taken.insert(pick.scall);
-    if (std::find(ips_used.begin(), ips_used.end(), pick.ip.value) == ips_used.end()) {
-      ips_used.push_back(pick.ip.value);
-    }
+    ips_used.insert(pick.ip.value);
     // Block every IMP whose PC consumes the picked s-call, and every IMP of
     // the s-calls the pick consumed.
     for (std::size_t j = 0; j < imps.size(); ++j) {
@@ -91,27 +111,12 @@ Selection greedy_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib
     }
   }
 
-  Selection sel =
-      decode_selection(chosen, db, lib, entry_cdfg, cdfg::conditional_tree(entry_cdfg));
-  // The loop met the requirement on the enumerated paths only; past 12
-  // conditionals a path the list never held can still miss it.
-  if (sel.min_path_gain < required_gain) return Selection{};
-  return sel;
+  return decode_selection(chosen, db, lib, entry_cdfg, tree);
 }
 
 bool prior_art_allows(const isel::Imp& imp) {
   return imp.iface_type == iface::InterfaceType::kType0 &&
          imp.pc_use == isel::PcUse::kNone;
-}
-
-Selection prior_art_select(const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
-                           const cdfg::Cdfg& entry_cdfg,
-                           const std::vector<cdfg::ExecPath>& paths,
-                           std::int64_t required_gain, const SelectOptions& opt) {
-  Selector selector(db, lib, entry_cdfg, paths);
-  SelectOptions prior = opt;
-  prior.imp_filter = prior_art_allows;
-  return selector.select(required_gain, prior);
 }
 
 }  // namespace partita::select

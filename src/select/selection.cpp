@@ -36,9 +36,10 @@ std::int64_t path_gain(const std::vector<isel::ImpIndex>& chosen,
   return g;
 }
 
-std::int64_t worst_path_gain(const std::vector<isel::ImpIndex>& chosen,
-                             const isel::ImpDatabase& db, const cdfg::Cdfg& entry_cdfg,
-                             const cdfg::CondTree& tree) {
+std::vector<std::int64_t> worst_scope_gains(const std::vector<isel::ImpIndex>& chosen,
+                                            const isel::ImpDatabase& db,
+                                            const cdfg::Cdfg& entry_cdfg,
+                                            const cdfg::CondTree& tree) {
   std::vector<std::int64_t> gain(tree.scope_count(), 0);
   for (isel::ImpIndex idx : chosen) {
     const isel::Imp& imp = db.imps()[idx];
@@ -53,7 +54,7 @@ std::int64_t worst_path_gain(const std::vector<isel::ImpIndex>& chosen,
         std::min(gain[cdfg::CondTree::arm_scope(c, true)],
                  gain[cdfg::CondTree::arm_scope(c, false)]);
   }
-  return gain[0];
+  return gain;
 }
 
 Selection decode_selection(const std::vector<isel::ImpIndex>& chosen,
@@ -87,7 +88,7 @@ Selection decode_selection(const std::vector<isel::ImpIndex>& chosen,
   sel.s_instructions = static_cast<int>(s_instr.size());
   sel.selected_scalls = static_cast<int>(sel.chosen.size());
 
-  sel.min_path_gain = worst_path_gain(sel.chosen, db, entry_cdfg, tree);
+  sel.min_path_gain = worst_scope_gains(sel.chosen, db, entry_cdfg, tree)[0];
   return sel;
 }
 

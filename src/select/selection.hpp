@@ -100,11 +100,14 @@ Selection decode_selection(const std::vector<isel::ImpIndex>& chosen,
                            const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
                            const cdfg::Cdfg& entry_cdfg, const cdfg::CondTree& tree);
 
-/// Achieved gain of a chosen IMP set on its worst path, over every path: each
-/// scope's chosen gains, plus per conditional its smaller arm.
-std::int64_t worst_path_gain(const std::vector<isel::ImpIndex>& chosen,
-                             const isel::ImpDatabase& db, const cdfg::Cdfg& entry_cdfg,
-                             const cdfg::CondTree& tree);
+/// Achieved gain of a chosen IMP set per scope of `tree`, folded bottom-up:
+/// entry s is the worst gain over the paths inside s's subtree -- the scope's
+/// own chosen gains plus, per conditional directly in it, its smaller arm's
+/// entry. Entry 0 is the worst path's gain, over every path.
+std::vector<std::int64_t> worst_scope_gains(const std::vector<isel::ImpIndex>& chosen,
+                                            const isel::ImpDatabase& db,
+                                            const cdfg::Cdfg& entry_cdfg,
+                                            const cdfg::CondTree& tree);
 
 /// Achieved gain of a chosen IMP set on one execution path: the sum of
 /// per-execution gains times the loop frequency of each s-call node on the

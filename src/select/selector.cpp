@@ -52,7 +52,7 @@ std::vector<isel::ImpIndex> chosen_imps(const ilp::IlpResult& r, std::size_t imp
 std::int64_t Selector::uniform_gain(const std::vector<std::int64_t>& required_gains) const {
   // invariant: callers expand one RG to one entry per path; no user input
   // reaches this signature.
-  PARTITA_ASSERT(required_gains.size() == paths_.size() && !required_gains.empty());
+  PARTITA_ASSERT(required_gains.size() == path_count_ && !required_gains.empty());
   PARTITA_ASSERT(std::all_of(required_gains.begin(), required_gains.end(),
                              [&](std::int64_t g) { return g == required_gains.front(); }));
   return required_gains.front();
@@ -266,7 +266,7 @@ Selection Selector::finish_selection(const ilp::IlpResult& r, std::int64_t requi
   const bool cancelled =
       r.stats.termination == ilp::TerminationReason::kCancelled;
   if (truncated && !cancelled && !opt.imp_filter && !opt.max_power && opt.problem2) {
-    Selection greedy = greedy_select(db_, lib_, entry_cdfg_, paths_, required_gain);
+    Selection greedy = greedy_select(db_, lib_, entry_cdfg_, tree_, required_gain);
     if (greedy.feasible &&
         (!sel.feasible || greedy.total_area() < sel.total_area())) {
       greedy.greedy_fallback = true;
@@ -432,7 +432,8 @@ std::int64_t Selector::max_feasible_gain(const SelectOptions& opt) const {
   // truncating it would derive a gain one too low. G_min's own bound caps
   // it as in the model.
   return std::min(static_cast<std::int64_t>(ub),
-                  worst_path_gain(chosen_imps(r, db_.imps().size()), db_, entry_cdfg_, tree_));
+                  worst_scope_gains(chosen_imps(r, db_.imps().size()), db_, entry_cdfg_,
+                                    tree_)[0]);
 }
 
 }  // namespace partita::select

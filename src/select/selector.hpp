@@ -61,9 +61,10 @@ struct SelectOptions {
 
 class Selector {
  public:
+  /// Only the length of `paths` is kept, as path_count().
   Selector(const isel::ImpDatabase& db, const iplib::IpLibrary& lib,
            const cdfg::Cdfg& entry_cdfg, const std::vector<cdfg::ExecPath>& paths)
-      : db_(db), lib_(lib), entry_cdfg_(entry_cdfg), paths_(paths),
+      : db_(db), lib_(lib), entry_cdfg_(entry_cdfg), path_count_(paths.size()),
         tree_(cdfg::conditional_tree(entry_cdfg)) {}
 
   /// Solves with the required gain T = required_gain on every path: a
@@ -107,7 +108,9 @@ class Selector {
 
   /// Number of execution paths: the length build_model and select_seeded
   /// expect of their (uniform) gains vector.
-  std::size_t path_count() const { return paths_.size(); }
+  std::size_t path_count() const { return path_count_; }
+  /// entry_cdfg's conditional tree: the Eq. 2 form.
+  const cdfg::CondTree& cond_tree() const { return tree_; }
 
   /// Exposes the built ILP (for tests and debugging dumps) at the uniform
   /// gain that `required_gains` (path_count() equal entries) holds. Eq. 2 is
@@ -156,7 +159,7 @@ class Selector {
   const isel::ImpDatabase& db_;
   const iplib::IpLibrary& lib_;
   const cdfg::Cdfg& entry_cdfg_;
-  const std::vector<cdfg::ExecPath>& paths_;
+  const std::size_t path_count_;
   const cdfg::CondTree tree_;
 };
 

@@ -3,6 +3,7 @@
 // bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -92,6 +93,42 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpBoundProperty, ::testing::Range(0, 15));
 
 class PathProperty : public ::testing::TestWithParam<int> {};
 
+// Profile probability of each listed path. Every decision vector (one arm per
+// conditional, in conditional_tree order) has the product of its arms'
+// probabilities and materializes the nodes whose branch frames all agree with
+// it; that mass goes to the listed path with those nodes, or nowhere.
+std::vector<double> path_probabilities(const cdfg::Cdfg& g,
+                                       const std::vector<cdfg::ExecPath>& paths) {
+  const cdfg::CondTree tree = cdfg::conditional_tree(g);
+  const std::size_t k = tree.conds.size();
+  auto else_arm = [&](std::uint64_t code, ir::StmtId stmt) {
+    std::size_t c = 0;
+    while (tree.conds[c].stmt != stmt) ++c;
+    return ((code >> c) & 1) != 0;
+  };
+  std::vector<double> prob(paths.size(), 0.0);
+  for (std::uint64_t code = 0; code < (std::uint64_t{1} << k); ++code) {
+    double mass = 1.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double taken = g.function().stmt(tree.conds[c].stmt).taken_prob;
+      mass *= ((code >> c) & 1) ? 1.0 - taken : taken;
+    }
+    std::vector<cdfg::NodeIndex> nodes;
+    for (cdfg::NodeIndex n = 0; n < g.node_count(); ++n) {
+      const std::vector<cdfg::BranchFrame>& ctx = g.node(n).branch_ctx;
+      if (std::all_of(ctx.begin(), ctx.end(), [&](const cdfg::BranchFrame& f) {
+            return f.then_arm != else_arm(code, f.if_stmt);
+          })) {
+        nodes.push_back(n);
+      }
+    }
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (paths[i].nodes == nodes) prob[i] += mass;
+    }
+  }
+  return prob;
+}
+
 TEST_P(PathProperty, ProbabilitiesPartitionToOne) {
   workloads::RandomWorkloadParams p;
   workloads::Workload w =
@@ -99,7 +136,10 @@ TEST_P(PathProperty, ProbabilitiesPartitionToOne) {
   cdfg::Cdfg g(w.module, w.module.function(w.module.entry()));
   const auto paths = cdfg::enumerate_paths(g);
   double total = 0;
-  for (const cdfg::ExecPath& path : paths) total += path.probability;
+  for (const double prob : path_probabilities(g, paths)) {
+    EXPECT_GT(prob, 0.0);
+    total += prob;
+  }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
@@ -126,9 +166,14 @@ TEST_P(PathProperty, ExpectedPathCyclesMatchProfile) {
   cdfg::Cdfg g(w.module, w.module.function(w.module.entry()));
   g.annotate_call_cycles([&](ir::FuncId f) { return prof.cycles_of(f); });
   const auto paths = cdfg::enumerate_paths(g);
+  const std::vector<double> prob = path_probabilities(g, paths);
   double expected = 0;
-  for (const cdfg::ExecPath& path : paths) {
-    expected += path.probability * static_cast<double>(path.software_cycles(g));
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    std::int64_t cycles = 0;
+    for (cdfg::NodeIndex n : paths[i].nodes) {
+      cycles += g.node(n).cycles * g.node(n).loop_frequency;
+    }
+    expected += prob[i] * static_cast<double>(cycles);
   }
   // The profiler rounds per-if; allow proportional slack.
   EXPECT_NEAR(expected, static_cast<double>(prof.total_cycles),

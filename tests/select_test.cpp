@@ -527,6 +527,22 @@ TEST(Baselines, GreedyFeasibleButNeverCheaperThanIlp) {
   }
 }
 
+// Fig. 10: once iir's path meets the requirement, the fir both paths share
+// is worth only what it adds to dct's path. Counting every path through the
+// shared code would buy the fir IP on top of dct's and iir's (area 42.78).
+TEST(Baselines, GreedyCountsOnlyPathsThatStillMiss) {
+  workloads::Workload w = workloads::fig10_case();
+  Flow flow(w.module, w.library);
+  const Selection sel = flow.greedy(flow.max_feasible_gain() / 2);
+  ASSERT_TRUE(sel.feasible);
+  std::vector<std::uint32_t> scalls;
+  for (isel::ImpIndex idx : sel.chosen) {
+    scalls.push_back(flow.imp_database().imps()[idx].scall.value());
+  }
+  EXPECT_EQ(scalls, (std::vector<std::uint32_t>{0, 3}));  // dct and iir
+  EXPECT_NEAR(sel.total_area(), 32.52, 1e-9);
+}
+
 TEST(Baselines, PriorArtRestrictedToType0NoPc) {
   workloads::Workload w = workloads::gsm_decoder();
   Flow flow(w.module, w.library);
@@ -800,10 +816,9 @@ TEST(PathFree, WideInstanceMatchesSampledPaths) {
   for (const cdfg::ExecPath& p : sample) EXPECT_GE(path_gain(sel.chosen, db, g, p), gmax);
 }
 
-// Greedy checks only the enumerated paths; past 12 conditionals it can
-// call a selection feasible that misses the requirement on a path it never
-// saw. The ladder must not answer with such a selection: with a one-node
-// search every greedy-fallback answer meets its requirement on every path.
+// Past 12 conditionals the path list is truncated, so the ladder's answers
+// are checked against every path: with a one-node search every
+// greedy-fallback answer meets its requirement on every path.
 TEST(PathFree, GreedyFallbackMeetsRequirementOnEveryPath) {
   int fallbacks = 0;
   for (const auto& [sites, seed] : std::vector<std::pair<int, std::uint64_t>>{
@@ -832,6 +847,36 @@ TEST(PathFree, GreedyFallbackMeetsRequirementOnEveryPath) {
     }
   }
   EXPECT_GT(fallbacks, 0);
+}
+
+// Greedy runs on the conditional tree, so past 12 conditionals it finds the
+// answer the truncated path list hid: where a one-node search has no
+// incumbent, the ladder answers with greedy instead of "infeasible (not
+// proven)", and the answer meets the requirement on every path.
+TEST(PathFree, TreeGreedyAnswersWhereTheSearchHasNoIncumbent) {
+  for (const auto& [seed, ks] : std::vector<std::pair<std::uint64_t, std::vector<int>>>{
+           {6, {2, 3}}, {35, {2}}}) {
+    workloads::RandomWorkloadParams params;
+    params.call_sites = 30;
+    const workloads::Workload w = workloads::random_workload(params, seed);
+    const Flow flow(w.module, w.library);
+    SCOPED_TRACE("30 call sites, seed " + std::to_string(seed));
+    ASSERT_GT(cdfg::conditional_tree(flow.entry_cdfg()).conds.size(), 12u);
+    const std::vector<cdfg::ExecPath> paths = uncapped_paths(flow.entry_cdfg());
+    const std::int64_t gmax = flow.max_feasible_gain();
+    for (const int k : ks) {
+      const std::int64_t rg = gmax * k / 4;
+      SCOPED_TRACE("rg = gmax * " + std::to_string(k) + " / 4");
+      SelectOptions opt;
+      opt.ilp.max_nodes = 1;
+      const Selection sel = flow.select(rg, opt);
+      ASSERT_EQ(sel.rung, DegradationRung::kGreedyFallback) << sel.degradation_detail;
+      for (const cdfg::ExecPath& p : paths) {
+        EXPECT_GE(path_gain(sel.chosen, flow.imp_database(), flow.entry_cdfg(), p), rg);
+      }
+      EXPECT_GE(sel.min_path_gain, rg);
+    }
+  }
 }
 
 // --- property: on random workloads the ILP never loses to greedy -----------------------
