@@ -14,15 +14,12 @@
 //                  neighbor-seeded near-repeats. Every cached / seeded answer
 //                  is checked bit-identical to a cold solve; a disagreement
 //                  exits 2;
-//   * durability-- cost and payoff of the write-ahead journal
-//                  (docs/durability.md): closed-loop submit->complete p50/p99
-//                  against a journaled service vs a journal-less control
-//                  (every request pays an fsynced admit + terminal record),
-//                  gated at <10% + 2 ms overhead on the p50s and on the
-//                  median paired per-round difference, and the wall clock a
-//                  checkpoint-resume saves vs a cold re-solve of the sized
-//                  random workload (the kill-mid-search recovery scenario).
-//                  Resumed answers are held to the same bit-identity gate.
+//   * durability-- cost of the write-ahead journal (docs/durability.md):
+//                  closed-loop submit->complete p50/p99 against a journaled
+//                  service vs a journal-less control (every request pays an
+//                  fsynced admit + terminal record), gated at <10% + 2 ms
+//                  overhead on the p50s and on the median paired per-round
+//                  difference.
 //
 // Output: a partita-bench-v2 JSON record (schema in docs/benchmarks.md) at
 // --out. Without --out a full run writes BENCH_<date>.json into the working
@@ -51,7 +48,6 @@
 
 #include "bench_meta.hpp"
 #include "durability_gate.hpp"
-#include "ilp/checkpoint.hpp"
 #include "select/flow.hpp"
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
@@ -65,7 +61,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using partita::bench::percentile_ms;
 using partita::select::Flow;
-using partita::select::SelectOptions;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -334,15 +329,6 @@ struct DurabilityResult {
   long long admits = 0;
   long long terminals = 0;
   bool gate_failed = false;
-  // Checkpoint-resume payoff: wall clock vs a cold re-solve of the same
-  // instance (the recovery path after a kill mid-search).
-  int sites = 0;
-  double cold_seconds = 0.0;
-  double resume_seconds = 0.0;
-  double saved_seconds = 0.0;
-  double saved_fraction = 0.0;
-  int frontier_nodes = 0;
-  int waves = 0;
 };
 
 /// One closed-loop round trip; submit->complete latency in ms. A non-empty
@@ -386,12 +372,12 @@ void remove_journal_dir(const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
-/// Write-ahead-journal overhead and checkpoint-resume payoff.
+/// Write-ahead-journal overhead.
 DurabilityResult bench_durability(bool smoke) {
   DurabilityResult res;
   res.requests = smoke ? 24 : 64;
 
-  // Overhead leg. Closed loop so every latency sample carries the request's
+  // Closed loop so every latency sample carries the request's
   // full durable cost: one fsynced admit record before acknowledgment plus
   // one fsynced terminal record before completion. The two legs are held
   // open side by side and the request stream alternates between them (order
@@ -453,52 +439,6 @@ DurabilityResult bench_durability(bool smoke) {
   res.admits = static_cast<long long>(jstats.admits);
   res.terminals = static_cast<long long>(jstats.terminals);
 
-  // Payoff leg: cold-select the sized random workload at the gmax/2
-  // operating point while capturing a checkpoint at every wave boundary --
-  // the same IlpOptions plumbing the journaled service uses -- then resume
-  // from the last snapshot that still had open nodes (the state a restarted
-  // daemon loads after a kill mid-search). Auxiliary solves inside select()
-  // also feed the sink; resume_compatible sorts that out exactly as it does
-  // in production, cold-starting every solve the snapshot does not fit.
-  res.sites = smoke ? 24 : 48;
-  const partita::workloads::Workload cw = sized_workload(res.sites, 4242);
-  Flow cflow(cw.module, cw.library);
-  const std::int64_t rg = cflow.max_feasible_gain() / 2;
-
-  Clock::time_point t0 = Clock::now();
-  const partita::select::Selection cold = cflow.select(rg, SelectOptions{});
-  res.cold_seconds = seconds_since(t0);
-
-  std::vector<partita::ilp::SearchCheckpoint> snaps;
-  SelectOptions capture;
-  capture.ilp.checkpoint_every_waves = 1;
-  capture.ilp.checkpoint_sink =
-      [&snaps](const partita::ilp::SearchCheckpoint& cp) { snaps.push_back(cp); };
-  cflow.select(rg, capture);
-  const partita::ilp::SearchCheckpoint* pick = nullptr;
-  for (const partita::ilp::SearchCheckpoint& cp : snaps) {
-    if (!cp.frontier.empty()) pick = &cp;
-  }
-  if (pick == nullptr && !snaps.empty()) pick = &snaps.back();
-  if (pick != nullptr) {
-    res.waves = pick->waves;
-    res.frontier_nodes = static_cast<int>(pick->frontier.size());
-    SelectOptions resume;
-    resume.ilp.resume = pick;
-    t0 = Clock::now();
-    const partita::select::Selection warm = cflow.select(rg, resume);
-    res.resume_seconds = seconds_since(t0);
-    if (partita::select::solution_signature(warm) !=
-        partita::select::solution_signature(cold)) {
-      std::fprintf(stderr,
-                   "bench_all: ANSWER GATE: checkpoint-resume answer differs "
-                   "from cold solve\n");
-      std::exit(2);
-    }
-    res.saved_seconds = res.cold_seconds - res.resume_seconds;
-    res.saved_fraction =
-        res.cold_seconds > 0 ? res.saved_seconds / res.cold_seconds : 0.0;
-  }
   return res;
 }
 
@@ -559,13 +499,7 @@ std::string render_json(const partita::bench::MachineMeta& meta, bool smoke,
      << ", \"paired_diff_p50_ms\": " << fmt(dur.paired_diff_p50_ms)
      << ", \"gate_bound_ms\": " << fmt(dur.gate_bound_ms)
      << ", \"admits\": " << dur.admits << ", \"terminals\": " << dur.terminals
-     << ", \"checkpoint_sites\": " << dur.sites
-     << ", \"cold_seconds\": " << fmt(dur.cold_seconds)
-     << ", \"resume_seconds\": " << fmt(dur.resume_seconds)
-     << ", \"saved_seconds\": " << fmt(dur.saved_seconds)
-     << ", \"saved_fraction\": " << fmt(dur.saved_fraction)
-     << ", \"frontier_nodes\": " << dur.frontier_nodes
-     << ", \"waves\": " << dur.waves << "}\n";
+     << "}\n";
   os << "}\n";
   return os.str();
 }
@@ -683,11 +617,6 @@ int main(int argc, char** argv) {
       dur.plain_p50_ms, dur.journaled_p50_ms, dur.overhead_p50, dur.plain_p99_ms,
       dur.journaled_p99_ms, dur.overhead_p99, dur.paired_diff_p50_ms,
       dur.gate_bound_ms, dur.admits, dur.terminals);
-  std::printf(
-      "durability checkpoint-resume %d-site: cold %.3fs, resume %.3fs "
-      "(%.1f%% saved; %d open nodes at wave %d)\n",
-      dur.sites, dur.cold_seconds, dur.resume_seconds,
-      dur.saved_fraction * 100.0, dur.frontier_nodes, dur.waves);
 
   if (!out_path.empty()) {
     std::ofstream(out_path) << render_json(meta, smoke, e2e, svc, cache, dur);

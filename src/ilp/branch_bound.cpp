@@ -6,9 +6,7 @@
 #include <memory>
 #include <optional>
 
-#include "ilp/checkpoint.hpp"
 #include "ilp/cuts.hpp"
-#include "ilp/fingerprint.hpp"
 #include "ilp/presolve.hpp"
 #include "support/assert.hpp"
 #include "support/fault_injection.hpp"
@@ -160,29 +158,22 @@ class Solver {
     lane_.lo.resize(model_.var_count());
     lane_.hi.resize(model_.var_count());
 
-    // Resume seeds the open set with the checkpointed frontier instead of
-    // the root; a checkpoint for a different model or under different
-    // answer-affecting options is ignored and the search starts cold.
-    bool resumed = false;
-    if (opt_.resume != nullptr) resumed = import_checkpoint(*opt_.resume);
-    if (!resumed) {
-      nodes_.push_back(Node{});
-      if (opt_.warm_start && !root_basis_.empty() &&
-          root_basis_.status.size() ==
-              search_model_->var_count() + search_model_->row_count()) {
-        // Node 0 re-prices from the already-optimal root basis instead of
-        // re-running phase 1 + 2 on the relaxation just solved above.
-        nodes_[0].basis_id = store_basis(std::move(root_basis_));
-        basis_refs_[nodes_[0].basis_id] = 1;
-      }
-      push_open(0);
+    nodes_.push_back(Node{});
+    if (opt_.warm_start && !root_basis_.empty() &&
+        root_basis_.status.size() ==
+            search_model_->var_count() + search_model_->row_count()) {
+      // Node 0 re-prices from the already-optimal root basis instead of
+      // re-running phase 1 + 2 on the relaxation just solved above.
+      nodes_[0].basis_id = store_basis(std::move(root_basis_));
+      basis_refs_[nodes_[0].basis_id] = 1;
     }
+    push_open(0);
 
     // ---- wave loop ---------------------------------------------------------
     // Each wave solves exactly one node LP. The top of each iteration is a
     // *wave boundary*: the only point where the budget is consulted, so
     // cancellation never interrupts a node LP and repeated runs stop at the
-    // same wave. Checkpoint k happens after k-1 completed waves.
+    // same wave.
     TerminationReason stop = TerminationReason::kCompleted;
     while (true) {
       if (const auto over = budget_exceeded()) {
@@ -196,11 +187,6 @@ class Solver {
       if (!next_node()) break;  // no plunge continuation and the heap is empty
       solve_node();
       ++result_.stats.waves;
-      if (opt_.checkpoint_every_waves > 0 && opt_.checkpoint_sink &&
-          result_.stats.waves % opt_.checkpoint_every_waves == 0) {
-        opt_.checkpoint_sink(build_checkpoint());
-        ++result_.stats.checkpoints_written;
-      }
     }
 
     finish(stop, t0);
@@ -299,116 +285,6 @@ class Solver {
     int plunge = 0;  // consecutive dives
   };
 
-  // --- checkpoint/resume ----------------------------------------------------
-
-  /// Snapshot of the live search at a wave boundary: every open node (heap
-  /// + the parked plunge continuation) as a fix delta against the
-  /// presolved root, the incumbent, and the pseudo-cost tables.
-  SearchCheckpoint build_checkpoint() {
-    SearchCheckpoint cp;
-    cp.model_fp = fingerprint_model(model_);
-    cp.options_digest = digest_options(opt_);
-    cp.waves = result_.stats.waves;
-    cp.nodes = result_.stats.nodes;
-    if (has_incumbent_) {
-      cp.has_incumbent = true;
-      cp.incumbent = incumbent_x_;
-    }
-    for (int d = 0; d < 2; ++d) {
-      cp.pc_sum[d] = pc_sum_[d];
-      cp.pc_cnt[d] = pc_cnt_[d];
-    }
-    const auto add_node = [&](std::int32_t id) {
-      const Node& node = nodes_[id];
-      CheckpointNode cn;
-      // The unsolved root is the only node with an infinite bound and is
-      // consumed in wave 1, before any checkpoint; clamp defensively so the
-      // JSON document never carries a non-finite number.
-      cn.bound = std::isfinite(node.bound) ? node.bound : -1e300;
-      cn.has_parent_obj = node.has_parent_obj;
-      cn.parent_obj = node.parent_obj;
-      cn.branch_var = node.branch_var;
-      cn.branch_frac = node.branch_frac;
-      cn.branch_up = node.branch_up;
-      reconstruct_bounds(id, scratch_lo_, scratch_hi_);
-      for (std::size_t j = 0; j < scratch_lo_.size(); ++j) {
-        if (scratch_lo_[j] == scratch_hi_[j] && root_lo_[j] != root_hi_[j]) {
-          cn.fixes.emplace_back(static_cast<std::uint32_t>(j), scratch_lo_[j]);
-        }
-      }
-      if (node.basis_id >= 0) {
-        const Basis& b = bases_[node.basis_id];
-        cn.basis.reserve(b.status.size());
-        for (const BasisStatus st : b.status) {
-          cn.basis.push_back(static_cast<std::uint8_t>(st));
-        }
-      }
-      cp.frontier.push_back(std::move(cn));
-    };
-    for (const HeapEntry& e : open_) add_node(e.id);
-    if (lane_.node_id >= 0) add_node(lane_.node_id);
-    return cp;
-  }
-
-  /// Seeds the search from a checkpoint: validates compatibility, restores
-  /// the pseudo-cost tables, re-audits the incumbent (offer_incumbent drops
-  /// an infeasible seed), and recreates every frontier node as a parentless
-  /// arena node whose fixes are the full root-to-node delta. Returns false
-  /// (cold start) on any mismatch.
-  bool import_checkpoint(const SearchCheckpoint& cp) {
-    if (!resume_compatible(cp, fingerprint_model(model_), digest_options(opt_))) {
-      return false;
-    }
-    const std::size_t n = model_.var_count();
-    if (cp.has_incumbent && cp.incumbent.size() != n) return false;
-    for (const CheckpointNode& cn : cp.frontier) {
-      for (const auto& [j, val] : cn.fixes) {
-        if (j >= n) return false;
-      }
-    }
-    if (cp.pc_sum[0].size() == n && cp.pc_sum[1].size() == n &&
-        cp.pc_cnt[0].size() == n && cp.pc_cnt[1].size() == n) {
-      for (int d = 0; d < 2; ++d) {
-        pc_sum_[d] = cp.pc_sum[d];
-        pc_cnt_[d] = cp.pc_cnt[d];
-      }
-    }
-    if (cp.has_incumbent) offer_incumbent(cp.incumbent);
-    const std::size_t basis_len =
-        search_model_->var_count() + search_model_->row_count();
-    for (const CheckpointNode& cn : cp.frontier) {
-      Node node;
-      node.bound = cn.bound;
-      node.parent = -1;  // fixes are the complete delta vs the presolved root
-      node.first_fix = static_cast<std::uint32_t>(fixes_.size());
-      for (const auto& [j, val] : cn.fixes) {
-        fixes_.emplace_back(static_cast<VarIndex>(j), val);
-      }
-      node.fix_count = static_cast<std::uint32_t>(fixes_.size()) - node.first_fix;
-      node.branch_var = static_cast<VarIndex>(cn.branch_var);
-      node.branch_frac = static_cast<float>(cn.branch_frac);
-      node.branch_up = cn.branch_up;
-      node.has_parent_obj = cn.has_parent_obj;
-      node.parent_obj = cn.parent_obj;
-      // A basis whose shape no longer matches the search model (e.g. a
-      // different cut-row count) is dropped: the node LP solves cold, which
-      // is slower but answer-identical.
-      if (!cn.basis.empty() && cn.basis.size() == basis_len) {
-        Basis b;
-        b.status.reserve(cn.basis.size());
-        for (const std::uint8_t st : cn.basis) {
-          b.status.push_back(static_cast<BasisStatus>(st));
-        }
-        node.basis_id = store_basis(std::move(b));
-        basis_refs_[node.basis_id] = 1;
-      }
-      nodes_.push_back(node);
-      push_open(static_cast<std::int32_t>(nodes_.size()) - 1);
-    }
-    result_.stats.resumed_frontier = static_cast<int>(cp.frontier.size());
-    return true;
-  }
-
   // --- resource budget ------------------------------------------------------
 
   /// Bytes currently committed to the search arenas (nodes, fix deltas,
@@ -425,8 +301,8 @@ class Solver {
     return bytes;
   }
 
-  /// Wave-boundary checkpoint. The "ilp.deadline" fault site models an
-  /// expired deadline (trip-at-Nth-checkpoint), which is how tests exercise
+  /// Wave-boundary check. The "ilp.deadline" fault site models an
+  /// expired deadline (trip-at-Nth-check), which is how tests exercise
   /// the cancellation path without real clock pressure. The cancel token is
   /// consulted first, so a cancelled solve reports kCancelled even when a
   /// deadline expired in the same wave. The deadline reads the *injected*

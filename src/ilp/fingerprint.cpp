@@ -89,7 +89,7 @@ std::uint64_t digest_options(const IlpOptions& opt) {
   std::uint64_t d = fp_mix(kSeedOpt);
   d = mix2(d, static_cast<std::uint64_t>(opt.max_nodes));
   // The k* constants are fixed but stay mixed in, in this order: digests
-  // persisted in cache snapshots and checkpoints must keep their values.
+  // persisted in cache snapshots must keep their values.
   d = mix2(d, fp_double(kIntTol));
   d = mix2(d, fp_double(kGapTol));
   d = mix2(d, opt.presolve ? 1 : 0);

@@ -1,5 +1,6 @@
-// Canonical instance fingerprinting: a search checkpoint names the model
-// and options it was taken under, and resumes only on a match.
+// Canonical instance fingerprinting: the solution cache keys an answer by
+// the model and the options it was solved under, and serves it only on a
+// match.
 //
 // fingerprint_model() hashes a Model's *mathematical content* into a 128-bit
 // digest with two deliberate symmetry properties:
@@ -15,12 +16,11 @@
 //     not an accident. The solver's canonical tie-breaking reports the
 //     lexicographically smallest optimal vector, which is a function of the
 //     variable order -- permuting columns can legitimately change which
-//     optimal selection is "the" answer, so a checkpoint never resumes
+//     optimal selection is "the" answer, so a cached answer is never served
 //     across a column permutation.
 //
 // digest_options() folds every answer-affecting IlpOptions field into a
-// 64-bit digest so a checkpoint or cache key changes whenever the solver
-// contract does.
+// 64-bit digest so a cache key changes whenever the solver contract does.
 // The resource budget's runtime plumbing (cancel token, clock) is excluded:
 // tokens/clocks are per-request wiring, not semantics. Budget *limits* are
 // included -- a tighter budget can truncate to a different rung.

@@ -5,12 +5,10 @@
 #include <future>
 #include <utility>
 
-#include "ilp/checkpoint.hpp"
 #include "oracle/fixture.hpp"
 #include "service/journal.hpp"
 #include "support/assert.hpp"
 #include "support/fault_injection.hpp"
-#include "support/io.hpp"
 
 namespace partita::service {
 
@@ -30,7 +28,6 @@ SolveService::SolveService(ServiceConfig config)
     cc.max_bytes = cfg_.cache_max_bytes;
     cache_ = std::make_unique<SolutionCache>(cc);
   }
-  if (!cfg_.checkpoint_dir.empty()) support::io::make_dirs(cfg_.checkpoint_dir);
   paused_ = cfg_.start_paused;
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i) {
@@ -179,7 +176,7 @@ SubmitOutcome SolveService::submit_locked(SolveRequest request) {
     ++stats_.batches;
     stats_.batch_items += n;
   }
-  request.journal_seq = jseq;  // keys a one-item job's checkpoint file
+  request.journal_seq = jseq;  // names the job's quarantine record
   request.journal_payload.clear();
   jobs_.emplace(job, std::move(request));
   stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, policy_->queued());
@@ -335,10 +332,6 @@ std::size_t SolveService::import_cache_snapshot(const std::string& data) {
   return cache_ != nullptr ? cache_->import_snapshot(data) : 0;
 }
 
-std::string SolveService::checkpoint_path(std::uint64_t journal_seq) const {
-  return cfg_.checkpoint_dir + "/ckpt_" + std::to_string(journal_seq) + ".bin";
-}
-
 PolicyStats SolveService::scheduler_stats() const {
   std::lock_guard<std::mutex> g(mu_);
   return policy_->stats();
@@ -365,9 +358,6 @@ void SolveService::finalize_locked(Entry& e, RequestState state) {
       t.signature = select::solution_signature(e.response.selection);
     }
     cfg_.journal->append_terminal(t);
-    if (!cfg_.checkpoint_dir.empty()) {
-      support::io::remove_file(checkpoint_path(e.journal_seq));
-    }
   }
   switch (state) {
     case RequestState::kCompleted: ++stats_.completed; break;
@@ -558,26 +548,6 @@ support::Result<std::vector<select::Selection>> SolveService::run_attempt(
     // A one-item job's token also stops the derived-gain probe; ladder
     // items get theirs through the per-item hook below.
     if (one_item) opt.ilp.budget.cancel = tokens.front();
-    // Durability: journaled one-item solves snapshot their branch & bound
-    // frontier at wave boundaries, and a boot-recovery replay resumes from
-    // the last snapshot instead of re-exploring the tree. The solver
-    // re-checks resume_compatible against the actual model, so a snapshot
-    // taken by a different solve under this seq (e.g. the auxiliary gain
-    // probe) silently starts cold. Answers are bit-identical either way
-    // (canonical tie-breaking; checkpoint_resume_test proves it).
-    ilp::SearchCheckpoint resume_cp;
-    if (one_item && cfg_.checkpoint_every_waves > 0 && !cfg_.checkpoint_dir.empty() &&
-        req.journal_seq != 0) {
-      const std::string ckpt = checkpoint_path(req.journal_seq);
-      opt.ilp.checkpoint_every_waves = cfg_.checkpoint_every_waves;
-      opt.ilp.checkpoint_sink = [ckpt](const ilp::SearchCheckpoint& cp) {
-        ilp::write_checkpoint_file(ckpt, cp);
-      };
-      if (req.recovered && attempt == 1 &&
-          ilp::load_checkpoint_file(ckpt, &resume_cp, nullptr)) {
-        opt.ilp.resume = &resume_cp;
-      }
-    }
     // Retries run on a lower degradation rung: each extra attempt shrinks
     // the node budget 16x, steering the ladder toward gap-bounded / greedy
     // answers so a recurring transient fault still converges to a terminal

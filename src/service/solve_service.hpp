@@ -50,11 +50,9 @@
 //     terminal transition appends a matching terminal record. A process
 //     killed mid-storm therefore loses no acknowledged request: boot-time
 //     recovery replays the undecided admits through normal admission under
-//     their original tenant/priority/deadline envelopes. Long one-item
-//     jobs additionally checkpoint their branch & bound frontier at wave
-//     boundaries (ilp/checkpoint.hpp) so a recovered request resumes the
-//     search instead of restarting it cold -- with answers bit-identical to
-//     an uninterrupted run (canonical tie-breaking).
+//     their original tenant/priority/deadline envelopes, and each replay
+//     re-solves cold -- with answers bit-identical to an uninterrupted run,
+//     since the canonical optimum does not depend on search order.
 //
 // All timing (deadlines via the per-request budget, retry backoff, the
 // scheduler's aging/EDF decisions, the drain-rate estimator) goes through an
@@ -100,8 +98,7 @@ class Journal;  // service/journal.hpp
 /// per `required_gains` item, one admission slot, solved on one worker
 /// through Selector::select_batch (amortized model build / clique table /
 /// chained root bases). Every job gets the retry ladder and quarantine; a
-/// one-item job (the default) also goes through the solution cache and,
-/// when journaled, checkpoints its search.
+/// one-item job (the default) also goes through the solution cache.
 struct SolveRequest {
   std::string label;
   workloads::Workload workload;
@@ -230,12 +227,6 @@ struct ServiceConfig {
   /// unchanged). Not owned. The service appends under its own mutex, so one
   /// journal serves one service.
   Journal* journal = nullptr;
-  /// Directory for branch & bound checkpoints of journaled one-item jobs;
-  /// "" disables checkpointing (recovered requests then re-solve cold).
-  std::string checkpoint_dir;
-  /// Checkpoint cadence in solver waves (ilp::IlpOptions forward); <= 0
-  /// disables.
-  int checkpoint_every_waves = 0;
 };
 
 struct ServiceStats {
@@ -360,7 +351,7 @@ class SolveService {
     std::uint64_t job = 0;
     /// Journal admit record (0: not journaled); the item is the ticket's
     /// position in its job. finalize_locked appends the matching terminal
-    /// record and drops the request's checkpoint.
+    /// record.
     std::uint64_t journal_seq = 0;
     /// on_terminal hooks still owed the terminal response.
     std::vector<TerminalHook> hooks;
@@ -402,9 +393,6 @@ class SolveService {
   void shed_queued_locked(std::uint64_t job, const std::string& why);
   /// Current drain-rate-derived retry-after hint. Caller holds mu_.
   double retry_after_hint_locked() const;
-  /// Checkpoint file for one journaled one-item job (ladders solve as one
-  /// amortized unit and are replayed whole instead of checkpointed).
-  std::string checkpoint_path(std::uint64_t journal_seq) const;
 
   ServiceConfig cfg_;
   support::Clock& clock_;

@@ -70,7 +70,7 @@ bool FaultInjector::should_trip(std::string_view site) {
     if (it == sites_.end()) return false;
     s = it->second;
   }
-  // Every checkpoint is counted -- hits() reports true traffic even after a
+  // Every check is counted -- hits() reports true traffic even after a
   // sticky trip, and concurrent calls never lose a hit (single fetch_add).
   const std::uint64_t n = s->hits.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (s->tripped.load(std::memory_order_acquire)) return true;

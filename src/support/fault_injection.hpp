@@ -3,8 +3,8 @@
 // Recovery paths -- deadline expiry, arena allocation failure, basis
 // refactorization failure -- normally fire only under wall-clock or memory
 // pressure, which makes them untestable by luck. The FaultInjector lets a
-// test arm a named *site* to trip at its Nth checkpoint: production code
-// asks `fault_should_trip("site")` at each checkpoint and gets `true` from
+// test arm a named *site* to trip at its Nth check: production code asks
+// `fault_should_trip("site")` at each check and gets `true` from
 // the Nth call on (sticky, like a real expired deadline), so every recovery
 // path runs reproducibly in ctest.
 //
@@ -33,12 +33,11 @@
 //                          worker (exercises RetryPolicy + quarantine)
 //   "journal.append"       write-ahead journal admit append (durability)
 //   "journal.trim"         terminal-state trim append in the journal
-//   "checkpoint.write"     B&B checkpoint file write at a wave boundary
 //
 // Crash mode (`crasher`): arming a site with crash = true turns its trip
 // into a SIGKILL of the whole process -- no atexit handlers, no flushing,
 // the closest deterministic stand-in for power loss. The kill-and-recover
-// harness arms crash sites around the journal/checkpoint writes to prove
+// harness arms crash sites around the journal writes to prove
 // recovery replays every acknowledged request.
 //
 // The tools (tools/partita_cli.cpp, tools/partita_serve.cpp) additionally
@@ -73,11 +72,11 @@ class FaultInjector {
   /// Disarms every site and clears all hit counts.
   void reset();
 
-  /// Checkpoint: counts a hit against `site` and reports whether the fault
+  /// Check: counts a hit against `site` and reports whether the fault
   /// fires. Unarmed sites never fire (and are not counted).
   bool should_trip(std::string_view site);
 
-  /// Checkpoints counted against `site` since it was (re-)armed.
+  /// Checks counted against `site` since it was (re-)armed.
   std::uint64_t hits(std::string_view site) const;
 
  private:

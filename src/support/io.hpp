@@ -1,5 +1,5 @@
-// Durable-file primitives shared by the write-ahead journal and the B&B
-// checkpoint writer: CRC-framed records and crash-safe file replacement.
+// Durable-file primitives shared by the write-ahead journal and the cache
+// snapshot: CRC-framed records and crash-safe file replacement.
 //
 // Frame layout (little-endian, 12-byte header + payload):
 //

@@ -123,8 +123,7 @@ TEST(Fingerprint, OptionsDigestCoversAnswerAffectingKnobsOnly) {
   EXPECT_NE(ilp::digest_options(o3), ref);
 }
 
-// The default-options digest keys persisted cache snapshots and checkpoints,
-// so its value is pinned: dropping a fixed constant from the digest or
+// The default-options digest keys persisted cache snapshots, so its value is pinned: dropping a fixed constant from the digest or
 // reordering the mix changes it.
 TEST(Fingerprint, DefaultOptionsDigestIsPinned) {
   EXPECT_EQ(ilp::digest_options(ilp::IlpOptions{}), 0x991ec8b570e5005eULL);

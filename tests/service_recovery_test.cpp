@@ -4,9 +4,8 @@
 // finished item; admits journaled-but-undecided (a simulated crash) replay
 // through from_journal_payload into a fresh service and answer bit-identical
 // to an uninterrupted control run; a failing journal append rejects the
-// submit with a transient, unacknowledged error; the solution-cache snapshot
-// survives a drain/boot cycle; and checkpoint files are cleaned up once
-// their request completes.
+// submit with a transient, unacknowledged error; and the solution-cache
+// snapshot survives a drain/boot cycle.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -18,13 +17,11 @@
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
 #include "support/fault_injection.hpp"
-#include "support/io.hpp"
 #include "scratch_dir.hpp"
 
 namespace partita {
 namespace {
 
-namespace io = support::io;
 using service::Journal;
 using service::JournalRecovery;
 
@@ -302,30 +299,6 @@ TEST(ServiceRecovery, CacheSnapshotSurvivesDrainBootCycle) {
   service::SolveService svc2(cfg);
   EXPECT_EQ(svc2.import_cache_snapshot("not a snapshot"), 0u);
   EXPECT_EQ(svc2.import_cache_snapshot(""), 0u);
-}
-
-TEST(ServiceRecovery, CheckpointFilesAreRemovedOnceDecided) {
-  const ScratchDir scratch = fresh_dir("ckpt");
-  const std::string& dir = scratch.path();
-  Journal journal;
-  Journal::Config jc;
-  jc.dir = dir;
-  ASSERT_TRUE(journal.open(jc));
-  service::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.journal = &journal;
-  cfg.checkpoint_dir = dir + "/checkpoints";
-  cfg.checkpoint_every_waves = 1;
-  service::SolveService svc(cfg);
-
-  const std::uint64_t t = svc.submit(to_request(wire_submit("gsm_encoder", "ck"))).ticket();
-  const service::SolveResponse r = svc.wait(t);
-  ASSERT_EQ(r.state, service::RequestState::kCompleted) << r.error.render();
-  // Whatever checkpoints the solve wrote, the decided request must leave no
-  // orphan behind.
-  for (const std::string& name : io::list_dir(cfg.checkpoint_dir)) {
-    EXPECT_TRUE(name.rfind("ckpt_", 0) != 0) << "orphan checkpoint " << name;
-  }
 }
 
 }  // namespace

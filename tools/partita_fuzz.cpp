@@ -54,6 +54,7 @@
 #include "select/flow.hpp"
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
+#include "support/strings.hpp"
 #include "workloads/random_workload.hpp"
 
 namespace {
@@ -82,12 +83,6 @@ void usage() {
                "                    [--mode exact|sandwich|cache|batch]\n"
                "                    [--no-shrink] [--fixture-dir DIR]\n"
                "                    [--replay FIXTURE.json]\n");
-}
-
-bool parse_int(const char* s, long long* out) {
-  char* end = nullptr;
-  *out = std::strtoll(s, &end, 10);
-  return end && *end == '\0' && end != s;
 }
 
 /// The differential check under Problem 2, then Problem 1 (a fixture carries
@@ -578,10 +573,10 @@ int main(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const auto next_int = [&](long long* out) {
-      return i + 1 < argc && parse_int(argv[++i], out);
+    std::int64_t v = 0;
+    const auto next_int = [&](std::int64_t* out) {
+      return i + 1 < argc && support::parse_int(argv[++i], *out);
     };
-    long long v = 0;
     if (a == "--instances" && next_int(&v)) {
       args.instances = static_cast<int>(v);
     } else if (a == "--seed" && next_int(&v)) {

@@ -38,10 +38,6 @@
 //                         original envelope. The solution-cache snapshot
 //                         (D/cache.snapshot) is saved on graceful drain and
 //                         reloaded here too.
-//   --checkpoint-dir D    branch & bound checkpoint directory (default
-//                         <journal-dir>/checkpoints when journaling)
-//   --checkpoint-waves N  checkpoint cadence in solver waves (default 8
-//                         when journaling; 0 disables)
 //
 // script commands (one per line; '#' starts a comment):
 //   submit <builtin> [rg] [k=v ...]     a built-in workload
@@ -55,15 +51,20 @@
 // through net::to_service_request, so --journal-dir, --cache and --fault
 // apply to scripts as to socket clients.
 //
+// Numeric flag values must be non-negative numbers written in full ("2x",
+// "abc" and "-1" are bad config).
+//
 // exit codes: 0 clean shutdown (SIGTERM/SIGINT, or the script drained),
 // 2 usage/bad config, 3 bind failure or unreadable/bad script, 4 journal
 // open failure.
 #include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,6 +77,7 @@
 #include "service/solve_service.hpp"
 #include "support/fault_injection.hpp"
 #include "support/io.hpp"
+#include "support/strings.hpp"
 
 using namespace partita;
 
@@ -96,8 +98,7 @@ void on_signal(int) { g_stop = 1; }
                "       [--max-live-per-tenant N] [--max-sessions N]\n"
                "       [--quarantine-dir D] [--fault SITE[:n][:crash]]\n"
                "       [--cache] [--cache-capacity N] [--cache-mb N]\n"
-               "       [--journal-dir D] [--checkpoint-dir D]\n"
-               "       [--checkpoint-waves N] [SCRIPT]\n"
+               "       [--journal-dir D] [SCRIPT]\n"
                "\n"
                "SPEC: tcp:HOST:PORT (PORT 0 = ephemeral) or unix:PATH\n"
                "SCRIPT: submit | spec | cancel | drain | selfterm lines; no listener\n"
@@ -105,6 +106,30 @@ void on_signal(int) { g_stop = 1; }
                "      4 journal open failure\n",
                argv0);
   std::exit(kExitUsage);
+}
+
+[[noreturn]] void bad_value(const std::string& flag, const char* text) {
+  std::fprintf(stderr, "partita_serve: %s needs a non-negative number, got '%s'\n",
+               flag.c_str(), text);
+  std::exit(kExitUsage);
+}
+
+/// A numeric flag's value as a non-negative integer of at most `max`.
+std::int64_t int_value(const std::string& flag, const char* text,
+                       std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  std::int64_t v = 0;
+  if (!support::parse_int(text, v) || v < 0 || v > max) bad_value(flag, text);
+  return v;
+}
+
+/// A size flag given in MiB (fractions allowed), as bytes.
+std::size_t mib_value(const std::string& flag, const char* text) {
+  double mib = 0.0;
+  // The negated test also rejects NaN; 2^63 bytes keeps the cast defined.
+  if (!support::parse_double(text, mib) || !(mib >= 0.0 && mib * 1048576.0 < 0x1p63)) {
+    bad_value(flag, text);
+  }
+  return static_cast<std::size_t>(mib * 1048576.0);
 }
 
 /// Parses the tokens after a script `submit`/`spec` command into the wire
@@ -215,8 +240,6 @@ int run(int argc, char** argv) {
   net::ServerConfig net_cfg;
   std::string port_file;
   std::string journal_dir;
-  std::string checkpoint_dir;
-  int checkpoint_waves = -1;  // -1 = default (8 when journaling, else 0)
   std::string script_path;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -230,29 +253,27 @@ int run(int argc, char** argv) {
     if (flag == "--listen") net_cfg.listen = need_value();
     else if (flag == "--port-file") port_file = need_value();
     else if (flag == "--policy") cfg.policy = need_value();
-    else if (flag == "--workers") cfg.workers = std::atoi(need_value());
+    else if (flag == "--workers")
+      cfg.workers = static_cast<int>(
+          int_value(flag, need_value(), std::numeric_limits<int>::max()));
     else if (flag == "--queue-depth")
-      cfg.max_queue_depth = static_cast<std::size_t>(std::atoll(need_value()));
+      cfg.max_queue_depth = static_cast<std::size_t>(int_value(flag, need_value()));
     else if (flag == "--max-memory-mb")
-      cfg.max_admitted_memory_bytes =
-          static_cast<std::size_t>(std::atof(need_value()) * 1024.0 * 1024.0);
+      cfg.max_admitted_memory_bytes = mib_value(flag, need_value());
     else if (flag == "--max-live-per-tenant")
-      cfg.max_live_per_tenant = static_cast<std::size_t>(std::atoll(need_value()));
+      cfg.max_live_per_tenant = static_cast<std::size_t>(int_value(flag, need_value()));
     else if (flag == "--max-sessions")
-      net_cfg.max_sessions = static_cast<std::size_t>(std::atoll(need_value()));
+      net_cfg.max_sessions = static_cast<std::size_t>(int_value(flag, need_value()));
     else if (flag == "--quarantine-dir") cfg.quarantine_dir = need_value();
     else if (flag == "--fault") support::arm_fault_spec(need_value());
     else if (flag == "--cache") cfg.cache_enabled = true;
     else if (flag == "--cache-capacity") {
       cfg.cache_enabled = true;
-      cfg.cache_capacity = static_cast<std::size_t>(std::atoll(need_value()));
+      cfg.cache_capacity = static_cast<std::size_t>(int_value(flag, need_value()));
     } else if (flag == "--cache-mb") {
       cfg.cache_enabled = true;
-      cfg.cache_max_bytes =
-          static_cast<std::size_t>(std::atof(need_value()) * 1024.0 * 1024.0);
+      cfg.cache_max_bytes = mib_value(flag, need_value());
     } else if (flag == "--journal-dir") journal_dir = need_value();
-    else if (flag == "--checkpoint-dir") checkpoint_dir = need_value();
-    else if (flag == "--checkpoint-waves") checkpoint_waves = std::atoi(need_value());
     else if (flag.empty() || flag[0] == '-' || !script_path.empty()) usage(argv[0]);
     else script_path = flag;
   }
@@ -295,8 +316,6 @@ int run(int argc, char** argv) {
       return kExitJournal;
     }
     cfg.journal = &journal;
-    if (checkpoint_dir.empty()) checkpoint_dir = journal_dir + "/checkpoints";
-    if (checkpoint_waves < 0) checkpoint_waves = 8;
     if (rec.records_dropped != 0 || rec.bytes_dropped != 0)
       std::printf(
           "partita_serve: journal salvage: %llu records kept, %llu records "
@@ -304,10 +323,6 @@ int run(int argc, char** argv) {
           static_cast<unsigned long long>(rec.records_salvaged),
           static_cast<unsigned long long>(rec.records_dropped),
           static_cast<unsigned long long>(rec.bytes_dropped));
-  }
-  if (!checkpoint_dir.empty() && (checkpoint_waves > 0 || journal.is_open())) {
-    cfg.checkpoint_dir = checkpoint_dir;
-    cfg.checkpoint_every_waves = checkpoint_waves > 0 ? checkpoint_waves : 0;
   }
 
   service::SolveService svc(cfg);
